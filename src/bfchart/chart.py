@@ -7,11 +7,16 @@ sigma_z^2 is the asymptotic EWMA variance under AR(1) dependence:
     sigma_z^2 = sigma^2 lam (1 + phi (1 - lam))
                 / [(1 - phi^2) (2 - lam) (1 - phi (1 - lam))]
 
-The limit multiplier c is calibrated by Monte-Carlo bisection so that the
-in-control average run length matches a target (370.4 by default elsewhere).
-Replications derive independent RNG streams from (seed, replication index),
-so calibration is deterministic under a fixed seed and independent of any
-scheduling.
+The limit multiplier c is calibrated so that the in-control average run
+length matches a target (370.4 by default elsewhere).  Under common random
+numbers a replication's AR(1)+EWMA path does not depend on c, so the Monte
+Carlo ARL is a monotone step function of c; ``calibrate_c`` simulates all
+replications as one batch, extends only the runs the answer still depends
+on, and solves ARL(c) = target exactly on that step function.  Replications
+draw from one RNG stream per fixed-size block derived from (seed, block),
+so calibration is deterministic under a fixed seed.  ``estimate_arl`` is the
+independent per-replication estimate at a fixed c, with one stream per
+(seed, replication).
 """
 
 from __future__ import annotations
@@ -30,6 +35,13 @@ from .linalg import make_rng
 RUN_LENGTH_CAP = 10**7
 
 _CHUNK = 2048
+
+#: replications that share one random stream during calibration
+_CALIB_BLOCK = 1024
+#: steps every replication is simulated for in the first calibration round
+_FIRST_HORIZON = 256
+#: most values (replications x steps) calibration simulates at once
+_CHUNK_ELEMENTS = 2**16
 
 
 def _check_lambda(lam: float) -> float:
@@ -226,7 +238,103 @@ class CalibrationResult:
     c: float
     arl: float
     arl_se: float
+    #: simulation rounds the search needed
     evaluations: int
+    #: replications that reach the run-length cap without a signal at c
+    censored: int
+
+
+class _RunMaxima:
+    """Batched simulation of |z_t - mu_z| / sigma_z for seeded replications.
+
+    Each replication keeps only the records of its running maximum, as events
+    (height, weight): a record at time t whose predecessor record came at
+    time s has weight t - s at the predecessor's height (minus infinity for
+    the first record), and the horizon H adds H - (time of the last record)
+    at the current maximum.  A replication's run length at c, counted as H
+    while no value beyond its horizon exceeds c, is then the total weight of
+    its events at heights <= c.
+    """
+
+    def __init__(self, lam: float, ar: Ar1Model, reps: int, seed: int):
+        sigma_z = math.sqrt(asymptotic_sigma_z2(lam, ar))
+        self.ar_coef = ([math.sqrt(ar.sigma2)], [1.0, -ar.phi])
+        self.ewma_coef = ([lam / sigma_z], [1.0, -(1.0 - lam)])
+        self.reps = reps
+        self.rngs = [make_rng(seed, block) for block in range(-(-reps // _CALIB_BLOCK))]
+        # lfilter states phi x and (1 - lam) (z - mu_z) / sigma_z: the AR(1)
+        # starts from its stationary law and the EWMA at the chart center
+        start = np.concatenate([
+            rng.standard_normal(min(_CALIB_BLOCK, reps - block * _CALIB_BLOCK))
+            for block, rng in enumerate(self.rngs)
+        ])
+        self.x_state = ar.phi * math.sqrt(ar.variance) * start
+        self.z_state = np.zeros(reps)
+        self.peak = np.full(reps, -np.inf)
+        self.last = np.zeros(reps, dtype=np.int64)
+        self.horizon = np.zeros(reps, dtype=np.int64)
+        # record events, appended per chunk; weights and owners fit in int32
+        # because run lengths stay below RUN_LENGTH_CAP
+        self.heights: list[np.ndarray] = []
+        self.weights: list[np.ndarray] = []
+        self.owners: list[np.ndarray] = []
+
+    def extend(self, rows: np.ndarray, limit: int, stop: float) -> None:
+        """Simulate ``rows`` until each reaches ``limit`` steps or its running
+        maximum exceeds ``stop``, in chunks of at most _CHUNK_ELEMENTS values."""
+        for block, rng in enumerate(self.rngs):
+            lo = np.searchsorted(rows, block * _CALIB_BLOCK)
+            hi = np.searchsorted(rows, (block + 1) * _CALIB_BLOCK)
+            active = rows[lo:hi]
+            while active.size:
+                remaining = int((limit - self.horizon[active]).min())
+                steps = min(remaining, max(1, _CHUNK_ELEMENTS // active.size))
+                self._advance(active, rng.standard_normal((active.size, steps)))
+                active = active[(self.horizon[active] < limit) & (self.peak[active] <= stop)]
+
+    def _advance(self, rows: np.ndarray, noise: np.ndarray) -> None:
+        from scipy.signal import lfilter
+
+        x, x_state = lfilter(*self.ar_coef, noise, axis=1, zi=self.x_state[rows, None])
+        z, z_state = lfilter(*self.ewma_coef, x, axis=1, zi=self.z_state[rows, None])
+        self.x_state[rows] = x_state[:, 0]
+        self.z_state[rows] = z_state[:, 0]
+        dev = np.abs(z, out=z)
+        peak = self.peak[rows]
+        running = np.maximum.accumulate(dev, axis=1)
+        np.maximum(running, peak[:, None], out=running)
+        is_record = np.empty(dev.shape, dtype=bool)
+        np.greater(dev[:, 0], peak, out=is_record[:, 0])
+        np.greater(dev[:, 1:], running[:, :-1], out=is_record[:, 1:])
+        row, step = np.nonzero(is_record)
+        if row.size:
+            below = np.where(step > 0, running[row, step - 1], peak[row])
+            time = self.horizon[rows[row]] + step + 1
+            first = np.ones(row.size, dtype=bool)
+            first[1:] = row[1:] != row[:-1]
+            before = np.where(first, self.last[rows[row]], np.roll(time, 1))
+            self.heights.append(below)
+            self.weights.append((time - before).astype(np.int32))
+            self.owners.append(rows[row].astype(np.int32))
+            final = np.append(first[1:], True)
+            self.last[rows[row[final]]] = time[final]
+        self.peak[rows] = running[:, -1]
+        self.horizon[rows] += noise.shape[1]
+
+    def events(self, top: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Events at heights <= ``top`` sorted by height: (heights, weights,
+        owning replication).  Stored records above ``top`` are dropped."""
+        heights = np.concatenate(self.heights)
+        keep = heights <= top
+        self.heights = [heights[keep]]
+        self.weights = [np.concatenate(self.weights)[keep]]
+        self.owners = [np.concatenate(self.owners)[keep]]
+        tails = np.flatnonzero(self.peak <= top)
+        heights = np.concatenate([self.heights[0], self.peak[tails]])
+        weights = np.concatenate([self.weights[0], self.horizon[tails] - self.last[tails]])
+        owners = np.concatenate([self.owners[0], tails])
+        order = np.argsort(heights)
+        return heights[order], weights[order], owners[order]
 
 
 def calibrate_c(
@@ -237,54 +345,68 @@ def calibrate_c(
     seed: int = 0,
     lo: float = 0.5,
     hi: float = 6.0,
-    rel_tol: float = 0.02,
-    width_tol: float = 1e-3,
 ) -> CalibrationResult:
-    """Bisection on the limit multiplier c until the simulated ARL hits target.
+    """Smallest c in [lo, hi] whose simulated in-control ARL reaches the target.
 
-    Terminates when the estimated ARL is within ``rel_tol`` of the target or
-    the bracket width falls below ``width_tol``.  All candidate evaluations
-    reuse the same replication seed schedule (common random numbers), which
-    keeps the estimated ARL monotone in c and the whole search deterministic.
+    All replications share common random numbers across c: the AR(1)+EWMA
+    path of a replication does not depend on c, so its run length at c is
+    the first time the running maximum of |z - mu_z| / sigma_z exceeds c,
+    and the Monte Carlo ARL is a non-decreasing step function of c that
+    jumps only at the records of those running maxima.  The search simulates
+    every replication for a short first horizon, then repeatedly doubles the
+    horizon of the runs whose maximum does not yet exceed the current upper
+    bound on the answer, until the step function is exact up to that bound.
+    Runs are censored at a cap of 100 target ARLs (at least 10 000 steps, at
+    most RUN_LENGTH_CAP); ``censored`` counts those without a signal at c.  It returns the
+    smallest record height (or ``lo``) at which the ARL reaches the target,
+    with the ARL and its standard error at that c.  ``evaluations`` counts
+    the simulation rounds.  Raises BracketFailure when the ARL at ``lo``
+    already exceeds the target or the ARL at ``hi`` falls short of it.
     """
     if target_arl <= 1.0:
         raise InvalidConfig(f"target ARL must exceed 1, got {target_arl}")
     if reps < 1:
         raise InvalidConfig(f"replication count must be >= 1, got {reps}")
+    if not 0.0 < lo < hi:
+        raise InvalidConfig(f"need 0 < lo < hi for the c bracket, got lo={lo}, hi={hi}")
     lam = _check_lambda(lam)
     # runs far beyond the target carry no information for calibration
     cap = min(RUN_LENGTH_CAP, max(10_000, int(100 * target_arl)))
-    centered = ar
+    goal = target_arl * reps
 
-    def evaluate(c: float, n: int) -> tuple[float, float]:
-        cfg = design_chart(centered, lam, c, center=centered.mean)
-        mean, se, _ = estimate_arl(cfg, centered, n, seed, cap=cap)
-        return mean, se
+    runs = _RunMaxima(lam, ar, reps, seed)
+    rows = np.arange(reps)
+    limit = min(_FIRST_HORIZON, cap)
+    bound = hi
+    rounds = 0
+    while rows.size:
+        runs.extend(rows, limit, bound)
+        rounds += 1
+        heights, weights, owners = runs.events(bound)
+        totals = np.cumsum(weights, dtype=np.int64)
+        # totals[i] bounds reps * ARL(heights[i]) from below, counting a run
+        # with no value above heights[i] at its horizon; it is exact up to
+        # the smallest peak of a run that has not reached the cap
+        first = np.searchsorted(totals, goal)
+        reached = heights[first] if first < totals.size else math.inf
+        bound = min(max(reached, lo), hi)
+        rows = np.flatnonzero((runs.peak <= bound) & (runs.horizon < cap))
+        limit = min(2 * limit, cap)
 
-    bracket_reps = max(200, reps // 100)
-    lo_arl, _ = evaluate(lo, bracket_reps)
-    if lo_arl > target_arl:
+    def total_at(c: float) -> int:
+        return int(totals[np.searchsorted(heights, c, side="right") - 1])
+
+    if total_at(lo) > goal:
         raise BracketFailure(
-            f"ARL at c={lo} is already {lo_arl:.1f} > target {target_arl}"
+            f"ARL at c={lo} is already {total_at(lo) / reps:.1f} > target {target_arl}"
         )
-    hi_arl, _ = evaluate(hi, bracket_reps)
-    if hi_arl < target_arl:
+    if total_at(hi) < goal:
         raise BracketFailure(
-            f"ARL at c={hi} is only {hi_arl:.1f} < target {target_arl}"
+            f"ARL at c={hi} is only {total_at(hi) / reps:.1f} < target {target_arl}"
         )
-
-    evaluations = 2
-    mid, mid_arl, mid_se = 0.5 * (lo + hi), math.nan, math.nan
-    while hi - lo >= width_tol:
-        mid = 0.5 * (lo + hi)
-        mid_arl, mid_se = evaluate(mid, reps)
-        evaluations += 1
-        if abs(mid_arl - target_arl) <= rel_tol * target_arl:
-            return CalibrationResult(mid, mid_arl, mid_se, evaluations)
-        if mid_arl < target_arl:
-            lo = mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    mid_arl, mid_se = evaluate(mid, reps)
-    return CalibrationResult(mid, mid_arl, mid_se, evaluations + 1)
+    c = max(float(reached), lo)
+    upto = np.searchsorted(heights, c, side="right")
+    lengths = np.bincount(owners[:upto], weights=weights[:upto], minlength=reps)
+    se = float(lengths.std(ddof=1) / math.sqrt(reps)) if reps > 1 else math.inf
+    censored = int(np.count_nonzero(runs.peak <= c))
+    return CalibrationResult(c, float(lengths.mean()), se, rounds, censored)

@@ -303,7 +303,8 @@ def cmd_calibrate(args) -> int:
     res = chart.calibrate_c(args.lam, ar, args.arl, reps=args.reps, seed=args.seed)
     print(f"c = {res.c:.4f}")
     print(f"achieved ARL = {res.arl:.1f} +/- {res.arl_se:.1f} "
-          f"({args.reps} replications, {res.evaluations} evaluations)")
+          f"({args.reps} replications, {res.evaluations} rounds, "
+          f"{res.censored} censored)")
     return EXIT_OK
 
 

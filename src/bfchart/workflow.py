@@ -32,7 +32,13 @@ from .chart import (
 )
 from .diagnostics import FitReport, fit_report
 from .dwr import DwrConfig, FilterState, run_filter, steady_state_scale
-from .exceptions import DegenerateFit, DimensionMismatch, SchemaMismatch, TooShort
+from .exceptions import (
+    DegenerateFit,
+    DimensionMismatch,
+    InvalidConfig,
+    SchemaMismatch,
+    TooShort,
+)
 from .linalg import as_spd, cholesky, chol_log_det
 
 SCHEMA_VERSION = 1
@@ -46,6 +52,14 @@ MIN_PHASE1 = 30
 
 #: consecutive same-side EWMA points that trigger a concentration warning
 RUN_WARNING = 8
+
+
+def _require_finite(y: np.ndarray) -> None:
+    """Reject NaN or infinite observations, naming the first one (0-based)."""
+    bad = np.argwhere(~np.isfinite(y))
+    if bad.size:
+        row, col = bad[0]
+        raise InvalidConfig(f"non-finite value {y[row, col]} at row {row}, column {col}")
 
 
 def difference(data) -> np.ndarray:
@@ -240,6 +254,7 @@ def phase1(
     y = np.asarray(data, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
+    _require_finite(y)
     if apply_difference:
         y = difference(y)
     n, p = y.shape
@@ -336,6 +351,7 @@ def phase2(model: FittedModel, data, tracking: bool = False) -> MonitorResult:
         raise DimensionMismatch(
             f"data dim {y.shape[1]} does not match model dim {model.target.dim}"
         )
+    _require_finite(y)
     if model.difference:
         y = difference(y)
         if y.shape[0] == 0:

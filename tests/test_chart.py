@@ -1,8 +1,12 @@
 """Modified EWMA chart: variance formula, AR(1) fit, run lengths, calibration."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.stats import norm
 
+from bfchart import chart
 from bfchart.chart import (
     Ar1Model,
     ChartConfig,
@@ -204,3 +208,76 @@ class TestCalibrateC:
     def test_invalid_target(self):
         with pytest.raises(InvalidConfig):
             calibrate_c(0.05, Ar1Model(0.0, 0.0, 1.0), 0.5)
+
+    def test_invalid_reps(self):
+        with pytest.raises(InvalidConfig):
+            calibrate_c(0.05, Ar1Model(0.0, 0.0, 1.0), 370.4, reps=0)
+
+    @pytest.mark.parametrize("lo, hi", [(2.0, 2.0), (3.0, 2.0), (0.0, 6.0), (-1.0, 6.0)])
+    def test_invalid_bracket(self, lo, hi):
+        with pytest.raises(InvalidConfig):
+            calibrate_c(1.0, Ar1Model(0.0, 0.0, 1.0), 370.4, reps=100, lo=lo, hi=hi)
+
+    def test_repeat_calls_are_equal(self):
+        ar = Ar1Model(0.0, 0.1, 1.0)
+        first = calibrate_c(0.05, ar, 370.4, reps=500, seed=7)
+        assert calibrate_c(0.05, ar, 370.4, reps=500, seed=7) == first
+
+    def test_single_replication(self):
+        result = calibrate_c(0.05, Ar1Model(0.0, 0.1, 1.0), 370.4, reps=1, seed=0)
+        assert math.isfinite(result.c) and 0.5 <= result.c <= 6.0
+        assert result.arl >= 370.4
+        assert result.arl_se == math.inf
+
+    def test_achieved_arl_reaches_target_and_matches_reference(self):
+        # the reported ARL is the first value of the step function at or above
+        # the target; the per-replication estimator on fresh streams agrees
+        ar = Ar1Model(0.0, 0.1, 1.0)
+        result = calibrate_c(0.05, ar, 370.4, reps=2000, seed=3)
+        assert 370.4 <= result.arl < 370.4 + 3.0 * result.arl_se
+        assert result.censored == 0 and result.evaluations >= 1
+        mean, se, _ = estimate_arl(design_chart(ar, 0.05, result.c), ar, 2000, seed=4)
+        assert abs(mean - result.arl) <= 3.0 * math.hypot(se, result.arl_se)
+
+    def test_censored_runs_are_counted(self, monkeypatch):
+        # a cap near the target censors most runs; the per-replication
+        # estimator at the calibrated c censors a similar share
+        monkeypatch.setattr(chart, "RUN_LENGTH_CAP", 400)
+        ar = Ar1Model(0.0, 0.0, 1.0)
+        result = calibrate_c(1.0, ar, 370.4, reps=2000, seed=0)
+        assert 370.4 <= result.arl <= 400.0
+        assert 0 < result.censored < 2000
+        _, _, censored = estimate_arl(design_chart(ar, 1.0, result.c), ar, 2000,
+                                      seed=1, cap=400)
+        share = result.censored / 2000
+        assert abs(censored / 2000 - share) <= 4.0 * math.sqrt(2 * share * (1 - share) / 2000)
+
+
+def brook_evans_arl(lam: float, c: float, states: int) -> float:
+    """In-control ARL of the EWMA of iid N(0, 1) data with limits +/- c sigma_z,
+    started at 0, by the Markov chain of Brook & Evans (1972): the in-control
+    interval is cut into ``states`` equal cells (odd, so that 0 is a midpoint)
+    and each cell is represented by its midpoint (Lucas & Saccucci, 1990)."""
+    half = c * math.sqrt(lam / (2.0 - lam))
+    width = 2.0 * half / states
+    mid = -half + (np.arange(states) + 0.5) * width
+    mean = (1.0 - lam) * mid[:, None]
+    q = (norm.cdf((mid[None, :] + 0.5 * width - mean) / lam)
+         - norm.cdf((mid[None, :] - 0.5 * width - mean) / lam))
+    arl = np.linalg.solve(np.eye(states) - q, np.ones(states))
+    return float(arl[states // 2])
+
+
+class TestBrookEvansOracle:
+    def test_chain_reproduces_shewhart_closed_form(self):
+        assert brook_evans_arl(1.0, 3.0, 201) == pytest.approx(
+            1.0 / (2.0 * norm.cdf(-3.0)), rel=1e-9
+        )
+
+    def test_chain_is_converged_in_the_state_count(self):
+        assert abs(brook_evans_arl(0.05, 2.486, 401)
+                   - brook_evans_arl(0.05, 2.486, 801)) < 0.1
+
+    def test_calibrated_c_has_the_target_chain_arl(self):
+        result = calibrate_c(0.05, Ar1Model(0.0, 0.0, 1.0), 370.4, reps=10_000, seed=0)
+        assert abs(brook_evans_arl(0.05, result.c, 401) - 370.4) <= 3.0 * result.arl_se

@@ -1,6 +1,7 @@
 """Command-line surface: I/O formats, exit codes, determinism."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -140,7 +141,11 @@ class TestCalibrateCommand:
         out = capsys.readouterr().out
         c = float(out.splitlines()[0].split("=")[1])
         assert c == pytest.approx(3.0, abs=0.06)
-        assert "achieved ARL" in out
+        assert re.search(
+            r"^achieved ARL = [0-9.]+ \+/- [0-9.]+ "
+            r"\(2000 replications, [1-9][0-9]* rounds, 0 censored\)$",
+            out.splitlines()[1],
+        )
 
     def test_low_reps_warns(self, capsys):
         cli.main(["calibrate", "--lambda", "1.0", "--reps", "100", "--seed", "0"])

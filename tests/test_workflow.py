@@ -9,6 +9,7 @@ from bfchart.dwr import DwrConfig, steady_state_scale
 from bfchart.exceptions import (
     DegenerateFit,
     DimensionMismatch,
+    InvalidConfig,
     NotPositiveDefinite,
     SchemaMismatch,
     TooShort,
@@ -147,6 +148,13 @@ class TestPhase1(object):
             phase1(data, target=TargetSpec([0.0], [[1.0]]), deltas=(0.9,),
                    calib_reps=200)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        data = make_rng(0).standard_normal((300, 2))
+        data[7, 1] = bad
+        with pytest.raises(InvalidConfig, match="row 7, column 1"):
+            phase1(data, calib_reps=200)
+
     def test_recenter_zeroes_phase1_ewma(self):
         config = DwrConfig(dim=2, delta=0.9)
         data = gen_local_level(config, SIGMA, 200, make_rng(56))
@@ -271,3 +279,32 @@ class TestPhase2:
         stream = gen_local_level(config, SIGMA, 30, make_rng(63))
         result = phase2(model, stream)
         assert len(result.points) == 29  # one row lost to differencing
+
+
+class TestPhase2NonFinite:
+    @pytest.fixture(scope="class")
+    def iid_model(self):
+        return phase1(make_rng(0).standard_normal((300, 2)), calib_reps=200)
+
+    @pytest.fixture
+    def stream(self):
+        y = make_rng(1).standard_normal((50, 2))
+        y[20] += 50.0
+        return y
+
+    def test_spike_signals(self, iid_model, stream):
+        assert len(phase2(iid_model, stream).signals) > 0
+
+    @pytest.mark.parametrize("tracking", [False, True])
+    def test_nan_cell_raises_instead_of_dropping_signals(
+        self, iid_model, stream, tracking
+    ):
+        stream[5, 1] = np.nan
+        with pytest.raises(InvalidConfig, match="row 5, column 1"):
+            phase2(iid_model, stream, tracking=tracking)
+
+    def test_first_bad_cell_is_named(self, iid_model, stream):
+        stream[9, 0] = -np.inf
+        stream[30, 1] = np.nan
+        with pytest.raises(InvalidConfig, match="row 9, column 0"):
+            phase2(iid_model, stream)
