@@ -6,7 +6,6 @@ is monitored with a modified EWMA chart whose limits are calibrated by
 Monte Carlo to a target in-control average run length.
 """
 
-from ._accel import USING_NUMBA
 from .bayesfactor import TargetSpec, bf, lbf, lbf_series
 from .chart import (
     Ar1Model,

@@ -1,43 +1,31 @@
-"""Hot numeric kernels with numba acceleration and pure-numpy fallbacks.
+"""Numeric kernels over whole series, one array implementation per formula.
 
-The numba-compiled paths are used whenever numba imports cleanly.  Setting
-the environment variable ``BFCHART_NO_NUMBA=1`` before import forces the
-pure-numpy fallbacks; ``benchmarks/bench_kernels.py`` times both paths.
+* ``filter_path``: the discount local-level recursions over a series,
+  optionally resumed from a filter state.
+* ``lbf_path`` and ``_lbf``: the log Bayes factor of many observations,
+  vectorised over rows; (m, P, S) broadcast, so scoring against one frozen
+  state takes a single Cholesky factorisation.
+* ``ewma_path`` and ``run_length_chunk``: the EWMA and the AR(1)+EWMA
+  run-length recursions as ``scipy.signal.lfilter`` calls.
 
-Both paths consume the same noise arrays in the same order, so results are
-reproducible per seed within either path.
+The scalar forms (``dwr.FilterState.step``, one ``bayesfactor.lbf`` per
+observation) and plain loops in the tests are the references these kernels
+are checked against.  ``scipy.signal`` is imported inside the functions: at
+module level it would add about 0.4 s to every process importing bfchart.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_FORCED_OFF = os.environ.get("BFCHART_NO_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-)
+from .exceptions import CovarianceNotReady
 
-try:
-    if _FORCED_OFF:
-        raise ImportError("numba disabled via BFCHART_NO_NUMBA")
-    from numba import njit
-
-    USING_NUMBA = True
-except ImportError:
-    USING_NUMBA = False
-
-    def njit(*args, **kwargs):  # no-op decorator stand-in
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+#: relative distance from the scale limit below which the filter gain is
+#: treated as constant; floating point settles P_t either on the limit or
+#: on a two-cycle one ulp wide, so exact equality may never happen
+_SETTLED_RTOL = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -45,141 +33,140 @@ except ImportError:
 # ---------------------------------------------------------------------------
 
 
-def _filter_path_loop(y, delta, m0, p0):
-    """Run the discount local-level recursions over a whole series.
-
-    Returns (e, m_pre, p_pre, s_post, m_final, p_final) where the ``_pre``
-    arrays hold the pre-update quantities used to score observation t and
-    s_post[t] is the innovation covariance estimate after t+1 observations.
-    """
-    n, p = y.shape
-    e = np.empty((n, p))
-    m_pre = np.empty((n, p))
-    p_pre = np.empty(n)
-    s_post = np.empty((n, p, p))
-    m = m0.copy()
-    scale = p0
-    acc = np.zeros((p, p))
-    for t in range(n):
-        p_pre[t] = scale
-        denom = delta + scale
-        for i in range(p):
-            m_pre[t, i] = m[i]
-            e[t, i] = y[t, i] - m[i]
-        w = delta / denom
-        for i in range(p):
-            for j in range(p):
-                acc[i, j] += w * e[t, i] * e[t, j]
-        inv_t = 1.0 / (t + 1.0)
-        for i in range(p):
-            for j in range(i, p):
-                s = 0.5 * (acc[i, j] + acc[j, i]) * inv_t
-                s_post[t, i, j] = s
-                s_post[t, j, i] = s
-        for i in range(p):
-            m[i] = (delta * m[i] + scale * y[t, i]) / denom
-        scale = 1.0 / denom
-    return e, m_pre, p_pre, s_post, m, scale
+def scale_limit(delta: float) -> float:
+    """Positive fixed point of P = 1/(delta + P): (sqrt(delta^2 + 4) - delta) / 2."""
+    return (math.sqrt(delta * delta + 4.0) - delta) / 2.0
 
 
-def _filter_path_np(y, delta, m0, p0):
-    n, p = y.shape
-    e = np.empty((n, p))
-    m_pre = np.empty((n, p))
-    p_pre = np.empty(n)
-    s_post = np.empty((n, p, p))
-    m = m0.astype(float).copy()
+def scale_path(delta: float, p0: float, n: int) -> np.ndarray:
+    """The data-free scales P_0 = p0, P_1, ..., P_n of the recursion."""
+    out = np.empty(n + 1)
     scale = float(p0)
-    acc = np.zeros((p, p))
-    for t in range(n):
-        p_pre[t] = scale
-        m_pre[t] = m
-        err = y[t] - m
-        e[t] = err
-        denom = delta + scale
-        acc += (delta / denom) * np.outer(err, err)
-        s = 0.5 * (acc + acc.T) / (t + 1.0)
-        s_post[t] = s
-        m = (delta * m + scale * y[t]) / denom
-        scale = 1.0 / denom
-    return e, m_pre, p_pre, s_post, m, scale
-
-
-# ---------------------------------------------------------------------------
-# log Bayes factor path
-# ---------------------------------------------------------------------------
-
-
-def _fwd_quad_loop(L, d, w):
-    """Quadratic form d' (L L')^{-1} d via forward substitution."""
-    p = d.shape[0]
-    acc = 0.0
-    for i in range(p):
-        s = d[i]
-        for j in range(i):
-            s -= L[i, j] * w[j]
-        w[i] = s / L[i, i]
-        acc += w[i] * w[i]
-    return acc
-
-
-def _lbf_path_loop(y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet_target, start):
-    """Score each observation from ``start`` on with the log Bayes factor.
-
-    s_pre[t] must be positive definite for every t >= start.  Entries before
-    ``start`` are NaN.
-    """
-    n, p = y.shape
-    out = np.full(n, np.nan)
-    w = np.empty(p)
-    d = np.empty(p)
-    half_p = 0.5 * p
-    base = half_p * math.log(delta) + 0.5 * logdet_target
-    for t in range(start, n):
-        for i in range(p):
-            d[i] = y[t, i] - mu[i]
-        q_target = _fwd_quad_loop(l_target, d, w)
-        ls = np.linalg.cholesky(s_pre[t])
-        logdet_s = 0.0
-        for i in range(p):
-            logdet_s += math.log(ls[i, i])
-        logdet_s *= 2.0
-        for i in range(p):
-            d[i] = y[t, i] - m_pre[t, i]
-        q_pred = _fwd_quad_loop(ls, d, w)
-        denom = delta + p_pre[t]
-        out[t] = (
-            base
-            - half_p * math.log(denom)
-            - 0.5 * logdet_s
-            + 0.5 * q_target
-            - 0.5 * delta * q_pred / denom
-        )
+    out[0] = scale
+    for t in range(1, n + 1):
+        scale = 1.0 / (delta + scale)
+        out[t] = scale
     return out
 
 
-def _lbf_path_np(y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet_target, start):
-    from scipy.linalg import solve_triangular
+def filter_path(y, delta, m0, p0, t0=0, sum0=None):
+    """Run the discount local-level recursions over a whole series.
+
+    The run starts from the state (t0, m0, p0, sum0) -- t0 observations
+    absorbed, posterior mean m0, scale p0 and running outer-product sum
+    sum0 (zeros when None).  Returns (e, m_pre, p_pre, s_post, m_final,
+    p_final, sum_final): the ``_pre`` arrays hold the quantities used to
+    score observation t, and s_post[t] = sum of the weighted outer products
+    so far divided by t0 + t + 1.
+
+    P_t does not depend on the data.  Once it is within ``_SETTLED_RTOL`` of
+    its limit, the mean recursion has a constant gain and runs as one
+    first-order ``lfilter`` over the rest of the series.
+    """
+    from scipy.signal import lfilter
 
     n, p = y.shape
-    out = np.full(n, np.nan)
-    base = 0.5 * p * math.log(delta) + 0.5 * logdet_target
-    dt = y[start:] - mu
-    wt = solve_triangular(l_target, dt.T, lower=True, check_finite=False)
-    q_target = np.sum(wt * wt, axis=0)
-    for k, t in enumerate(range(start, n)):
-        ls = np.linalg.cholesky(s_pre[t])
-        logdet_s = 2.0 * np.sum(np.log(np.diag(ls)))
-        d = y[t] - m_pre[t]
-        w = solve_triangular(ls, d, lower=True, check_finite=False)
+    scales = scale_path(delta, p0, n)
+    p_pre = scales[:n]
+    limit = scale_limit(delta)
+    near = np.abs(p_pre - limit) <= _SETTLED_RTOL * limit
+    settled = int(np.argmax(near)) if near.any() else n
+
+    m_pre = np.empty((n, p))
+    m = np.asarray(m0, dtype=float).copy()
+    for t in range(settled):
+        m_pre[t] = m
         denom = delta + p_pre[t]
-        out[t] = (
-            base
-            - 0.5 * p * math.log(denom)
-            - 0.5 * logdet_s
-            + 0.5 * q_target[k]
-            - 0.5 * delta * (w @ w) / denom
+        m = (delta * m + p_pre[t] * y[t]) / denom
+    if settled < n:
+        scale = p_pre[settled]
+        denom = delta + scale
+        gain = delta / denom
+        m_post, _ = lfilter([scale / denom], [1.0, -gain], y[settled:], axis=0,
+                            zi=(gain * m)[None, :])
+        m_pre[settled] = m
+        m_pre[settled + 1:] = m_post[:-1]
+        m = m_post[-1].copy()
+
+    e = y - m_pre
+    weight = delta / (delta + p_pre)
+    outer = weight[:, None, None] * (e[:, :, None] * e[:, None, :])
+    start = np.zeros((1, p, p)) if sum0 is None else np.asarray(sum0, float)[None]
+    sums = np.cumsum(np.concatenate([start, outer]), axis=0)[1:]
+    s_post = sums / (t0 + np.arange(1.0, n + 1.0))[:, None, None]
+    return e, m_pre, p_pre, s_post, m, float(scales[n]), sums[-1]
+
+
+# ---------------------------------------------------------------------------
+# log Bayes factor
+# ---------------------------------------------------------------------------
+
+
+def _chol_sq(L, d):
+    """Per row, the squared norm of L^{-1} d by forward substitution.
+
+    L (..., p, p) lower triangular and d (..., p) broadcast against each
+    other; the loop runs over the p coordinates only.
+    """
+    p = d.shape[-1]
+    w = np.empty(np.broadcast_shapes(L.shape[:-1], d.shape))
+    for i in range(p):
+        acc = d[..., i]
+        if i:
+            acc = acc - np.sum(L[..., i, :i] * w[..., :i], axis=-1)
+        w[..., i] = acc / L[..., i, i]
+    return np.sum(w * w, axis=-1)
+
+
+def _lbf(y, m, p_scale, s, delta, mu, l_target, logdet_target, t0=0):
+    """Log Bayes factor of each row of y against the target N(mu, V).
+
+    (m, p_scale, s) are the pre-update mean (..., p), scale (...) and
+    innovation covariance estimate (..., p, p) and broadcast against the
+    rows of y; V enters through its Cholesky factor and log determinant.
+    Raises CovarianceNotReady, naming t0 plus the index of the first
+    covariance that is not positive definite.
+    """
+    p = y.shape[-1]
+    try:
+        ls = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        stack = np.reshape(s, (-1, p, p))
+        ls = np.reshape([_chol_or_nan(a) for a in stack], np.shape(s))
+    diag = np.diagonal(ls, axis1=-2, axis2=-1)
+    # a non-finite input factors into NaNs instead of raising
+    good = np.all(np.isfinite(diag), axis=-1)
+    if not np.all(good):
+        bad = int(np.argmax(~np.ravel(good)))
+        raise CovarianceNotReady(
+            f"innovation covariance is not positive definite at t={t0 + bad}"
         )
+    logdet_s = 2.0 * np.sum(np.log(diag), axis=-1)
+    q_target = _chol_sq(l_target, y - mu)
+    q_pred = _chol_sq(ls, y - m)
+    denom = delta + p_scale
+    base = 0.5 * p * math.log(delta) + 0.5 * logdet_target
+    return (
+        base
+        - 0.5 * p * np.log(denom)
+        - 0.5 * logdet_s
+        + 0.5 * q_target
+        - 0.5 * delta * q_pred / denom
+    )
+
+
+def _chol_or_nan(a):
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return np.full_like(a, np.nan)
+
+
+def lbf_path(y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet_target, start):
+    """Score each observation from ``start`` on; entries before it are NaN."""
+    out = np.full(y.shape[0], np.nan)
+    out[start:] = _lbf(y[start:], m_pre[start:], p_pre[start:], s_pre[start:],
+                       delta, mu, l_target, logdet_target, t0=start)
     return out
 
 
@@ -188,17 +175,8 @@ def _lbf_path_np(y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet_target, sta
 # ---------------------------------------------------------------------------
 
 
-def _ewma_path_loop(x, lam, z0):
-    n = x.shape[0]
-    z = np.empty(n)
-    prev = z0
-    for t in range(n):
-        prev = lam * x[t] + (1.0 - lam) * prev
-        z[t] = prev
-    return z
-
-
-def _ewma_path_np(x, lam, z0):
+def ewma_path(x, lam, z0):
+    """z_t = lam x_t + (1 - lam) z_{t-1} from z_{-1} = z0."""
     from scipy.signal import lfilter
 
     if x.shape[0] == 0:
@@ -207,22 +185,12 @@ def _ewma_path_np(x, lam, z0):
     return z
 
 
-def _rl_chunk_loop(noise, x, z, phi, icept, lam, ucl, lcl):
+def run_length_chunk(noise, x, z, phi, icept, lam, ucl, lcl):
     """Advance the AR(1)+EWMA recursion through one noise chunk.
 
     Returns (steps_consumed, signalled, x_end, z_end); on a signal the step
     count is the within-chunk index of the crossing (1-based).
     """
-    n = noise.shape[0]
-    for k in range(n):
-        x = icept + phi * x + noise[k]
-        z = lam * x + (1.0 - lam) * z
-        if z > ucl or z < lcl:
-            return k + 1, True, x, z
-    return n, False, x, z
-
-
-def _rl_chunk_np(noise, x, z, phi, icept, lam, ucl, lcl):
     from scipy.signal import lfilter
 
     n = noise.shape[0]
@@ -233,46 +201,3 @@ def _rl_chunk_np(noise, x, z, phi, icept, lam, ucl, lcl):
         k = int(np.argmax(hit))
         return k + 1, True, float(xs[k]), float(zs[k])
     return n, False, float(xs[-1]), float(zs[-1])
-
-
-if USING_NUMBA:
-    filter_path = njit(cache=True)(_filter_path_loop)
-    _fwd_quad = njit(cache=True)(_fwd_quad_loop)
-
-    @njit(cache=True)
-    def lbf_path(y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet_target, start):
-        n, p = y.shape
-        out = np.full(n, np.nan)
-        w = np.empty(p)
-        d = np.empty(p)
-        half_p = 0.5 * p
-        base = half_p * math.log(delta) + 0.5 * logdet_target
-        for t in range(start, n):
-            for i in range(p):
-                d[i] = y[t, i] - mu[i]
-            q_target = _fwd_quad(l_target, d, w)
-            ls = np.linalg.cholesky(s_pre[t])
-            logdet_s = 0.0
-            for i in range(p):
-                logdet_s += math.log(ls[i, i])
-            logdet_s *= 2.0
-            for i in range(p):
-                d[i] = y[t, i] - m_pre[t, i]
-            q_pred = _fwd_quad(ls, d, w)
-            denom = delta + p_pre[t]
-            out[t] = (
-                base
-                - half_p * math.log(denom)
-                - 0.5 * logdet_s
-                + 0.5 * q_target
-                - 0.5 * delta * q_pred / denom
-            )
-        return out
-
-    ewma_path = njit(cache=True)(_ewma_path_loop)
-    run_length_chunk = njit(cache=True)(_rl_chunk_loop)
-else:
-    filter_path = _filter_path_np
-    lbf_path = _lbf_path_np
-    ewma_path = _ewma_path_np
-    run_length_chunk = _rl_chunk_np

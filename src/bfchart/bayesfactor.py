@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _accel
 from .dwr import FilterState
 from .exceptions import CovarianceNotReady, DimensionMismatch
-from .linalg import as_spd, chol_log_det, chol_quad_form, cholesky, is_spd
+from .linalg import as_spd, chol_log_det, cholesky
 
 
 @dataclass(frozen=True)
@@ -61,43 +62,41 @@ def lbf_terms(
     y,
     m: np.ndarray,
     p_scale: float,
-    s_chol: np.ndarray,
-    s_logdet: float,
+    s: np.ndarray,
     delta: float,
     target: TargetSpec,
-) -> float:
-    """The log Bayes factor from explicit pre-update components."""
+) -> np.ndarray:
+    """The log Bayes factor of y from explicit pre-update components (m, P, S).
+
+    y is one observation (p,) or rows (n, p); m, P and S broadcast against
+    the rows, so scoring against one frozen state factorises S once.
+    """
     obs = np.asarray(y, dtype=float)
     p = target.dim
-    if obs.shape != (p,):
+    if obs.shape[-1:] != (p,):
         raise DimensionMismatch(f"observation shape {obs.shape} does not match dim {p}")
-    q_target = chol_quad_form(target.chol, obs - target.mu)
-    q_pred = chol_quad_form(s_chol, obs - m)
-    denom = delta + p_scale
-    return (
-        0.5 * p * math.log(delta)
-        + 0.5 * target.logdet
-        - 0.5 * p * math.log(denom)
-        - 0.5 * s_logdet
-        + 0.5 * q_target
-        - 0.5 * delta * q_pred / denom
-    )
-
-
-def _state_chol(state: FilterState) -> tuple[np.ndarray, float]:
-    s = state.S
-    if s is None or not is_spd(s):
-        raise CovarianceNotReady(
-            f"innovation covariance is not positive definite at t={state.t}"
-        )
-    chol = cholesky(s)
-    return chol, chol_log_det(chol)
+    return _accel._lbf(obs, m, p_scale, s, delta, target.mu, target.chol,
+                       target.logdet)
 
 
 def lbf(y, state: FilterState, target: TargetSpec) -> float:
     """Log Bayes factor of y against the state's pre-update quantities."""
-    s_chol, s_logdet = _state_chol(state)
-    return lbf_terms(y, state.m, state.P, s_chol, s_logdet, state.delta, target)
+    obs = np.asarray(y, dtype=float)
+    if obs.shape != (target.dim,):
+        raise DimensionMismatch(
+            f"observation shape {obs.shape} does not match dim {target.dim}"
+        )
+    s = _state_cov(state)
+    return float(_accel._lbf(obs, state.m, state.P, s, state.delta, target.mu,
+                             target.chol, target.logdet, t0=state.t))
+
+
+def _state_cov(state: FilterState) -> np.ndarray:
+    if state.S is None:
+        raise CovarianceNotReady(
+            f"innovation covariance is not positive definite at t={state.t}"
+        )
+    return state.S
 
 
 def bf(y, state: FilterState, target: TargetSpec) -> float:
@@ -117,13 +116,26 @@ def lbf_series(data, state: FilterState, target: TargetSpec) -> np.ndarray:
 
     The state must already be warm (S positive definite).  The returned
     sequence is aligned with the input; the state ends advanced len(data)
-    steps.
+    steps.  The filter runs as one resumed ``_accel.filter_path`` call and
+    the scores as one batched LBF, so the state is left unchanged when a
+    covariance is not positive definite.
     """
     arr = np.asarray(data, dtype=float)
     if arr.size == 0:
         return np.empty(0)
-    out = np.empty(len(arr))
-    for i, y in enumerate(arr.reshape(len(arr), -1)):
-        out[i] = lbf(y, state, target)
-        state.step(y)
+    y = arr.reshape(len(arr), -1)
+    if y.shape[1] != target.dim or state.m.shape != (target.dim,):
+        raise DimensionMismatch(
+            f"observations of dim {y.shape[1]} and a state of shape "
+            f"{state.m.shape} do not match target dim {target.dim}"
+        )
+    s_first = _state_cov(state)
+    _, m_pre, p_pre, s_post, m_fin, p_fin, sum_fin = _accel.filter_path(
+        y, state.delta, state.m, state.P, state.t, state.sum_outer
+    )
+    s_pre = np.concatenate([s_first[None], s_post[:-1]])
+    out = _accel._lbf(y, m_pre, p_pre, s_pre, state.delta, target.mu,
+                      target.chol, target.logdet, t0=state.t)
+    state.t += len(y)
+    state.m, state.P, state.sum_outer = m_fin, p_fin, sum_fin
     return out

@@ -43,10 +43,9 @@ def standardize_errors(errors, covs) -> np.ndarray:
         raise DimensionMismatch(
             f"{len(errs)} errors but {len(covs)} covariance matrices"
         )
-    out = np.empty_like(errs)
-    for t, (e, cov) in enumerate(zip(errs, covs)):
-        out[t] = sym_inv_sqrt(cov) @ e
-    return out
+    if not len(errs):
+        return np.empty_like(errs)
+    return (sym_inv_sqrt(covs) @ errs[..., None])[..., 0]
 
 
 def msse(e_star) -> np.ndarray:

@@ -12,14 +12,17 @@ The one-step forecast error density is N(0, (delta + P) S / delta).  ``P``
 converges to the data-free limit (sqrt(delta^2 + 4) - delta) / 2 and ``S``
 estimates the measurement covariance.
 
-``S`` is held as a running sum divided by t for O(p^2) per-step cost and is
-re-symmetrized every step; floating point drift would otherwise accumulate
-in the outer-product updates.
+``S`` is held as a running sum divided by t.  Each term delta e e' / (delta + P)
+is exactly symmetric in floating point (e_i e_j = e_j e_i), so the sum stays
+exactly symmetric without re-symmetrization.
+
+``FilterState.step`` is the scalar form, one observation at a time;
+``run_filter`` runs the same recursions over a whole series with the array
+kernel ``_accel.filter_path``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +93,7 @@ class FilterState:
             )
         e = obs - self.m
         denom = self.delta + self.P
-        acc = self.sum_outer + (self.delta / denom) * np.outer(e, e)
-        self.sum_outer = 0.5 * (acc + acc.T)
+        self.sum_outer = self.sum_outer + (self.delta / denom) * np.outer(e, e)
         self.m = (self.delta * self.m + self.P * obs) / denom
         self.P = 1.0 / denom
         self.t += 1
@@ -140,8 +142,7 @@ def steady_state_scale(delta: float) -> float:
 
     The limit is the positive solution of the fixed point P = 1/(delta + P).
     """
-    delta = _check_delta(delta)
-    return (math.sqrt(delta * delta + 4.0) - delta) / 2.0
+    return _accel.scale_limit(_check_delta(delta))
 
 
 def scale_sequence(delta: float, p0: float = DEFAULT_PRIOR_SCALE, n: int = 200) -> np.ndarray:
@@ -149,12 +150,7 @@ def scale_sequence(delta: float, p0: float = DEFAULT_PRIOR_SCALE, n: int = 200) 
     delta = _check_delta(delta)
     if p0 <= 0.0:
         raise InvalidConfig(f"prior scale must be > 0, got {p0}")
-    out = np.empty(n)
-    scale = float(p0)
-    for t in range(n):
-        scale = 1.0 / (delta + scale)
-        out[t] = scale
-    return out
+    return _accel.scale_path(delta, p0, n)[1:]
 
 
 def steady_state_mean(m0, errors, delta: float) -> np.ndarray:
@@ -193,11 +189,15 @@ class FilterPath:
         just a Cholesky success: a barely positive definite early estimate
         would make the standardization and Bayes factors numerically wild.
         """
-        for t in range(1, self.errors.shape[0]):
-            s = self.s_pre[t]
-            w = np.linalg.eigvalsh(s)
-            if w[0] > 0.0 and w[0] > 1e-8 * w[-1]:
-                return t
+        n = self.errors.shape[0]
+        lo, size = 1, 64
+        while lo < n:
+            hi = min(lo + size, n)
+            w = np.linalg.eigvalsh(self.s_pre[lo:hi])
+            solid = (w[:, 0] > 0.0) & (w[:, 0] > 1e-8 * w[:, -1])
+            if solid.any():
+                return lo + int(np.argmax(solid))
+            lo, size = hi, 2 * size
         return None
 
 
@@ -210,14 +210,12 @@ def run_filter(config: DwrConfig, data) -> FilterPath:
         raise DimensionMismatch(
             f"data of shape {y.shape} does not match dim {config.dim}"
         )
-    e, m_pre, p_pre, s_post, m_fin, p_fin = _accel.filter_path(
+    e, m_pre, p_pre, s_post, m_fin, p_fin, sum_fin = _accel.filter_path(
         y, config.delta, config.m0, config.prior_scale
     )
     n, p = y.shape
     s_pre = np.concatenate([np.zeros((1, p, p)), s_post[:-1]], axis=0)
-    final = FilterState(
-        delta=config.delta, t=n, m=m_fin, P=p_fin, sum_outer=s_post[-1] * n
-    )
+    final = FilterState(delta=config.delta, t=n, m=m_fin, P=p_fin, sum_outer=sum_fin)
     return FilterPath(
         delta=config.delta,
         errors=e,

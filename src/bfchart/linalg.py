@@ -28,11 +28,17 @@ def as_spd(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    return _symmetrized(a)
+
+
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """(a + a')/2 for a matrix or a stack (..., p, p) of finite, symmetric ones."""
     if not np.all(np.isfinite(a)):
         raise NotPositiveDefinite("matrix has non-finite entries")
-    if a.size and np.max(np.abs(a - a.T)) > SYM_ATOL:
+    at = np.swapaxes(a, -1, -2)
+    if a.size and np.max(np.abs(a - at)) > SYM_ATOL:
         raise NotPositiveDefinite("matrix is not symmetric to within 1e-10")
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + at)
 
 
 def cholesky(m) -> np.ndarray:
@@ -82,13 +88,19 @@ def quad_form(x, m) -> float:
 
 
 def sym_inv_sqrt(m) -> np.ndarray:
-    """Spectral inverse square root R with R m R = I; R is symmetric."""
-    a = as_spd(m)
-    w, u = np.linalg.eigh(a)
-    if w[0] <= 0.0:
+    """Spectral inverse square root R with R m R = I; R is symmetric.
+
+    ``m`` is one matrix or a stack (..., p, p) of them; every matrix must be
+    finite, symmetric to within 1e-10 and positive definite.
+    """
+    a = np.asarray(m, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
+    w, u = np.linalg.eigh(_symmetrized(a))
+    if np.any(w[..., 0] <= 0.0):
         raise NotPositiveDefinite("matrix has non-positive eigenvalues")
-    r = (u / np.sqrt(w)) @ u.T
-    return 0.5 * (r + r.T)
+    r = (u / np.sqrt(w)[..., None, :]) @ np.swapaxes(u, -1, -2)
+    return 0.5 * (r + np.swapaxes(r, -1, -2))
 
 
 def sample_mvn(mean, cov, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -36,10 +36,10 @@ def render_chart_svg(
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
     def px(t):
-        return float(_scale([t], 0, n - 1, _MARGIN, _W - _MARGIN)[0])
+        return _scale(t, 0, n - 1, _MARGIN, _W - _MARGIN)
 
     def py(v):
-        return float(_scale([v], y_lo, y_hi, _H - _MARGIN, _MARGIN)[0])
+        return _scale(v, y_lo, y_hi, _H - _MARGIN, _MARGIN)
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -53,7 +53,7 @@ def render_chart_svg(
         (ucl, "4 4", "firebrick", "ucl"),
         (lcl, "4 4", "firebrick", "lcl"),
     ):
-        y = py(value)
+        y = float(py(value))
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         lines.append(
             f'<line x1="{_MARGIN}" y1="{y:.2f}" x2="{_W - _MARGIN}" y2="{y:.2f}" '
@@ -64,22 +64,24 @@ def render_chart_svg(
             f'font-size="11" fill="{color}">{label}</text>'
         )
     if separator is not None and 0 < separator < n:
-        x = px(separator - 0.5)
+        x = float(px(separator - 0.5))
         lines.append(
             f'<line x1="{x:.2f}" y1="{_MARGIN}" x2="{x:.2f}" y2="{_H - _MARGIN}" '
             f'stroke="gray" stroke-width="1"/>'
         )
     if len(z):
-        points = " ".join(f"{px(t):.2f},{py(v):.2f}" for t, v in enumerate(z))
+        # iterating the arrays makes one float at a time; lists of all the
+        # coordinates would raise the peak memory of a long chart
+        xs, ys = px(np.arange(len(z))), py(z)
+        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
         lines.append(
             f'<polyline points="{points}" fill="none" stroke="steelblue" '
             f'stroke-width="1.5"/>'
         )
-        for t, v in enumerate(z):
-            if v > ucl or v < lcl:
-                lines.append(
-                    f'<circle cx="{px(t):.2f}" cy="{py(v):.2f}" r="3.5" '
-                    f'fill="firebrick"/>'
-                )
+        for t in np.flatnonzero((z > ucl) | (z < lcl)):
+            lines.append(
+                f'<circle cx="{xs[t]:.2f}" cy="{ys[t]:.2f}" r="3.5" '
+                f'fill="firebrick"/>'
+            )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -29,17 +29,20 @@ from .chart import (
     calibrate_c,
     design_chart,
     fit_ar1,
+    run_chart,
 )
 from .diagnostics import FitReport, fit_report
 from .dwr import DwrConfig, FilterState, run_filter, steady_state_scale
 from .exceptions import (
+    BfchartError,
     DegenerateFit,
     DimensionMismatch,
     InvalidConfig,
+    NotPositiveDefinite,
     SchemaMismatch,
     TooShort,
 )
-from .linalg import as_spd, cholesky, chol_log_det
+from .linalg import as_spd, cholesky
 
 SCHEMA_VERSION = 1
 
@@ -118,6 +121,40 @@ class FittedModel:
     grid: tuple[GridEntry, ...] = ()
     phase1_z: np.ndarray = field(default_factory=lambda: np.empty(0))
 
+    def __post_init__(self):
+        """Reject inconsistent components with SchemaMismatch.
+
+        The scoring kernels broadcast, so a mean or covariance of the wrong
+        shape would otherwise give silently wrong statistics.
+        """
+        p = self.target.dim
+        if np.shape(self.m_opt) != (p,) or np.shape(self.s_opt) != (p, p):
+            raise SchemaMismatch(
+                f"m_opt of shape {np.shape(self.m_opt)} and s_opt of shape "
+                f"{np.shape(self.s_opt)} do not match target dim {p}"
+            )
+        scalars = (self.delta, self.p_star, self.lbf_offset, self.prior_scale,
+                   self.ar.intercept, self.ar.phi, self.ar.sigma2, self.chart.lam,
+                   self.chart.c, self.chart.mu_z, self.chart.sigma_z)
+        arrays = (self.m_opt, self.s_opt, self.target.mu, self.phase1_z)
+        if not (all(math.isfinite(v) for v in scalars)
+                and all(np.all(np.isfinite(a)) for a in arrays)):
+            raise SchemaMismatch("model has non-finite values")
+        if not 0.0 < self.delta <= 1.0:
+            raise SchemaMismatch(f"discount factor {self.delta} is not in (0, 1]")
+        limit = steady_state_scale(self.delta)
+        if not math.isclose(self.p_star, limit, rel_tol=1e-12):
+            raise SchemaMismatch(
+                f"p_star {self.p_star!r} is not the steady-state scale {limit!r} "
+                f"of delta {self.delta}"
+            )
+        try:
+            cholesky(self.s_opt)
+        except NotPositiveDefinite as err:
+            raise SchemaMismatch(f"s_opt is not positive definite: {err}") from None
+        if self.n_phase1 < 1:
+            raise SchemaMismatch(f"n_phase1 must be >= 1, got {self.n_phase1}")
+
     def to_dict(self) -> dict:
         p = self.m_opt.shape[0]
         return {
@@ -190,7 +227,7 @@ class FittedModel:
                 ),
                 phase1_z=np.array(doc["phase1_z"], dtype=float),
             )
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, BfchartError) as err:
             raise SchemaMismatch(f"malformed model document: {err}") from err
 
 
@@ -277,10 +314,8 @@ def phase1(
         # the first scored points right after S turns positive definite are
         # numerically wild; give the estimate a short settling period
         w = max(w, 10)
-        covs = [
-            (config.delta + path.p_pre[t]) * path.s_pre[t] / config.delta
-            for t in range(w, n)
-        ]
+        scale = config.delta + path.p_pre[w:, None, None]
+        covs = scale * path.s_pre[w:] / config.delta
         report = fit_report(path.errors[w:], covs, y[w:])
         candidates.append((report.msse_score, float(delta), path, w, report))
     if not candidates:
@@ -367,28 +402,13 @@ def phase2(model: FittedModel, data, tracking: bool = False) -> MonitorResult:
         )
         lbf_vals = bayesfactor.lbf_series(y, state, model.target)
     else:
-        s_chol = cholesky(model.s_opt)
-        s_logdet = chol_log_det(s_chol)
-        lbf_vals = np.array(
-            [
-                bayesfactor.lbf_terms(
-                    row, model.m_opt, model.p_star, s_chol, s_logdet,
-                    model.delta, model.target,
-                )
-                for row in y
-            ]
+        lbf_vals = bayesfactor.lbf_terms(
+            y, model.m_opt, model.p_star, model.s_opt, model.delta, model.target
         )
 
-    statistic = lbf_vals - model.lbf_offset
-    z = _accel.ewma_path(np.ascontiguousarray(statistic), model.chart.lam,
-                         model.chart.mu_z)
-    ucl, lcl = model.chart.ucl, model.chart.lcl
-    points = tuple(
-        ChartPoint(t=t, x=float(statistic[t]), z=float(z[t]),
-                   out_of_control=bool(z[t] > ucl or z[t] < lcl))
-        for t in range(len(z))
-    )
+    points = tuple(run_chart(lbf_vals - model.lbf_offset, model.chart))
     signals = tuple(pt.t for pt in points if pt.out_of_control)
+    z = np.array([pt.z for pt in points])
     warnings = tuple(_run_warnings(z, model.chart.mu_z))
     return MonitorResult(points, signals, lbf_vals, warnings)
 

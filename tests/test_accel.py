@@ -1,26 +1,99 @@
-"""Accelerated kernels agree with their pure-python references, and the
-environment flag selects the numpy fallback path."""
+"""Array kernels agree with plain loop references, which are kept here as
+oracles: elementwise scalar loops for the filter, the log Bayes factor, the
+EWMA and the AR(1)+EWMA run length."""
 
-import os
-import subprocess
-import sys
-import textwrap
+import math
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from bfchart import _accel
-from bfchart._accel import (
-    _ewma_path_loop,
-    _ewma_path_np,
-    _filter_path_loop,
-    _filter_path_np,
-    _lbf_path_loop,
-    _lbf_path_np,
-    _rl_chunk_loop,
-    _rl_chunk_np,
-)
+from bfchart.dwr import FilterState
+from bfchart.exceptions import CovarianceNotReady
 from bfchart.linalg import cholesky, make_rng
+
+
+def filter_path_loop(y, delta, m0, p0):
+    """The discount local-level recursions, one scalar at a time."""
+    n, p = y.shape
+    e = np.empty((n, p))
+    m_pre = np.empty((n, p))
+    p_pre = np.empty(n)
+    s_post = np.empty((n, p, p))
+    m = np.array(m0, dtype=float)
+    scale = p0
+    acc = np.zeros((p, p))
+    for t in range(n):
+        p_pre[t] = scale
+        denom = delta + scale
+        for i in range(p):
+            m_pre[t, i] = m[i]
+            e[t, i] = y[t, i] - m[i]
+        w = delta / denom
+        for i in range(p):
+            for j in range(p):
+                acc[i, j] += w * (e[t, i] * e[t, j])
+        for i in range(p):
+            for j in range(p):
+                s_post[t, i, j] = acc[i, j] / (t + 1.0)
+        for i in range(p):
+            m[i] = (delta * m[i] + scale * y[t, i]) / denom
+        scale = 1.0 / denom
+    return e, m_pre, p_pre, s_post, m, scale, acc
+
+
+def fwd_quad_loop(L, d):
+    """d' (L L')^{-1} d by scalar forward substitution."""
+    p = d.shape[0]
+    w = np.empty(p)
+    acc = 0.0
+    for i in range(p):
+        s = d[i]
+        for j in range(i):
+            s -= L[i, j] * w[j]
+        w[i] = s / L[i, i]
+        acc += w[i] * w[i]
+    return acc
+
+
+def lbf_path_loop(y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet_target, start):
+    """The log Bayes factor of each observation from ``start`` on."""
+    n, p = y.shape
+    out = np.full(n, np.nan)
+    base = 0.5 * p * math.log(delta) + 0.5 * logdet_target
+    for t in range(start, n):
+        q_target = fwd_quad_loop(l_target, y[t] - mu)
+        ls = np.linalg.cholesky(s_pre[t])
+        logdet_s = 2.0 * sum(math.log(ls[i, i]) for i in range(p))
+        q_pred = fwd_quad_loop(ls, y[t] - m_pre[t])
+        denom = delta + p_pre[t]
+        out[t] = (
+            base
+            - 0.5 * p * math.log(denom)
+            - 0.5 * logdet_s
+            + 0.5 * q_target
+            - 0.5 * delta * q_pred / denom
+        )
+    return out
+
+
+def ewma_path_loop(x, lam, z0):
+    z = np.empty(x.shape[0])
+    prev = z0
+    for t in range(x.shape[0]):
+        prev = lam * x[t] + (1.0 - lam) * prev
+        z[t] = prev
+    return z
+
+
+def rl_chunk_loop(noise, x, z, phi, icept, lam, ucl, lcl):
+    for k in range(noise.shape[0]):
+        x = icept + phi * x + noise[k]
+        z = lam * x + (1.0 - lam) * z
+        if z > ucl or z < lcl:
+            return k + 1, True, x, z
+    return noise.shape[0], False, x, z
 
 
 def filter_inputs(seed=70, n=60, p=3, delta=0.8):
@@ -30,53 +103,109 @@ def filter_inputs(seed=70, n=60, p=3, delta=0.8):
 
 def lbf_inputs(seed=71, n=60, p=2, delta=0.9, start=10):
     y, delta, m0, p0 = filter_inputs(seed, n, p, delta)
-    e, m_pre, p_pre, s_post, _, _ = _filter_path_np(y, delta, m0, p0)
+    e, m_pre, p_pre, s_post, _, _, _ = filter_path_loop(y, delta, m0, p0)
     s_pre = np.concatenate([np.zeros((1, p, p)), s_post[:-1]], axis=0)
     mu = np.zeros(p)
     v = np.array([[1.0, 0.3], [0.3, 2.0]])[:p, :p]
     l_target = cholesky(v)
     logdet = 2.0 * float(np.sum(np.log(np.diag(l_target))))
-    return (
-        y,
-        np.ascontiguousarray(m_pre),
-        p_pre,
-        np.ascontiguousarray(s_pre),
-        delta,
-        mu,
-        l_target,
-        logdet,
-        start,
-    )
+    return y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet, start
 
 
 class TestFilterPath:
     def test_loop_and_numpy_references_agree(self):
-        args = filter_inputs()
-        for a, b in zip(_filter_path_loop(*args), _filter_path_np(*args)):
-            np.testing.assert_allclose(a, b, atol=1e-13)
+        y, delta, m0, p0 = filter_inputs()
+        e, m_pre, p_pre, s_post, m, scale, acc = filter_path_loop(y, delta, m0, p0)
+        state = FilterState(delta, 0, m0.copy(), p0, np.zeros((3, 3)))
+        for t, row in enumerate(y):
+            assert state.P == p_pre[t]
+            np.testing.assert_allclose(state.step(row), e[t], atol=1e-13)
+            np.testing.assert_allclose(state.S, s_post[t], atol=1e-13)
+        np.testing.assert_allclose(state.m, m, atol=1e-13)
+        np.testing.assert_allclose(state.sum_outer, acc, atol=1e-13)
 
     def test_active_kernel_matches_reference(self):
-        args = filter_inputs(seed=72, n=80, p=2)
-        for a, b in zip(_accel.filter_path(*args), _filter_path_np(*args)):
+        # 500 rows take delta = 0.1 past the point where P_t settles
+        args = filter_inputs(seed=72, n=500, p=2, delta=0.1)
+        for a, b in zip(_accel.filter_path(*args), filter_path_loop(*args)):
             np.testing.assert_allclose(a, b, atol=1e-13)
+
+    def test_p_sequence_is_the_scalar_recursion(self):
+        y, delta, m0, p0 = filter_inputs(n=400, delta=0.2)
+        _, _, p_pre, _, _, p_final, _ = _accel.filter_path(y, delta, m0, p0)
+        _, _, want, _, _, want_final, _ = filter_path_loop(y, delta, m0, p0)
+        np.testing.assert_array_equal(p_pre, want)
+        assert p_final == want_final
+
+    def test_s_post_is_exactly_symmetric(self):
+        y, delta, m0, p0 = filter_inputs(n=200, p=4)
+        s_post = _accel.filter_path(y, delta, m0, p0)[3]
+        np.testing.assert_array_equal(s_post, np.swapaxes(s_post, 1, 2))
 
 
 class TestLbfPath:
     def test_loop_and_numpy_references_agree(self):
-        args = lbf_inputs()
-        np.testing.assert_allclose(
-            _lbf_path_loop(*args), _lbf_path_np(*args), atol=1e-12, equal_nan=True
-        )
+        y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet, start = lbf_inputs()
+        loop = lbf_path_loop(y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet,
+                             start)
+        v = l_target @ l_target.T
+        for t in range(start, len(y)):
+            cov = (delta + p_pre[t]) * s_pre[t] / delta
+            want = (multivariate_normal.logpdf(y[t], m_pre[t], cov)
+                    - multivariate_normal.logpdf(y[t], mu, v))
+            assert loop[t] == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     def test_active_kernel_matches_reference(self):
         args = lbf_inputs(seed=73)
         np.testing.assert_allclose(
-            _accel.lbf_path(*args), _lbf_path_np(*args), atol=1e-12, equal_nan=True
+            _accel.lbf_path(*args), lbf_path_loop(*args), atol=1e-12, equal_nan=True
         )
 
+    def test_matches_density_ratio_oracle(self):
+        rng = make_rng(79)
+        for p in (1, 2, 3, 5):
+            n = 40
+            a = rng.standard_normal((n, p, p))
+            s = a @ np.swapaxes(a, 1, 2) + 0.3 * np.eye(p)
+            m = rng.standard_normal((n, p))
+            scales = rng.uniform(0.05, 1.5, n)
+            delta = 0.7
+            b = rng.standard_normal((p, p))
+            v = b @ b.T + 0.5 * np.eye(p)
+            mu = rng.standard_normal(p)
+            y = 2.0 * rng.standard_normal((n, p))
+            l_target = cholesky(v)
+            logdet = 2.0 * float(np.sum(np.log(np.diag(l_target))))
+            got = _accel._lbf(y, m, scales, s, delta, mu, l_target, logdet)
+            want = [
+                multivariate_normal.logpdf(y[t], m[t], (delta + scales[t]) * s[t] / delta)
+                - multivariate_normal.logpdf(y[t], mu, v)
+                for t in range(n)
+            ]
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+    def test_constant_state_broadcasts(self):
+        y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet, _ = lbf_inputs(seed=80)
+        m, scale, s = m_pre[30], p_pre[30], s_pre[30]
+        n = len(y)
+        once = _accel._lbf(y, m, scale, s, delta, mu, l_target, logdet)
+        tiled = _accel._lbf(y, np.tile(m, (n, 1)), np.full(n, scale),
+                            np.tile(s, (n, 1, 1)), delta, mu, l_target, logdet)
+        np.testing.assert_allclose(once, tiled, atol=1e-13)
+
+    def test_names_the_first_covariance_that_is_not_ready(self):
+        y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet, _ = lbf_inputs(seed=81)
+        s_pre = s_pre.copy()
+        s_pre[23] = [[1.0, 2.0], [2.0, 1.0]]
+        s_pre[40] = np.nan
+        with pytest.raises(CovarianceNotReady, match="at t=23"):
+            _accel.lbf_path(y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet, 10)
+        s_pre[23] = s_pre[22]
+        with pytest.raises(CovarianceNotReady, match="at t=40"):
+            _accel.lbf_path(y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet, 10)
+
     def test_matches_sequential_scorer(self):
-        from bfchart.bayesfactor import TargetSpec, lbf_series
-        from bfchart.dwr import DwrConfig, FilterState, run_filter
+        from bfchart.bayesfactor import TargetSpec, lbf
 
         y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet, start = lbf_inputs(
             seed=74
@@ -89,7 +218,10 @@ class TestLbfPath:
             P=p_pre[start],
             sum_outer=s_pre[start] * start,
         )
-        expected = lbf_series(y[start:], state, target)
+        expected = []
+        for row in y[start:]:
+            expected.append(lbf(row, state, target))
+            state.step(row)
         out = _accel.lbf_path(y, m_pre, p_pre, s_pre, delta, mu, l_target,
                               logdet, start)
         assert np.all(np.isnan(out[:start]))
@@ -100,76 +232,41 @@ class TestEwmaPath:
     def test_references_agree(self):
         x = make_rng(75).standard_normal(200)
         np.testing.assert_allclose(
-            _ewma_path_loop(x, 0.05, 0.3), _ewma_path_np(x, 0.05, 0.3), atol=1e-13
+            _accel.ewma_path(x, 0.05, 0.3), ewma_path_loop(x, 0.05, 0.3), atol=1e-13
         )
 
     def test_active_kernel_matches_reference(self):
+        # closed form: z_t = (1-lam)^(t+1) z0 + lam sum_k (1-lam)^(t-k) x_k
         x = make_rng(76).standard_normal(200)
-        np.testing.assert_allclose(
-            _accel.ewma_path(x, 0.2, -1.0), _ewma_path_np(x, 0.2, -1.0), atol=1e-13
-        )
+        lam, z0 = 0.2, -1.0
+        t = np.arange(200)
+        lags = t[:, None] - t[None, :]
+        weights = np.where(lags >= 0, lam * (1.0 - lam) ** np.maximum(lags, 0), 0.0)
+        want = (1.0 - lam) ** (t + 1) * z0 + weights @ x
+        np.testing.assert_allclose(_accel.ewma_path(x, lam, z0), want, atol=1e-13)
 
     def test_empty_input(self):
-        assert _ewma_path_np(np.empty(0), 0.1, 0.0).shape == (0,)
+        assert _accel.ewma_path(np.empty(0), 0.1, 0.0).shape == (0,)
 
 
 class TestRunLengthChunk:
     @pytest.mark.parametrize("scale", [0.2, 3.0])  # no-signal and signal regimes
     def test_references_agree(self, scale):
         noise = scale * make_rng(77).standard_normal(500)
-        a = _rl_chunk_loop(noise, 0.1, 0.0, 0.3, 0.05, 0.1, 0.5, -0.5)
-        b = _rl_chunk_np(noise, 0.1, 0.0, 0.3, 0.05, 0.1, 0.5, -0.5)
+        a = rl_chunk_loop(noise, 0.1, 0.0, 0.3, 0.05, 0.1, 0.5, -0.5)
+        b = _accel.run_length_chunk(noise, 0.1, 0.0, 0.3, 0.05, 0.1, 0.5, -0.5)
         assert a[0] == b[0] and a[1] == b[1]
         assert a[2] == pytest.approx(b[2], abs=1e-12)
         assert a[3] == pytest.approx(b[3], abs=1e-12)
 
     def test_active_kernel_matches_reference(self):
-        noise = make_rng(78).standard_normal(500)
-        a = _accel.run_length_chunk(noise, 0.0, 0.0, 0.1, 0.0, 0.05, 0.3, -0.3)
-        b = _rl_chunk_np(noise, 0.0, 0.0, 0.1, 0.0, 0.05, 0.3, -0.3)
-        assert int(a[0]) == int(b[0]) and bool(a[1]) == bool(b[1])
-        assert float(a[2]) == pytest.approx(float(b[2]), abs=1e-12)
-        assert float(a[3]) == pytest.approx(float(b[3]), abs=1e-12)
-
-
-class TestFallbackFlag:
-    def test_env_flag_forces_numpy_path(self):
-        script = textwrap.dedent(
-            """
-            import numpy as np
-            import bfchart
-            from bfchart import _accel
-            from bfchart.linalg import make_rng
-            assert not bfchart.USING_NUMBA
-            assert _accel.filter_path is _accel._filter_path_np
-            y = np.ascontiguousarray(make_rng(70).standard_normal((60, 3)))
-            e, *_ = _accel.filter_path(y, 0.8, np.zeros(3), 1e-3)
-            print(repr(float(e.sum())))
-            """
-        )
-        env = dict(os.environ, BFCHART_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        y, delta, m0, p0 = filter_inputs(seed=70, n=60, p=3, delta=0.8)
-        e, *_ = _accel.filter_path(y, delta, m0, p0)
-        assert float(out.stdout.strip()) == pytest.approx(
-            float(e.sum()), abs=1e-12
-        )
-
-    def test_flag_off_uses_numba_when_available(self):
-        pytest.importorskip("numba")
-        script = "import bfchart, numba; print(bfchart.USING_NUMBA)"
-        env = {k: v for k, v in os.environ.items() if k != "BFCHART_NO_NUMBA"}
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "True"
+        # two chunks carrying (x, z) end where one pass over both ends
+        noise = 0.2 * make_rng(78).standard_normal(500)
+        args = (0.1, 0.0, 0.05, 0.3, -0.3)
+        whole = rl_chunk_loop(noise, 0.0, 0.0, *args)
+        steps, signalled, x, z = _accel.run_length_chunk(noise[:200], 0.0, 0.0, *args)
+        assert (steps, signalled) == (200, False)
+        steps, signalled, x, z = _accel.run_length_chunk(noise[200:], x, z, *args)
+        assert (200 + steps, signalled) == whole[:2] == (500, False)
+        assert x == pytest.approx(whole[2], abs=1e-12)
+        assert z == pytest.approx(whole[3], abs=1e-12)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from bfchart.bayesfactor import TargetSpec, bf, lbf, lbf_series
@@ -188,3 +190,30 @@ class TestLbfSeries:
 
         study = scenario_lbf_study(n=1000, warmup=100, delta=0.9, seed=0)
         assert abs(skewness(study["in_control"])) < 0.5
+
+    @settings(max_examples=25, deadline=None)
+    @given(split=st.integers(min_value=0, max_value=60))
+    def test_two_chunks_equal_one_pass(self, split):
+        rng = make_rng(7)
+        state, target = random_state_and_target(rng, 3)
+        data = rng.standard_normal((60, 3))
+        whole_state = state.copy()
+        whole = lbf_series(data, whole_state, target)
+        parts = np.concatenate([lbf_series(data[:split], state, target),
+                                lbf_series(data[split:], state, target)])
+        np.testing.assert_allclose(parts, whole, rtol=1e-12, atol=1e-12)
+        assert state.t == whole_state.t
+        np.testing.assert_allclose(state.m, whole_state.m, rtol=1e-12, atol=1e-12)
+        assert state.P == whole_state.P
+        np.testing.assert_allclose(state.sum_outer, whole_state.sum_outer,
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_cold_state_is_refused_and_left_unchanged(self):
+        state = scalar_state(0.9, 0.1, [[1.0, 2.0], [2.0, 1.0]], m=[0.0, 0.0], t=4)
+        before = state.copy()
+        with pytest.raises(CovarianceNotReady, match="at t=4"):
+            lbf_series(make_rng(8).standard_normal((5, 2)), state,
+                       TargetSpec([0.0, 0.0], np.eye(2)))
+        assert state.t == before.t
+        np.testing.assert_array_equal(state.m, before.m)
+        np.testing.assert_array_equal(state.sum_outer, before.sum_outer)

@@ -298,3 +298,63 @@ class TestMonitorCommand:
         write_stream(stream, 30, seed=89)
         code = cli.main(["monitor", str(stream), "--model", str(mangled)])
         assert code == cli.EXIT_SCHEMA
+
+
+def _cut_m_opt(doc):
+    doc["m_opt"] = doc["m_opt"][:1]
+
+
+def _one_by_one_s_opt(doc):
+    doc["s_opt"] = {"dim": 1, "data": [1.0]}
+
+
+def _long_target_mean(doc):
+    doc["target"]["mu"] = [0.0, 0.0, 0.0]
+
+
+def _delta_out_of_range(doc):
+    doc["delta"] = 5
+
+
+def _negative_p_star(doc):
+    doc["p_star"] = -0.5
+
+
+def _p_star_of_another_delta(doc):
+    doc["p_star"] *= 1.0 + 1e-9
+
+
+def _indefinite_s_opt(doc):
+    doc["s_opt"]["data"] = [1.0, 2.0, 2.0, 1.0]
+
+
+def _no_phase1_rows(doc):
+    doc["n_phase1"] = 0
+
+
+def _nan_in_m_opt(doc):
+    doc["m_opt"][0] = float("nan")
+
+
+class TestModelValidation:
+    """Every inconsistent model file exits 4 before any scoring."""
+
+    @pytest.mark.parametrize("tracking", [False, True])
+    @pytest.mark.parametrize("mutate", [
+        _cut_m_opt, _one_by_one_s_opt, _long_target_mean, _delta_out_of_range,
+        _negative_p_star, _p_star_of_another_delta, _indefinite_s_opt,
+        _no_phase1_rows, _nan_in_m_opt,
+    ], ids=lambda f: f.__name__.strip("_"))
+    def test_inconsistent_model_exits_schema(self, fit_artifacts, tmp_path, capsys,
+                                             mutate, tracking):
+        _, _, model_path = fit_artifacts
+        doc = json.loads(model_path.read_text())
+        mutate(doc)
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        stream = tmp_path / "stream.csv"
+        write_stream(stream, 50, seed=90, shift=6.0)
+        args = ["monitor", str(stream), "--model", str(broken)]
+        code = cli.main(args + (["--tracking"] if tracking else []))
+        assert code == cli.EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith("error: ")

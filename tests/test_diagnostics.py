@@ -15,10 +15,11 @@ from bfchart.diagnostics import (
 from bfchart.exceptions import (
     DimensionMismatch,
     EmptyInput,
+    NotPositiveDefinite,
     TooShort,
     ZeroVariance,
 )
-from bfchart.linalg import make_rng
+from bfchart.linalg import make_rng, sym_inv_sqrt
 
 
 class TestStandardizeErrors:
@@ -44,6 +45,22 @@ class TestStandardizeErrors:
         np.testing.assert_allclose(
             np.cov(e_star, rowvar=False), np.eye(2), atol=0.05
         )
+
+
+    def test_matches_per_matrix_loop(self):
+        rng = make_rng(21)
+        a = rng.standard_normal((50, 3, 3))
+        covs = a @ np.swapaxes(a, 1, 2) + 0.2 * np.eye(3)
+        errors = rng.standard_normal((50, 3))
+        expected = np.array([sym_inv_sqrt(c) @ e for c, e in zip(covs, errors)])
+        np.testing.assert_allclose(standardize_errors(errors, covs), expected,
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_one_indefinite_matrix_in_the_stack_is_rejected(self):
+        covs = np.tile(np.eye(2), (6, 1, 1))
+        covs[4] = [[1.0, 2.0], [2.0, 1.0]]
+        with pytest.raises(NotPositiveDefinite):
+            standardize_errors(np.ones((6, 2)), covs)
 
 
 class TestMsse:

@@ -228,3 +228,61 @@ class TestRunFilter:
         # identical rows keep every outer product rank deficient
         path = run_filter(DwrConfig(dim=2, delta=0.9), np.ones((20, 2)))
         assert path.warmup is None
+
+    @pytest.mark.parametrize("delta", [0.1, 0.5, 0.9, 1.0])
+    def test_matches_step_loop_through_the_settled_tail(self, delta):
+        # within 600 steps P_t reaches an exact fixed point (delta 0.9, 1.0)
+        # or a two-cycle one ulp wide (0.1, 0.5); the kernel switches to a
+        # constant gain there
+        config = DwrConfig(dim=3, delta=delta)
+        data = (make_rng(14).standard_normal((600, 3))
+                + np.linspace(0.0, 5.0, 600)[:, None])
+        path = run_filter(config, data)
+        e, m_pre, p_pre, s_post = self._oracle(config, data)
+        np.testing.assert_allclose(path.errors, e, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(path.m_pre, m_pre, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(path.p_pre, p_pre)
+        np.testing.assert_allclose(path.s_post, s_post, rtol=0, atol=1e-12)
+        state = init(config)
+        for row in data:
+            state.step(row)
+        np.testing.assert_allclose(path.final.m, state.m, rtol=0, atol=1e-12)
+        assert path.final.P == state.P
+        np.testing.assert_allclose(path.final.sum_outer, state.sum_outer,
+                                   rtol=0, atol=1e-12)
+
+    def test_resumed_kernel_matches_continued_steps(self):
+        from bfchart import _accel
+
+        config = DwrConfig(dim=2, delta=0.4)
+        data = make_rng(15).standard_normal((120, 2))
+        state = run_filter(config, data[:50]).final
+        e, m_pre, p_pre, s_post, m_fin, p_fin, sum_fin = _accel.filter_path(
+            data[50:], state.delta, state.m, state.P, state.t, state.sum_outer
+        )
+        shadow = state.copy()
+        for k, row in enumerate(data[50:]):
+            np.testing.assert_allclose(m_pre[k], shadow.m, rtol=0, atol=1e-12)
+            assert p_pre[k] == shadow.P
+            np.testing.assert_allclose(e[k], shadow.step(row), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(s_post[k], shadow.S, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m_fin, shadow.m, rtol=0, atol=1e-12)
+        assert p_fin == shadow.P
+        np.testing.assert_allclose(sum_fin, shadow.sum_outer, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("flat_rows", [0, 64, 100, 192, 300])
+    def test_warmup_matches_per_step_eigvalsh(self, flat_rows):
+        # identical leading rows keep S rank one, pushing the warm-up index
+        # to the first index of the second (65) and third (193) eigvalsh
+        # windows and inside them
+        data = make_rng(16).standard_normal((400, 2))
+        data[:flat_rows] = [1.0, -2.0]
+        path = run_filter(DwrConfig(dim=2, delta=0.7), data)
+        expected = None
+        for t in range(1, len(data)):
+            w = np.linalg.eigvalsh(path.s_pre[t])
+            if w[0] > 0.0 and w[0] > 1e-8 * w[-1]:
+                expected = t
+                break
+        assert expected is not None and expected >= flat_rows
+        assert path.warmup == expected

@@ -141,6 +141,21 @@ class TestSymInvSqrt:
         with pytest.raises(NotPositiveDefinite):
             sym_inv_sqrt([[1.0, 2.0], [2.0, 1.0]])
 
+    def test_stack_is_checked_matrix_by_matrix(self):
+        stack = np.stack([np.diag([4.0, 9.0]), np.eye(2)])
+        np.testing.assert_allclose(
+            sym_inv_sqrt(stack), [np.diag([0.5, 1.0 / 3.0]), np.eye(2)]
+        )
+        for bad, error in (
+            ([[1.0, 2.0], [2.0, 1.0]], NotPositiveDefinite),
+            ([[1.0, 0.5], [0.0, 1.0]], NotPositiveDefinite),
+            ([[np.nan, 0.0], [0.0, 1.0]], NotPositiveDefinite),
+        ):
+            with pytest.raises(error):
+                sym_inv_sqrt(np.stack([np.eye(2), bad, np.eye(2)]))
+        with pytest.raises(DimensionMismatch):
+            sym_inv_sqrt(np.ones((3, 2, 3)))
+
     @settings(max_examples=50, deadline=None)
     @given(spd_strategy)
     def test_defining_property(self, m):
