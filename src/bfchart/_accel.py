@@ -94,7 +94,7 @@ def filter_path(y, delta, m0, p0, t0=0, sum0=None):
     start = np.zeros((1, p, p)) if sum0 is None else np.asarray(sum0, float)[None]
     sums = np.cumsum(np.concatenate([start, outer]), axis=0)[1:]
     s_post = sums / (t0 + np.arange(1.0, n + 1.0))[:, None, None]
-    return e, m_pre, p_pre, s_post, m, float(scales[n]), sums[-1]
+    return e, m_pre, p_pre, s_post, m, float(scales[n]), sums[-1].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -130,17 +130,13 @@ def _lbf(y, m, p_scale, s, delta, mu, l_target, logdet_target, t0=0):
     p = y.shape[-1]
     try:
         ls = np.linalg.cholesky(s)
+        diag = np.diagonal(ls, axis1=-2, axis2=-1)
+        # a non-finite input factors into NaNs instead of raising
+        ready = np.all(np.isfinite(diag))
     except np.linalg.LinAlgError:
-        stack = np.reshape(s, (-1, p, p))
-        ls = np.reshape([_chol_or_nan(a) for a in stack], np.shape(s))
-    diag = np.diagonal(ls, axis1=-2, axis2=-1)
-    # a non-finite input factors into NaNs instead of raising
-    good = np.all(np.isfinite(diag), axis=-1)
-    if not np.all(good):
-        bad = int(np.argmax(~np.ravel(good)))
-        raise CovarianceNotReady(
-            f"innovation covariance is not positive definite at t={t0 + bad}"
-        )
+        ready = False
+    if not ready:
+        _raise_first_not_ready(np.reshape(s, (-1, p, p)), t0)
     logdet_s = 2.0 * np.sum(np.log(diag), axis=-1)
     q_target = _chol_sq(l_target, y - mu)
     q_pred = _chol_sq(ls, y - m)
@@ -155,11 +151,17 @@ def _lbf(y, m, p_scale, s, delta, mu, l_target, logdet_target, t0=0):
     )
 
 
-def _chol_or_nan(a):
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return np.full_like(a, np.nan)
+def _raise_first_not_ready(stack, t0):
+    """Raise CovarianceNotReady naming the first matrix without a finite Cholesky factor."""
+    for k, a in enumerate(stack):
+        try:
+            ok = np.all(np.isfinite(np.linalg.cholesky(a)))
+        except np.linalg.LinAlgError:
+            ok = False
+        if not ok:
+            raise CovarianceNotReady(
+                f"innovation covariance is not positive definite at t={t0 + k}"
+            )
 
 
 def lbf_path(y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet_target, start):

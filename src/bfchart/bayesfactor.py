@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _accel
 from .dwr import FilterState
-from .exceptions import CovarianceNotReady, DimensionMismatch
+from .exceptions import CovarianceNotReady, DimensionMismatch, NotPositiveDefinite
 from .linalg import as_spd, chol_log_det, cholesky
 
 
@@ -92,11 +92,21 @@ def lbf(y, state: FilterState, target: TargetSpec) -> float:
 
 
 def _state_cov(state: FilterState) -> np.ndarray:
-    if state.S is None:
+    """The state's S, checked finite and symmetric to ``linalg.SYM_ATOL``, symmetrized.
+
+    Positive definiteness is checked where S is factorised, in ``_accel._lbf``.
+    """
+    s = state.S
+    if s is None:
         raise CovarianceNotReady(
             f"innovation covariance is not positive definite at t={state.t}"
         )
-    return state.S
+    try:
+        return as_spd(s)
+    except NotPositiveDefinite as err:
+        raise CovarianceNotReady(
+            f"innovation covariance at t={state.t} is not usable: {err}"
+        ) from err
 
 
 def bf(y, state: FilterState, target: TargetSpec) -> float:
@@ -130,8 +140,10 @@ def lbf_series(data, state: FilterState, target: TargetSpec) -> np.ndarray:
             f"{state.m.shape} do not match target dim {target.dim}"
         )
     s_first = _state_cov(state)
+    # a symmetric start keeps every later S exactly symmetric
+    sum0 = 0.5 * (state.sum_outer + state.sum_outer.T)
     _, m_pre, p_pre, s_post, m_fin, p_fin, sum_fin = _accel.filter_path(
-        y, state.delta, state.m, state.P, state.t, state.sum_outer
+        y, state.delta, state.m, state.P, state.t, sum0
     )
     s_pre = np.concatenate([s_first[None], s_post[:-1]])
     out = _accel._lbf(y, m_pre, p_pre, s_pre, state.delta, target.mu,

@@ -13,8 +13,8 @@ converges to the data-free limit (sqrt(delta^2 + 4) - delta) / 2 and ``S``
 estimates the measurement covariance.
 
 ``S`` is held as a running sum divided by t.  Each term delta e e' / (delta + P)
-is exactly symmetric in floating point (e_i e_j = e_j e_i), so the sum stays
-exactly symmetric without re-symmetrization.
+is exactly symmetric in floating point (e_i e_j = e_j e_i), so a sum that
+starts symmetric stays exactly symmetric without re-symmetrization.
 
 ``FilterState.step`` is the scalar form, one observation at a time;
 ``run_filter`` runs the same recursions over a whole series with the array
@@ -189,15 +189,10 @@ class FilterPath:
         just a Cholesky success: a barely positive definite early estimate
         would make the standardization and Bayes factors numerically wild.
         """
-        n = self.errors.shape[0]
-        lo, size = 1, 64
-        while lo < n:
-            hi = min(lo + size, n)
-            w = np.linalg.eigvalsh(self.s_pre[lo:hi])
-            solid = (w[:, 0] > 0.0) & (w[:, 0] > 1e-8 * w[:, -1])
-            if solid.any():
-                return lo + int(np.argmax(solid))
-            lo, size = hi, 2 * size
+        for t in range(1, self.errors.shape[0]):
+            w = np.linalg.eigvalsh(self.s_pre[t])
+            if w[0] > 0.0 and w[0] > 1e-8 * w[-1]:
+                return t
         return None
 
 

@@ -203,6 +203,11 @@ class TestLbfPath:
         s_pre[23] = s_pre[22]
         with pytest.raises(CovarianceNotReady, match="at t=40"):
             _accel.lbf_path(y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet, 10)
+        # a NaN matrix factors without raising; it still comes first
+        s_pre[40] = [[1.0, 2.0], [2.0, 1.0]]
+        s_pre[23] = np.nan
+        with pytest.raises(CovarianceNotReady, match="at t=23"):
+            _accel.lbf_path(y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet, 10)
 
     def test_matches_sequential_scorer(self):
         from bfchart.bayesfactor import TargetSpec, lbf

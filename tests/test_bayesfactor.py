@@ -127,6 +127,14 @@ class TestLbf:
         with pytest.raises(CovarianceNotReady):
             lbf([0.0], init(DwrConfig(dim=1, delta=0.9)), TargetSpec([0.0], [[1.0]]))
 
+    @pytest.mark.parametrize("bad", [1e-3, np.nan])
+    def test_refuses_asymmetric_or_non_finite_state(self, bad):
+        # the lower triangle alone is positive definite; a Cholesky of it
+        # would score silently
+        state = scalar_state(0.9, 0.1, [[2.0, 0.5 + bad], [0.5, 1.0]], m=[0.0, 0.0])
+        with pytest.raises(CovarianceNotReady, match="at t=5"):
+            lbf([0.1, 0.2], state, TargetSpec([0.0, 0.0], np.eye(2)))
+
     def test_rejects_observation_mismatch(self):
         state = scalar_state(0.9, 0.1, 1.0)
         with pytest.raises(DimensionMismatch):
@@ -217,3 +225,20 @@ class TestLbfSeries:
         assert state.t == before.t
         np.testing.assert_array_equal(state.m, before.m)
         np.testing.assert_array_equal(state.sum_outer, before.sum_outer)
+
+    def test_asymmetric_state_is_refused_and_left_unchanged(self):
+        state = scalar_state(0.9, 0.1, [[2.0, 0.501], [0.5, 1.0]], m=[0.0, 0.0], t=4)
+        before = state.copy()
+        with pytest.raises(CovarianceNotReady, match="at t=4"):
+            lbf_series(make_rng(8).standard_normal((5, 2)), state,
+                       TargetSpec([0.0, 0.0], np.eye(2)))
+        assert state.t == before.t
+        np.testing.assert_array_equal(state.sum_outer, before.sum_outer)
+
+    def test_rounding_asymmetry_is_not_carried_forward(self):
+        # asymmetry within linalg.SYM_ATOL is accepted and symmetrized once
+        state = scalar_state(0.9, 0.1, [[2.0, 0.5 + 1e-12], [0.5, 1.0]],
+                             m=[0.0, 0.0], t=4)
+        lbf_series(make_rng(9).standard_normal((5, 2)), state,
+                   TargetSpec([0.0, 0.0], np.eye(2)))
+        np.testing.assert_array_equal(state.sum_outer, state.sum_outer.T)
