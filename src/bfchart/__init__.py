@@ -11,7 +11,6 @@ from .chart import (
     Ar1Model,
     CalibrationResult,
     ChartConfig,
-    ChartPoint,
     RunLength,
     asymptotic_sigma_z2,
     calibrate_c,

@@ -105,14 +105,6 @@ class ChartConfig:
         return self.mu_z - self.c * self.sigma_z
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    t: int
-    x: float
-    z: float
-    out_of_control: bool
-
-
 class RunLength(NamedTuple):
     length: int
     censored: bool
@@ -168,23 +160,14 @@ def design_chart(ar: Ar1Model, lam: float, c: float, center: float = 0.0) -> Cha
     return ChartConfig(lam=lam, c=c, mu_z=float(center), sigma_z=sigma_z)
 
 
-def run_chart(x, config: ChartConfig, z0: float | None = None) -> list[ChartPoint]:
-    """Smooth a statistic sequence and label every point against the limits.
+def run_chart(x, config: ChartConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Smooth a statistic sequence from the chart center and flag every point.
 
-    Monitoring continues past signals; all points are returned.  z0 defaults
-    to the chart center.
+    Monitoring continues past signals; returns the EWMA values z and the
+    boolean out-of-control flags, one of each per input value.
     """
-    arr = np.asarray(x, dtype=float)
-    start = config.mu_z if z0 is None else float(z0)
-    if arr.size == 0:
-        return []
-    z = _accel.ewma_path(np.ascontiguousarray(arr), config.lam, start)
-    ucl, lcl = config.ucl, config.lcl
-    return [
-        ChartPoint(t=t, x=float(arr[t]), z=float(z[t]),
-                   out_of_control=bool(z[t] > ucl or z[t] < lcl))
-        for t in range(arr.size)
-    ]
+    z = _accel.ewma_path(np.ascontiguousarray(x, dtype=float), config.lam, config.mu_z)
+    return z, (z > config.ucl) | (z < config.lcl)
 
 
 def simulate_run_length(

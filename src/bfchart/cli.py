@@ -240,8 +240,10 @@ def cmd_monitor(args) -> int:
             "lcl": model.chart.lcl,
         },
         "points": [
-            {"t": p.t, "x": p.x, "z": p.z, "out_of_control": p.out_of_control}
-            for p in result.points
+            {"t": t, "x": x, "z": z, "out_of_control": flag}
+            for t, (x, z, flag) in enumerate(zip(
+                result.x.tolist(), result.z.tolist(), result.out_of_control.tolist()
+            ))
         ],
         "signals": list(result.signals),
         "lbf": result.lbf.tolist(),
@@ -250,26 +252,22 @@ def cmd_monitor(args) -> int:
     if args.out:
         _write_json(args.out, doc)
     if args.plot:
-        z_fit = model.phase1_z
-        z_mon = np.array([p.z for p in result.points])
         document = svg.render_chart_svg(
-            np.concatenate([z_fit, z_mon]),
+            np.concatenate([model.phase1_z, result.z]),
             model.chart.mu_z,
             model.chart.ucl,
             model.chart.lcl,
-            separator=len(z_fit),
+            separator=len(model.phase1_z),
         )
         with open(args.plot, "w", encoding="utf-8") as fh:
             fh.write(document)
     if result.signals:
         print(f"{len(result.signals)} signal(s) at t={list(result.signals)}")
-        for note in result.warnings:
-            print(f"warning: {note}")
-        return EXIT_SIGNAL
-    print("no signals")
+    else:
+        print("no signals")
     for note in result.warnings:
         print(f"warning: {note}")
-    return EXIT_OK
+    return EXIT_SIGNAL if result.signals else EXIT_OK
 
 
 def cmd_calibrate(args) -> int:

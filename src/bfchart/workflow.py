@@ -25,7 +25,6 @@ from .bayesfactor import TargetSpec
 from .chart import (
     Ar1Model,
     ChartConfig,
-    ChartPoint,
     calibrate_c,
     design_chart,
     fit_ar1,
@@ -261,11 +260,13 @@ def _mat_from(doc: dict) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MonitorResult:
-    """Chart output for one monitored stream."""
+    """Chart output for one monitored stream: per-row arrays, x = lbf - lbf_offset."""
 
-    points: tuple[ChartPoint, ...]
-    signals: tuple[int, ...]
     lbf: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    out_of_control: np.ndarray
+    signals: tuple[int, ...]
     warnings: tuple[str, ...]
 
 
@@ -297,6 +298,10 @@ def phase1(
     n, p = y.shape
     if n < MIN_PHASE1:
         raise TooShort(f"Phase I needs at least {MIN_PHASE1} observations, got {n}")
+    flat = np.flatnonzero(np.ptp(y, axis=0) == 0)
+    if flat.size:
+        col = int(flat[0])
+        raise DegenerateFit(f"column {col} is constant: every value is {y[0, col]}")
     if target is None:
         target = estimate_target(y, zero_mean=apply_difference)
     if target.dim != p:
@@ -379,7 +384,7 @@ def phase2(model: FittedModel, data, tracking: bool = False) -> MonitorResult:
     """
     y = np.asarray(data, dtype=float)
     if y.size == 0:
-        return MonitorResult((), (), np.empty(0), ())
+        return _chart_result(model, np.empty(0))
     if y.ndim == 1:
         y = y[:, None]
     if y.shape[1] != model.target.dim:
@@ -389,8 +394,6 @@ def phase2(model: FittedModel, data, tracking: bool = False) -> MonitorResult:
     _require_finite(y)
     if model.difference:
         y = difference(y)
-        if y.shape[0] == 0:
-            return MonitorResult((), (), np.empty(0), ())
 
     if tracking:
         state = FilterState(
@@ -405,25 +408,30 @@ def phase2(model: FittedModel, data, tracking: bool = False) -> MonitorResult:
         lbf_vals = bayesfactor.lbf_terms(
             y, model.m_opt, model.p_star, model.s_opt, model.delta, model.target
         )
-
-    points = tuple(run_chart(lbf_vals - model.lbf_offset, model.chart))
-    signals = tuple(pt.t for pt in points if pt.out_of_control)
-    z = np.array([pt.z for pt in points])
-    warnings = tuple(_run_warnings(z, model.chart.mu_z))
-    return MonitorResult(points, signals, lbf_vals, warnings)
+    return _chart_result(model, lbf_vals)
 
 
-def _run_warnings(z: np.ndarray, center: float):
+def _chart_result(model: FittedModel, lbf_vals: np.ndarray) -> MonitorResult:
+    x = lbf_vals - model.lbf_offset
+    z, out_of_control = run_chart(x, model.chart)
+    return MonitorResult(
+        lbf=lbf_vals,
+        x=x,
+        z=z,
+        out_of_control=out_of_control,
+        signals=tuple(np.flatnonzero(out_of_control).tolist()),
+        warnings=tuple(_run_warnings(z, model.chart.mu_z)),
+    )
+
+
+def _run_warnings(z: np.ndarray, center: float) -> list[str]:
     """Maximal runs of >= RUN_WARNING consecutive points on one side of center."""
-    side = np.sign(z - center)
-    start = 0
-    for t in range(1, len(z) + 1):
-        if t == len(z) or side[t] != side[start] or side[start] == 0:
-            length = t - start
-            if length >= RUN_WARNING and side[start] != 0:
-                where = "above" if side[start] > 0 else "below"
-                yield (
-                    f"{length} consecutive EWMA values {where} center "
-                    f"from t={start} to t={t - 1}"
-                )
-            start = t
+    side = np.r_[np.sign(z - center), 0.0]  # the trailing 0 closes the last run
+    starts = np.flatnonzero(np.r_[True, side[1:] != side[:-1]])
+    ends = np.r_[starts[1:], side.size]
+    keep = (ends - starts >= RUN_WARNING) & (side[starts] != 0)
+    return [
+        f"{end - start} consecutive EWMA values "
+        f"{'above' if side[start] > 0 else 'below'} center from t={start} to t={end - 1}"
+        for start, end in zip(starts[keep].tolist(), ends[keep].tolist())
+    ]

@@ -142,27 +142,29 @@ class TestDesignChart:
 class TestRunChart:
     def test_flat_input_never_signals(self):
         cfg = ChartConfig(lam=0.2, c=3.0, mu_z=1.0, sigma_z=0.5)
-        points = run_chart(np.full(50, 1.0), cfg)
-        assert len(points) == 50
-        assert not any(p.out_of_control for p in points)
-        assert all(p.z == pytest.approx(1.0) for p in points)
+        z, out_of_control = run_chart(np.full(50, 1.0), cfg)
+        assert z.shape == out_of_control.shape == (50,)
+        assert not out_of_control.any()
+        np.testing.assert_allclose(z, 1.0)
 
     def test_spike_signals_at_the_spike(self):
         cfg = ChartConfig(lam=0.5, c=3.0, mu_z=0.0, sigma_z=1.0)
         x = np.zeros(20)
         x[10] = 100.0
-        points = run_chart(x, cfg)
-        assert points[10].out_of_control
-        assert not any(p.out_of_control for p in points[:10])
+        _, out_of_control = run_chart(x, cfg)
+        assert out_of_control[10]
+        assert not out_of_control[:10].any()
 
     def test_empty_input(self):
         cfg = ChartConfig(lam=0.5, c=3.0, mu_z=0.0, sigma_z=1.0)
-        assert run_chart([], cfg) == []
+        z, out_of_control = run_chart([], cfg)
+        assert z.shape == out_of_control.shape == (0,)
+        assert z.dtype == float and out_of_control.dtype == bool
 
     def test_monitoring_continues_past_signals(self):
         cfg = ChartConfig(lam=1.0, c=1.0, mu_z=0.0, sigma_z=1.0)
-        points = run_chart([5.0, 0.0, 5.0], cfg)
-        assert [p.out_of_control for p in points] == [True, False, True]
+        _, out_of_control = run_chart([5.0, 0.0, 5.0], cfg)
+        assert out_of_control.tolist() == [True, False, True]
 
 
 class TestSimulateRunLength:

@@ -221,8 +221,31 @@ class TestFitCommand:
         flat.write_text("a,b\n" + rows + "\n")
         code = cli.main(["fit", str(flat), "--out", str(tmp_path / "m.json"),
                          "--estimate-target"])
-        assert code in (cli.EXIT_DEGENERATE, cli.EXIT_PARSE)
+        assert code == cli.EXIT_DEGENERATE
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("value", [1.0, 0.1, 3.7])
+    @pytest.mark.parametrize("target_from", ["estimate", "file"])
+    def test_constant_column_exit_code(self, tmp_path, capsys, value, target_from):
+        data = sample_mvn(np.zeros(2), SIGMA, 60, make_rng(84))
+        data[:, 1] = value
+        path = tmp_path / "flat.csv"
+        cli.write_data(str(path), data)
+        if target_from == "file":
+            target = tmp_path / "target.json"
+            target.write_text(json.dumps({
+                "mu": [0.0, 0.0], "v": {"dim": 2, "data": SIGMA.reshape(-1).tolist()}
+            }))
+            how = ["--target-file", str(target)]
+        else:
+            how = ["--estimate-target"]
+        code = cli.main(["fit", str(path), "--out", str(tmp_path / "m.json"),
+                         *how, "--reps", "200"])
+        assert code == cli.EXIT_DEGENERATE
+        assert capsys.readouterr().err == (
+            f"error: column 1 is constant: every value is {value}\n"
+        )
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestMonitorCommand:

@@ -1,5 +1,7 @@
 """Two-phase workflow: fitting, serialization, frozen monitoring."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,9 @@ from bfchart.linalg import is_spd, make_rng
 from bfchart.simulate import gen_local_level
 from bfchart.workflow import (
     DELTA_GRID,
+    RUN_WARNING,
     FittedModel,
+    _run_warnings,
     difference,
     estimate_target,
     phase1,
@@ -138,9 +142,15 @@ class TestPhase1(object):
             phase1(np.zeros((10, 2)))
 
     def test_degenerate_data_rejected(self):
-        with pytest.raises((DegenerateFit, NotPositiveDefinite)):
+        with pytest.raises(DegenerateFit):
             phase1(np.ones((60, 2)), target=TargetSpec([1.0, 1.0], np.eye(2)),
                    deltas=(0.9,), calib_reps=200)
+
+    def test_constant_difference_rejected(self):
+        data = make_rng(4).standard_normal((60, 2))
+        data[:, 0] = 0.5 * np.arange(60)  # a linear trend differences to 0.5
+        with pytest.raises(DegenerateFit, match="column 0 is constant"):
+            phase1(data, apply_difference=True, calib_reps=200)
 
     def test_target_dim_checked(self, fitted):
         _, data, _ = fitted
@@ -214,14 +224,38 @@ class TestSerialization:
             FittedModel.from_dict(doc)
 
 
+def ewma_loop(x, lam, z0):
+    """The EWMA recursion one value at a time."""
+    z = np.empty(len(x))
+    prev = z0
+    for t, value in enumerate(x):
+        prev = lam * value + (1.0 - lam) * prev
+        z[t] = prev
+    return z
+
+
 class TestPhase2:
+    @pytest.fixture
+    def shifted(self, fitted):
+        """A shifted stream charted about an off-zero center, frozen and tracking."""
+        model, _, config = fitted
+        # an off-zero center, so that where the EWMA starts is checked too
+        chart = replace(model.chart, mu_z=0.5 * model.chart.sigma_z)
+        model = replace(model, chart=chart)
+        stream = gen_local_level(config, SIGMA, 80, make_rng(59))
+        stream[40:, 0] += 5.0 * np.sqrt(SIGMA[0, 0])
+        return model, [phase2(model, stream, tracking=mode) for mode in (False, True)]
+
     def test_empty_data(self, fitted):
         model, _, _ = fitted
-        result = phase2(model, np.empty((0, 2)))
-        assert result.points == ()
-        assert result.signals == ()
-        assert result.warnings == ()
-        assert result.lbf.shape == (0,)
+        for empty in (np.empty((0, 2)), np.empty(0), []):
+            result = phase2(model, empty)
+            for arr in (result.lbf, result.x, result.z):
+                assert arr.shape == (0,) and arr.dtype == float
+            assert result.out_of_control.shape == (0,)
+            assert result.out_of_control.dtype == bool
+            assert result.signals == ()
+            assert result.warnings == ()
 
     def test_pure_function_of_model_and_data(self, fitted):
         model, _, config = fitted
@@ -230,7 +264,8 @@ class TestPhase2:
         b = phase2(model, stream)
         np.testing.assert_array_equal(a.lbf, b.lbf)
         assert a.signals == b.signals
-        assert a.points == b.points
+        np.testing.assert_array_equal(a.z, b.z)
+        np.testing.assert_array_equal(a.out_of_control, b.out_of_control)
 
     def test_frozen_mode_scores_points_independently(self, fitted):
         model, _, config = fitted
@@ -239,16 +274,28 @@ class TestPhase2:
         reversed_lbf = phase2(model, stream[::-1]).lbf
         np.testing.assert_allclose(reversed_lbf, forward[::-1], atol=1e-12)
 
-    def test_signals_match_flagged_points(self, fitted):
-        model, _, _ = fitted
-        shifted = gen_local_level(
-            DwrConfig(dim=2, delta=model.delta), SIGMA, 80, make_rng(59)
-        )
-        shifted[:, 0] += 5.0 * np.sqrt(SIGMA[0, 0])
-        result = phase2(model, shifted)
-        flagged = tuple(p.t for p in result.points if p.out_of_control)
-        assert result.signals == flagged
-        assert result.signals  # a five-sigma shift must signal
+    def test_x_is_the_offset_lbf(self, shifted):
+        model, results = shifted
+        for result in results:
+            np.testing.assert_array_equal(result.x, result.lbf - model.lbf_offset)
+
+    def test_z_is_the_ewma_of_x_from_the_center(self, shifted):
+        model, results = shifted
+        for result in results:
+            want = ewma_loop(result.x, model.chart.lam, model.chart.mu_z)
+            np.testing.assert_allclose(result.z, want, rtol=1e-12, atol=1e-14)
+
+    def test_signals_match_flagged_points(self, shifted):
+        model, results = shifted
+        for result in results:
+            assert result.out_of_control.dtype == bool
+            np.testing.assert_array_equal(
+                result.out_of_control,
+                (result.z > model.chart.ucl) | (result.z < model.chart.lcl),
+            )
+            assert result.signals == tuple(np.flatnonzero(result.out_of_control))
+            assert all(type(t) is int for t in result.signals)
+            assert result.signals  # a five-sigma shift must signal
 
     def test_tracking_mode_differs_from_frozen(self, fitted):
         model, _, config = fitted
@@ -278,7 +325,67 @@ class TestPhase2:
         np.testing.assert_array_equal(model.target.mu, [0.0, 0.0])
         stream = gen_local_level(config, SIGMA, 30, make_rng(63))
         result = phase2(model, stream)
-        assert len(result.points) == 29  # one row lost to differencing
+        assert len(result.z) == 29  # one row lost to differencing
+        with pytest.raises(TooShort):
+            phase2(model, stream[:1])
+        empty = phase2(model, stream[:0])
+        assert empty.z.shape == empty.out_of_control.shape == (0,)
+        assert empty.signals == ()
+
+
+def run_warnings_loop(z, center):
+    """The run scan one point at a time, as an oracle for _run_warnings."""
+    side = np.sign(z - center)
+    start = 0
+    for t in range(1, len(z) + 1):
+        if t == len(z) or side[t] != side[start] or side[start] == 0:
+            length = t - start
+            if length >= RUN_WARNING and side[start] != 0:
+                where = "above" if side[start] > 0 else "below"
+                yield (
+                    f"{length} consecutive EWMA values {where} center "
+                    f"from t={start} to t={t - 1}"
+                )
+            start = t
+
+
+class TestRunWarnings:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_sign_runs_match_loop(self, seed):
+        rng = make_rng(90, seed)
+        # runs of random length on a random side, some exactly at the center
+        lengths = rng.integers(1, 3 * RUN_WARNING, size=40)
+        levels = rng.choice([-1.5, 0.0, 2.0], size=40)
+        z = np.repeat(levels, lengths) + 0.25
+        assert _run_warnings(z, 0.25) == list(run_warnings_loop(z, 0.25))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_smooth_path_matches_loop(self, seed):
+        z = ewma_loop(make_rng(91, seed).standard_normal(2000), 0.05, 0.0)
+        got = _run_warnings(z, 0.0)
+        assert got == list(run_warnings_loop(z, 0.0))
+        assert got
+
+    def test_points_at_center_break_runs(self):
+        z = np.r_[np.ones(RUN_WARNING), 0.0, np.ones(RUN_WARNING - 1), np.zeros(20)]
+        got = _run_warnings(z, 0.0)
+        assert got == list(run_warnings_loop(z, 0.0))
+        assert got == [f"{RUN_WARNING} consecutive EWMA values above center "
+                       f"from t=0 to t={RUN_WARNING - 1}"]
+
+    def test_empty_input(self):
+        assert _run_warnings(np.empty(0), 0.0) == []
+
+    @pytest.mark.parametrize("sign, where", [(1.0, "above"), (-1.0, "below")])
+    def test_run_spanning_the_whole_series(self, sign, where):
+        z = sign * np.linspace(0.1, 1.0, 50)
+        assert _run_warnings(z, 0.0) == list(run_warnings_loop(z, 0.0))
+        assert _run_warnings(z, 0.0) == [
+            f"50 consecutive EWMA values {where} center from t=0 to t=49"
+        ]
+
+    def test_short_series_never_warns(self):
+        assert _run_warnings(np.ones(RUN_WARNING - 1), 0.0) == []
 
 
 class TestPhase2NonFinite:
