@@ -17,10 +17,12 @@ import csv
 import hashlib
 import json
 import sys
+import warnings
 
 import numpy as np
 
 from . import __version__, chart, simulate, svg, workflow
+from ._rows import format_rows
 from .bayesfactor import TargetSpec
 from .diagnostics import skewness
 from .dwr import DwrConfig
@@ -52,11 +54,12 @@ class ParseError(BfchartError):
 def read_data(path: str) -> tuple[list[str], np.ndarray]:
     """Read a CSV data file; returns (column names, n x p array).
 
-    A leading ``t`` column is accepted and dropped.  Raises ParseError with
-    row/column location for malformed cells.
+    A leading ``t`` column is accepted and dropped, and so is a UTF-8 byte
+    order mark.  Raises ParseError with row/column location for malformed
+    cells.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -67,35 +70,71 @@ def read_data(path: str) -> tuple[list[str], np.ndarray]:
             names = header[skip_t:]
             if not names:
                 raise ParseError(f"{path}: no data columns in header")
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != len(header):
-                    raise ParseError(
-                        f"{path}:{lineno}: expected {len(header)} fields, "
-                        f"got {len(row)}"
-                    )
-                values = []
-                for col, cell in enumerate(row[skip_t:], start=skip_t + 1):
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}:{lineno}: column {col}: "
-                            f"{cell!r} is not a number"
-                        ) from None
-                    if not np.isfinite(value):
-                        raise ParseError(
-                            f"{path}:{lineno}: column {col}: non-finite value"
-                        )
-                    values.append(value)
-                rows.append(values)
+            data = _load_body(path, fh, len(header), skip_t)
+            if data is None:
+                fh.seek(0)
+                next(reader)
+                data = _parse_rows(path, reader, len(header), skip_t)
     except OSError as err:
         raise ParseError(f"{path}: {err.strerror or err}") from err
+    return names, data
+
+
+#: ASCII separators that np.loadtxt skips as blanks but float() refuses
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _load_body(path: str, fh, width: int, skip_t: int) -> np.ndarray | None:
+    """The rows after the header in one ``np.loadtxt`` call.
+
+    Returns None wherever the result could differ from ``_parse_rows``:
+    loadtxt refuses the input, finds no rows, a width other than the
+    header's or a non-finite value, or the file holds a character it reads
+    as a blank where float() does not.  The caller then runs the loop.
+    """
+    with open(path, "rb") as raw:
+        text = raw.read()
+    if any(sep in text for sep in _SEPARATORS):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header-only file
+            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape[0] == 0 or rows.shape[1] != width:
+        return None
+    data = rows[:, skip_t:]
+    return data if np.isfinite(data).all() else None
+
+
+def _parse_rows(path: str, reader, width: int, skip_t: int) -> np.ndarray:
+    """The rows after the header, one cell at a time; names the bad cell."""
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != width:
+            raise ParseError(
+                f"{path}:{lineno}: expected {width} fields, got {len(row)}"
+            )
+        values = []
+        for col, cell in enumerate(row[skip_t:], start=skip_t + 1):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}:{lineno}: column {col}: {cell!r} is not a number"
+                ) from None
+            if not np.isfinite(value):
+                raise ParseError(
+                    f"{path}:{lineno}: column {col}: non-finite value"
+                )
+            values.append(value)
+        rows.append(values)
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return names, np.array(rows, dtype=float)
+    return np.array(rows, dtype=float)
 
 
 def write_data(path: str, data: np.ndarray, names: list[str] | None = None) -> None:
@@ -105,16 +144,68 @@ def write_data(path: str, data: np.ndarray, names: list[str] | None = None) -> N
         data = data[:, None]
     if names is None:
         names = [f"y{i + 1}" for i in range(data.shape[1])]
+    row = "%d" + ",%r" * data.shape[1] + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(["t", *names]) + "\n")
-        for t, row in enumerate(data, start=1):
-            fh.write(",".join([str(t), *(repr(float(v)) for v in row)]) + "\n")
+        fh.writelines(format_rows(row, "", (np.arange(1, len(data) + 1), *data.T)))
+
+
+class _Rows:
+    """A JSON array held as columns, which ``_write_json`` writes a chunk of
+    rows at a time.  ``_Rows(a)`` stands for ``a.tolist()``, and
+    ``_Rows({"k": a, ...})`` for ``[{"k": a[i], ...} for i in range(len(a))]``.
+    """
+
+    def __init__(self, columns):
+        if isinstance(columns, dict):
+            keys = sorted(columns)
+            self.columns = [np.asarray(columns[k]) for k in keys]
+            fields = ",\n".join(
+                f"      {json.dumps(k).replace('%', '%%')}: %s" for k in keys
+            )
+            self.item = "    {\n" + fields + "\n    }"
+        else:
+            self.columns = [np.asarray(columns)]
+            self.item = "    %s"
+
+    def write(self, fh) -> None:
+        """Write the array as a value of the top-level object."""
+        if not len(self.columns[0]):
+            fh.write("[]")
+            return
+        fh.write("[\n")
+        fh.writelines(format_rows(self.item, ",\n", self.columns, _json_cells))
+        fh.write("\n  ]")
+
+
+def _json_cells(values: np.ndarray) -> list:
+    """Values whose ``%s`` is their ``json`` text: true/false for bools,
+    NaN/Infinity/-Infinity for non-finite floats, repr for other numbers."""
+    if values.dtype == bool:
+        return np.where(values, "true", "false").tolist()
+    cells = values.tolist()
+    if values.dtype.kind == "f" and not np.isfinite(values).all():
+        return [json.dumps(v) for v in cells]
+    return cells
 
 
 def _write_json(path: str, doc: dict) -> None:
+    """Write ``doc`` as ``json.dump(doc, fh, indent=2, sort_keys=True)`` and
+    a newline would, byte for byte, with each top-level ``_Rows`` value
+    written as the list it stands for."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        if not doc:
+            fh.write("{}\n")
+            return
+        for i, key in enumerate(sorted(doc)):
+            fh.write(("," if i else "{") + "\n  " + json.dumps(key) + ": ")
+            value = doc[key]
+            if isinstance(value, _Rows):
+                value.write(fh)
+            else:
+                text = json.dumps(value, indent=2, sort_keys=True)
+                fh.write(text.replace("\n", "\n  "))
+        fh.write("\n}\n")
 
 
 def _read_json(path: str) -> dict:
@@ -239,14 +330,14 @@ def cmd_monitor(args) -> int:
             "ucl": model.chart.ucl,
             "lcl": model.chart.lcl,
         },
-        "points": [
-            {"t": t, "x": x, "z": z, "out_of_control": flag}
-            for t, (x, z, flag) in enumerate(zip(
-                result.x.tolist(), result.z.tolist(), result.out_of_control.tolist()
-            ))
-        ],
-        "signals": list(result.signals),
-        "lbf": result.lbf.tolist(),
+        "points": _Rows({
+            "t": np.arange(len(result.lbf)),
+            "x": result.x,
+            "z": result.z,
+            "out_of_control": result.out_of_control,
+        }),
+        "signals": _Rows(np.array(result.signals, dtype=np.int64)),
+        "lbf": _Rows(result.lbf),
         "warnings": list(result.warnings),
     }
     if args.out:

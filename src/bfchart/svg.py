@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._rows import format_rows
+
 _W, _H = 900, 420
 _MARGIN = 50
 
@@ -70,10 +72,10 @@ def render_chart_svg(
             f'stroke="gray" stroke-width="1"/>'
         )
     if len(z):
-        # iterating the arrays makes one float at a time; lists of all the
-        # coordinates would raise the peak memory of a long chart
+        # formatted a chunk at a time: lists of all the coordinates would
+        # raise the peak memory of a long chart
         xs, ys = px(np.arange(len(z))), py(z)
-        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        points = "".join(format_rows("%.2f,%.2f", " ", (xs, ys)))
         lines.append(
             f'<polyline points="{points}" fill="none" stroke="steelblue" '
             f'stroke-width="1.5"/>'

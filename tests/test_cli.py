@@ -1,15 +1,89 @@
-"""Command-line surface: I/O formats, exit codes, determinism."""
+"""Command-line surface: I/O formats, exit codes, determinism.
 
+The per-cell CSV reader and the per-point report and CSV writers are kept
+here as oracles for the array-speed I/O in ``cli``."""
+
+import csv
+import importlib
 import json
+import pkgutil
 import re
 
 import numpy as np
 import pytest
 
-from bfchart import cli
+import bfchart
+from bfchart import cli, exceptions
+from bfchart._rows import CHUNK_ROWS
 from bfchart.linalg import make_rng, sample_mvn
 
 SIGMA = np.array([[1.0, 2.0], [2.0, 5.0]])
+
+
+def read_data_loop(path):
+    """The CSV reader one cell at a time: csv rows, then float() per cell."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise cli.ParseError(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            skip_t = 1 if header and header[0] == "t" else 0
+            names = header[skip_t:]
+            if not names:
+                raise cli.ParseError(f"{path}: no data columns in header")
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(header):
+                    raise cli.ParseError(
+                        f"{path}:{lineno}: expected {len(header)} fields, "
+                        f"got {len(row)}"
+                    )
+                values = []
+                for col, cell in enumerate(row[skip_t:], start=skip_t + 1):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise cli.ParseError(
+                            f"{path}:{lineno}: column {col}: "
+                            f"{cell!r} is not a number"
+                        ) from None
+                    if not np.isfinite(value):
+                        raise cli.ParseError(
+                            f"{path}:{lineno}: column {col}: non-finite value"
+                        )
+                    values.append(value)
+                rows.append(values)
+    except OSError as err:
+        raise cli.ParseError(f"{path}: {err.strerror or err}") from err
+    if not rows:
+        raise cli.ParseError(f"{path}: no data rows")
+    return names, np.array(rows, dtype=float)
+
+
+def write_data_loop(path, data, names=None):
+    """The CSV writer one cell at a time."""
+    data = np.asarray(data, dtype=float)
+    if data.ndim == 1:
+        data = data[:, None]
+    if names is None:
+        names = [f"y{i + 1}" for i in range(data.shape[1])]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(["t", *names]) + "\n")
+        for t, row in enumerate(data, start=1):
+            fh.write(",".join([str(t), *(repr(float(v)) for v in row)]) + "\n")
+
+
+def outcome(read, path):
+    """(names, array) from a reader, or the message of its ParseError."""
+    try:
+        return read(path)
+    except cli.ParseError as err:
+        return str(err)
 
 
 def write_stream(path, n, seed, shift=0.0):
@@ -82,6 +156,190 @@ class TestDataIO:
     def test_missing_file_is_parse_error(self, tmp_path):
         with pytest.raises(cli.ParseError):
             cli.read_data(str(tmp_path / "absent.csv"))
+
+
+#: CSV bodies on which the one-call reader must agree with the cell loop:
+#: the same names and array, or the same ParseError message
+READ_CASES = {
+    "plain": b"t,a,b\n1,1.5,-2\n2,3e-3,4\n",
+    "no_t_column": b"a,b\n1.5,-2\n3,4\n",
+    "one_column": b"a\n1\n2\n",
+    "short_row": b"t,a,b\n1,1,2\n2,3\n",
+    "long_row": b"t,a,b\n1,1,2\n2,3,4,5\n",
+    "one_short_row": b"t,a,b\n1,2\n",
+    "one_long_row": b"a,b\n1,2,3\n",
+    "overflow": b"a,b\n1,2\n1e400,3\n",
+    "infinity": b"a,b\n1,infinity\n",
+    "nan": b"a,b\nnan,1\n",
+    "header_only": b"t,a,b\n",
+    "header_only_no_newline": b"t,a,b",
+    "empty_file": b"",
+    "no_data_columns": b"t\n1\n",
+    "blank_lines": b"a,b\n\n1,2\n\n3,4\n\n",
+    "whitespace_line": b"a,b\n1,2\n   \n3,4\n",
+    "comma_line": b"a,b\n1,2\n,\n3,4\n",
+    "only_blank_rows": b"a,b\n,\n \n",
+    "quoted_cell": b'a,b\n"1",2\n',
+    "underscore": b"a,b\n1_000,2\n",
+    "arabic_indic_digit": "a,b\n١,2\n".encode(),
+    "no_break_space": "a,b\n\xa01,2\n".encode(),
+    "non_numeric_t": b"t,a\nx,1\ny,2\n",
+    "non_finite_t": b"t,a\ninf,1\n",
+    "cr_only": b"t,a,b\r1,1,2\r2,3,4\r",
+    "crlf": b"t,a,b\r\n1,1,2\r\n2,3,4\r\n",
+    "no_final_newline": b"a,b\n1,2\n3,4",
+    "spaces_around": b"a,b\n 1.5 ,  2\n",
+    "tab_around": b"a,b\n\t1.5\t,2\n",
+    "d_exponent": b"a,b\n1.5d3,2\n",
+    "inline_comment": b"a,b\n2 # c,1\n",
+    "empty_cell": b"a,b\n1,\n",
+    "trailing_comma": b"a,b\n1,2,\n",
+    "info_separator": b"a,b\n1\x1c,2\n",
+    "extreme_values": b"a,b\n5e-324,-0.0\n1e-400,+.5\n1e+16,1.7976931348623157e308\n",
+    "bad_cell": b"t,a\n1,2.0\n2,oops\n",
+}
+
+
+def same_outcome(got, want):
+    if isinstance(want, str):
+        return got == want
+    return (not isinstance(got, str) and got[0] == want[0]
+            and got[1].shape == want[1].shape
+            and got[1].tobytes() == want[1].tobytes())
+
+
+class TestReadDataMatchesCellLoop:
+    @pytest.mark.parametrize("content", READ_CASES.values(), ids=READ_CASES)
+    def test_same_array_or_same_message(self, tmp_path, capsys, content):
+        path = tmp_path / "data.csv"
+        path.write_bytes(content)
+        want = outcome(read_data_loop, str(path))
+        assert same_outcome(outcome(cli.read_data, str(path)), want)
+        if isinstance(want, str):
+            code = cli.main(["fit", str(path), "--out", str(tmp_path / "m.json"),
+                             "--estimate-target"])
+            assert code == cli.EXIT_PARSE
+            assert capsys.readouterr().err == f"error: {want}\n"
+
+    def test_missing_file(self, tmp_path):
+        path = str(tmp_path / "absent.csv")
+        assert same_outcome(outcome(cli.read_data, path),
+                            outcome(read_data_loop, path))
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        for content in (READ_CASES["plain"], b"a,b\n1,2\n", b"a,b\n\"1\",2\n"):
+            plain.write_bytes(content)
+            marked.write_bytes(b"\xef\xbb\xbf" + content)
+            names, data = cli.read_data(str(marked))
+            assert "t" not in names
+            assert same_outcome((names, data), cli.read_data(str(plain)))
+
+    def test_written_files_take_the_one_call_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        data = make_rng(91).standard_normal((CHUNK_ROWS + 3, 3))
+        cli.write_data(str(path), data)
+
+        def no_loop(*args):
+            raise AssertionError("fell back to the cell loop")
+
+        monkeypatch.setattr(cli, "_parse_rows", no_loop)
+        names, back = cli.read_data(str(path))
+        assert names == ["y1", "y2", "y3"]
+        assert back.tobytes() == data.tobytes()
+
+
+#: values whose text json and repr must agree on
+EXTREME_FLOATS = [-0.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308, 0.1]
+
+
+class TestWriteDataMatchesCellLoop:
+    @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    def test_same_bytes(self, tmp_path, n):
+        data = make_rng(92).standard_normal((n, 2)) * 1e3
+        data.flat[:len(EXTREME_FLOATS)] = EXTREME_FLOATS[:data.size]
+        for args in ((data,), (data[:, 0],), (data, ["aé", "b c"])):
+            cli.write_data(str(tmp_path / "a.csv"), *args)
+            write_data_loop(str(tmp_path / "b.csv"), *args)
+            assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def report_pair(n, seed, names, flagged=True, warnings=True, special=()):
+    """A report with streamed arrays and the same report as plain lists."""
+    rng = make_rng(seed)
+    lbf = rng.standard_normal(n)
+    lbf[:len(special)] = special[:n]
+    x = lbf - 0.25
+    z = np.cumsum(x) * 0.1
+    flags = (np.abs(z) > 0.3) if flagged else np.zeros(n, dtype=bool)
+    signals = np.flatnonzero(flags)
+    small = {
+        "schema_version": 1,
+        "kind": "bfchart-report",
+        "model_file": "mödel \"1\".json",
+        "metadata": {"columns": list(names), "source_rows": n, "tracking": False},
+        "chart": {"lam": 0.05, "c": 2.5, "ucl": 0.3, "lcl": -0.3},
+        "warnings": ([f"run of {k} points above the center" for k in (7, 9)]
+                     if warnings else []),
+    }
+    streamed = dict(
+        small,
+        points=cli._Rows({"t": np.arange(n), "x": x, "z": z, "out_of_control": flags}),
+        signals=cli._Rows(signals),
+        lbf=cli._Rows(lbf),
+    )
+    full = dict(
+        small,
+        points=[{"t": t, "x": float(x[t]), "z": float(z[t]),
+                 "out_of_control": bool(flags[t])} for t in range(n)],
+        signals=signals.tolist(),
+        lbf=lbf.tolist(),
+    )
+    return streamed, full
+
+
+def json_dump_bytes(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+class TestReportWriterMatchesJsonDump:
+    @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("flagged,warnings", [(True, True), (False, False)])
+    def test_same_bytes(self, tmp_path, n, flagged, warnings):
+        streamed, full = report_pair(
+            n, 93, ["y1", 'y"2', "ü中"], flagged, warnings,
+            special=EXTREME_FLOATS,
+        )
+        out = tmp_path / "report.json"
+        cli._write_json(str(out), streamed)
+        assert out.read_bytes() == json_dump_bytes(tmp_path / "want.json", full)
+
+    def test_non_finite_values_as_json_writes_them(self, tmp_path):
+        streamed, full = report_pair(
+            CHUNK_ROWS + 5, 94, ["y1"], special=[np.nan, np.inf, -np.inf, 1.0]
+        )
+        out = tmp_path / "report.json"
+        cli._write_json(str(out), streamed)
+        text = out.read_text()
+        assert "NaN" in text and "-Infinity" in text
+        assert out.read_bytes() == json_dump_bytes(tmp_path / "want.json", full)
+
+    def test_keys_that_need_escaping(self, tmp_path):
+        values = np.array([1.5, -0.0])
+        streamed = {"k": cli._Rows({'a"%s': values, "é": values > 0}), "": 1}
+        full = {"k": [{'a"%s': v, "é": v > 0} for v in values.tolist()], "": 1}
+        out = tmp_path / "doc.json"
+        cli._write_json(str(out), streamed)
+        assert out.read_bytes() == json_dump_bytes(tmp_path / "want.json", full)
+
+    def test_small_documents(self, tmp_path):
+        for doc in ({}, {"a": []}, {"b": {}, "a": [1, {"c": None}]}):
+            out = tmp_path / "doc.json"
+            cli._write_json(str(out), doc)
+            assert out.read_bytes() == json_dump_bytes(tmp_path / "want.json", doc)
 
 
 class TestSimulateCommand:
@@ -301,6 +559,23 @@ class TestMonitorCommand:
         assert (json.loads(frozen.read_text())["lbf"]
                 != json.loads(tracking.read_text())["lbf"])
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_lbf_is_written_as_json_writes_it(self, fit_artifacts,
+                                                         tmp_path):
+        # a finite but huge row overflows the frozen LBF to NaN, so the
+        # report writer does meet non-finite values
+        _, _, model_path = fit_artifacts
+        data = sample_mvn(np.zeros(2), SIGMA, 30, make_rng(95))
+        data[5] = 1e200
+        stream, report = tmp_path / "stream.csv", tmp_path / "report.json"
+        cli.write_data(str(stream), data)
+        cli.main(["monitor", str(stream), "--model", str(model_path),
+                  "--out", str(report)])
+        text = report.read_text()
+        assert "NaN" in text
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
     def test_corrupt_model_schema_exit(self, fit_artifacts, tmp_path, capsys):
         _, _, model_path = fit_artifacts
         broken = tmp_path / "broken.json"
@@ -381,3 +656,56 @@ class TestModelValidation:
         code = cli.main(args + (["--tracking"] if tracking else []))
         assert code == cli.EXIT_SCHEMA
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def _import_all_modules():
+    for info in pkgutil.iter_modules(bfchart.__path__):
+        importlib.import_module(f"bfchart.{info.name}")
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+_import_all_modules()
+
+#: the documented exit code of every library error raised out of a command;
+#: a new BfchartError subclass fails below until it is given one here
+EXIT_CODES = {
+    cli.ParseError: cli.EXIT_PARSE,
+    exceptions.DegenerateFit: cli.EXIT_DEGENERATE,
+    exceptions.SchemaMismatch: cli.EXIT_SCHEMA,
+    exceptions.BracketFailure: cli.EXIT_CALIBRATION,
+    # every other library error is a usage error
+    exceptions.NotPositiveDefinite: cli.EXIT_PARSE,
+    exceptions.DimensionMismatch: cli.EXIT_PARSE,
+    exceptions.InvalidConfig: cli.EXIT_PARSE,
+    exceptions.CovarianceNotReady: cli.EXIT_PARSE,
+    exceptions.TooShort: cli.EXIT_PARSE,
+    exceptions.NonStationary: cli.EXIT_PARSE,
+    exceptions.ZeroVariance: cli.EXIT_PARSE,
+    exceptions.EmptyInput: cli.EXIT_PARSE,
+}
+
+
+class TestExitCodeTable:
+    @pytest.mark.parametrize(
+        "error", sorted(set(_subclasses(exceptions.BfchartError)), key=str),
+        ids=lambda cls: cls.__name__,
+    )
+    def test_documented_code_and_no_traceback(self, monkeypatch, capsys, error):
+        assert error in EXIT_CODES, f"{error.__name__} has no documented exit code"
+
+        def command(args):
+            raise error("what went wrong")
+
+        monkeypatch.setattr(cli, "cmd_calibrate", command)
+        assert cli.main(["calibrate", "--lambda", "0.1"]) == EXIT_CODES[error]
+        captured = capsys.readouterr()
+        assert captured.err == "error: what went wrong\n"
+        assert captured.out == ""
+
+    def test_table_names_only_library_errors(self):
+        assert set(EXIT_CODES) == set(_subclasses(exceptions.BfchartError))

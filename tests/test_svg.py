@@ -1,7 +1,9 @@
 """SVG chart rendering: array-scaled coordinates equal the per-point formula."""
 
 import numpy as np
+import pytest
 
+from bfchart._rows import CHUNK_ROWS
 from bfchart.svg import render_chart_svg
 
 
@@ -84,3 +86,12 @@ def test_matches_per_point_formula_with_out_of_limit_points():
 def test_degenerate_inputs_match_per_point_formula():
     for z in (np.empty(0), np.array([0.3]), np.full(5, 2.0)):
         assert render_chart_svg(z, 0.0, 1.0, -1.0) == reference_svg(z, 0.0, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 7])
+def test_polyline_across_chunk_boundaries(n):
+    z = np.cumsum(np.random.default_rng(n).standard_normal(n)) * 0.05
+    z[-1] = -0.0
+    assert render_chart_svg(z, 0.0, 1.0, -1.0, separator=n // 2) == reference_svg(
+        z, 0.0, 1.0, -1.0, separator=n // 2
+    )
