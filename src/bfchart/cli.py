@@ -336,7 +336,7 @@ def cmd_monitor(args) -> int:
             "z": result.z,
             "out_of_control": result.out_of_control,
         }),
-        "signals": _Rows(np.array(result.signals, dtype=np.int64)),
+        "signals": _Rows(np.flatnonzero(result.out_of_control)),
         "lbf": _Rows(result.lbf),
         "warnings": list(result.warnings),
     }

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._rows import format_rows
+from ._rows import CHUNK_ROWS, format_rows
 
 _W, _H = 900, 420
 _MARGIN = 50
+#: the text around the "x" and "y" of a marker for an out-of-limit point
+_MARKER = ('<circle cx="', '" cy="', '" r="3.5" fill="firebrick"/>')
 
 
 def _scale(values, lo, hi, out_lo, out_hi):
@@ -73,17 +75,27 @@ def render_chart_svg(
         )
     if len(z):
         # formatted a chunk at a time: lists of all the coordinates would
-        # raise the peak memory of a long chart
+        # raise the peak memory of a long chart.  A marker copies the text of
+        # its polyline point, so a chart with many points out of the limits
+        # costs little more than one with few.
         xs, ys = px(np.arange(len(z))), py(z)
-        points = "".join(format_rows("%.2f,%.2f", " ", (xs, ys)))
+        out = (z > ucl) | (z < lcl)
+        points, markers = [], []
+        for start in range(0, len(z), CHUNK_ROWS):
+            chunk = slice(start, start + CHUNK_ROWS)
+            piece = "".join(format_rows("%.2f,%.2f", " ", (xs[chunk], ys[chunk])))
+            points.append(piece)
+            hits = np.flatnonzero(out[chunk]).tolist()
+            if hits:
+                # each "x,y" of the polyline becomes the middle of a marker
+                head, mid, tail = _MARKER
+                pairs = piece.split(" ")
+                middles = (tail + "\n" + head).join([pairs[i] for i in hits])
+                markers.append(head + middles.replace(",", mid) + tail)
         lines.append(
-            f'<polyline points="{points}" fill="none" stroke="steelblue" '
+            f'<polyline points="{" ".join(points)}" fill="none" stroke="steelblue" '
             f'stroke-width="1.5"/>'
         )
-        for t in np.flatnonzero((z > ucl) | (z < lcl)):
-            lines.append(
-                f'<circle cx="{xs[t]:.2f}" cy="{ys[t]:.2f}" r="3.5" '
-                f'fill="firebrick"/>'
-            )
+        lines += markers
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -95,3 +95,22 @@ def test_polyline_across_chunk_boundaries(n):
     assert render_chart_svg(z, 0.0, 1.0, -1.0, separator=n // 2) == reference_svg(
         z, 0.0, 1.0, -1.0, separator=n // 2
     )
+
+
+@pytest.mark.parametrize("n", [CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 7])
+def test_markers_across_chunk_boundaries(n):
+    z = np.random.default_rng(n).uniform(-0.9, 0.9, n)
+    edges = sorted({0, CHUNK_ROWS - 1, CHUNK_ROWS, n - 1})
+    z[edges] = [2.5, -3.0, 1.5, -1.25][:len(edges)]
+    document = render_chart_svg(z, 0.0, 1.0, -1.0, separator=7)
+    assert document.count("<circle") == len(edges)
+    assert document == reference_svg(z, 0.0, 1.0, -1.0, separator=7)
+
+
+def test_every_point_out_of_limits_and_non_finite_tail():
+    n = CHUNK_ROWS + 3
+    z = np.where(np.arange(n) % 2, 5.0, -5.0) * np.linspace(1.0, 2.0, n)
+    assert render_chart_svg(z, 0.0, 1.0, -1.0).count("<circle") == n
+    assert render_chart_svg(z, 0.0, 1.0, -1.0) == reference_svg(z, 0.0, 1.0, -1.0)
+    z[-5:] = np.nan
+    assert render_chart_svg(z, 0.0, 1.0, -1.0) == reference_svg(z, 0.0, 1.0, -1.0)
