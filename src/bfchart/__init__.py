@@ -50,6 +50,7 @@ from .exceptions import (
     DimensionMismatch,
     EmptyInput,
     InvalidConfig,
+    NonFiniteScore,
     NonStationary,
     NotPositiveDefinite,
     SchemaMismatch,

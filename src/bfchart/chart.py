@@ -42,6 +42,8 @@ _CALIB_BLOCK = 1024
 _FIRST_HORIZON = 256
 #: most values (replications x steps) calibration simulates at once
 _CHUNK_ELEMENTS = 2**16
+#: the provisional stop height assumes an ARL this many times the target
+_GUESS_MARGIN = 1.25
 
 
 def _check_lambda(lam: float) -> float:
@@ -225,6 +227,8 @@ class CalibrationResult:
     evaluations: int
     #: replications that reach the run-length cap without a signal at c
     censored: int
+    #: noise values simulated over all replications
+    simulated_steps: int
 
 
 class _RunMaxima:
@@ -236,53 +240,67 @@ class _RunMaxima:
     the first record), and the horizon H adds H - (time of the last record)
     at the current maximum.  A replication's run length at c, counted as H
     while no value beyond its horizon exceeds c, is then the total weight of
-    its events at heights <= c.
+    its events at heights <= c.  Calibration never asks for c below
+    ``floor``, so the weight of events at or below it is kept as one count
+    per replication instead of as events.
     """
 
-    def __init__(self, lam: float, ar: Ar1Model, reps: int, seed: int):
+    def __init__(self, lam: float, ar: Ar1Model, reps: int, seed: int, floor: float):
         sigma_z = math.sqrt(asymptotic_sigma_z2(lam, ar))
-        self.ar_coef = ([math.sqrt(ar.sigma2)], [1.0, -ar.phi])
-        self.ewma_coef = ([lam / sigma_z], [1.0, -(1.0 - lam)])
+        # x_t = phi x_{t-1} + sigma nu_t smoothed by u_t = lam x_t / sigma_z
+        # + (1 - lam) u_{t-1}, as one second-order filter of the noise nu
+        self.coef = (
+            [lam * math.sqrt(ar.sigma2) / sigma_z],
+            [1.0, -(ar.phi + 1.0 - lam), ar.phi * (1.0 - lam)],
+        )
         self.reps = reps
+        self.floor = floor
         self.rngs = [make_rng(seed, block) for block in range(-(-reps // _CALIB_BLOCK))]
-        # lfilter states phi x and (1 - lam) (z - mu_z) / sigma_z: the AR(1)
-        # starts from its stationary law and the EWMA at the chart center
+        # the AR(1) starts from its stationary law x_{-1} and the EWMA at the
+        # chart center, which is the lfilter state (lam phi x_{-1} / sigma_z, 0)
         start = np.concatenate([
             rng.standard_normal(min(_CALIB_BLOCK, reps - block * _CALIB_BLOCK))
             for block, rng in enumerate(self.rngs)
         ])
-        self.x_state = ar.phi * math.sqrt(ar.variance) * start
-        self.z_state = np.zeros(reps)
+        self.state = np.zeros((reps, 2))
+        self.state[:, 0] = lam * ar.phi * math.sqrt(ar.variance) / sigma_z * start
         self.peak = np.full(reps, -np.inf)
         self.last = np.zeros(reps, dtype=np.int64)
         self.horizon = np.zeros(reps, dtype=np.int64)
-        # record events, appended per chunk; weights and owners fit in int32
-        # because run lengths stay below RUN_LENGTH_CAP
+        self.base = np.zeros(reps, dtype=np.int64)
+        self.steps = 0
+        # record events above the floor, appended per chunk; weights and
+        # owners fit in int32 because run lengths stay below RUN_LENGTH_CAP
         self.heights: list[np.ndarray] = []
         self.weights: list[np.ndarray] = []
         self.owners: list[np.ndarray] = []
 
     def extend(self, rows: np.ndarray, limit: int, stop: float) -> None:
-        """Simulate ``rows`` until each reaches ``limit`` steps or its running
-        maximum exceeds ``stop``, in chunks of at most _CHUNK_ELEMENTS values."""
+        """Simulate the ``rows`` whose running maximum does not exceed ``stop``
+        until each reaches ``limit`` steps or its running maximum exceeds
+        ``stop``, in chunks of at most _CHUNK_ELEMENTS values."""
         for block, rng in enumerate(self.rngs):
             lo = np.searchsorted(rows, block * _CALIB_BLOCK)
             hi = np.searchsorted(rows, (block + 1) * _CALIB_BLOCK)
             active = rows[lo:hi]
-            while active.size:
+            while True:
+                active = active[(self.horizon[active] < limit) & (self.peak[active] <= stop)]
+                if not active.size:
+                    break
                 remaining = int((limit - self.horizon[active]).min())
                 steps = min(remaining, max(1, _CHUNK_ELEMENTS // active.size))
                 self._advance(active, rng.standard_normal((active.size, steps)))
-                active = active[(self.horizon[active] < limit) & (self.peak[active] <= stop)]
 
-    def _advance(self, rows: np.ndarray, noise: np.ndarray) -> None:
+    def _deviations(self, rows: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """|z - mu_z| / sigma_z of ``rows`` over the next noise.shape[1] steps."""
         from scipy.signal import lfilter
 
-        x, x_state = lfilter(*self.ar_coef, noise, axis=1, zi=self.x_state[rows, None])
-        z, z_state = lfilter(*self.ewma_coef, x, axis=1, zi=self.z_state[rows, None])
-        self.x_state[rows] = x_state[:, 0]
-        self.z_state[rows] = z_state[:, 0]
-        dev = np.abs(z, out=z)
+        u, state = lfilter(*self.coef, noise, axis=1, zi=self.state[rows])
+        self.state[rows] = state
+        return np.abs(u, out=u)
+
+    def _advance(self, rows: np.ndarray, noise: np.ndarray) -> None:
+        dev = self._deviations(rows, noise)
         peak = self.peak[rows]
         running = np.maximum.accumulate(dev, axis=1)
         np.maximum(running, peak[:, None], out=running)
@@ -296,26 +314,40 @@ class _RunMaxima:
             first = np.ones(row.size, dtype=bool)
             first[1:] = row[1:] != row[:-1]
             before = np.where(first, self.last[rows[row]], np.roll(time, 1))
-            self.heights.append(below)
-            self.weights.append((time - before).astype(np.int32))
-            self.owners.append(rows[row].astype(np.int32))
+            weight = time - before
+            low = below <= self.floor
+            self.base[rows] += np.bincount(
+                row[low], weights=weight[low], minlength=rows.size
+            ).astype(np.int64)
+            high = ~low
+            self.heights.append(below[high])
+            self.weights.append(weight[high].astype(np.int32))
+            self.owners.append(rows[row[high]].astype(np.int32))
             final = np.append(first[1:], True)
             self.last[rows[row[final]]] = time[final]
         self.peak[rows] = running[:, -1]
         self.horizon[rows] += noise.shape[1]
+        self.steps += noise.size
 
     def events(self, top: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Events at heights <= ``top`` sorted by height: (heights, weights,
-        owning replication).  Stored records above ``top`` are dropped."""
+        owning replication), with each replication's folded weight as one
+        event at the floor.  Stored records above ``top`` are dropped."""
         heights = np.concatenate(self.heights)
         keep = heights <= top
         self.heights = [heights[keep]]
         self.weights = [np.concatenate(self.weights)[keep]]
         self.owners = [np.concatenate(self.owners)[keep]]
         tails = np.flatnonzero(self.peak <= top)
-        heights = np.concatenate([self.heights[0], self.peak[tails]])
-        weights = np.concatenate([self.weights[0], self.horizon[tails] - self.last[tails]])
-        owners = np.concatenate([self.owners[0], tails])
+        heights = np.concatenate([
+            self.heights[0], self.peak[tails], np.full(self.reps, self.floor)
+        ])
+        weights = np.concatenate([
+            self.weights[0], self.horizon[tails] - self.last[tails], self.base
+        ], dtype=np.int32)
+        owners = np.concatenate(
+            [self.owners[0], tails, np.arange(self.reps)], dtype=np.int32
+        )
         order = np.argsort(heights)
         return heights[order], weights[order], owners[order]
 
@@ -335,16 +367,25 @@ def calibrate_c(
     path of a replication does not depend on c, so its run length at c is
     the first time the running maximum of |z - mu_z| / sigma_z exceeds c,
     and the Monte Carlo ARL is a non-decreasing step function of c that
-    jumps only at the records of those running maxima.  The search simulates
-    every replication for a short first horizon, then repeatedly doubles the
-    horizon of the runs whose maximum does not yet exceed the current upper
-    bound on the answer, until the step function is exact up to that bound.
+    jumps only at the records of those running maxima.  Each path is one
+    second-order linear filter of its noise (the AR(1) and the EWMA
+    cascaded).  The search simulates every replication for a short first
+    horizon, then repeatedly doubles the horizon of the runs whose maximum
+    does not yet exceed the stop height, until the step function is exact
+    up to that height.  The stop height is the current upper bound on the
+    answer or, while it is lower, a provisional height: the quantile of the
+    first-round maxima that a geometric run-length law with ARL
+    _GUESS_MARGIN x target would put there.  The provisional height only
+    spares runs that pass it from running on to the bound; if the exact
+    ARL at it falls short of the target, the search drops it and goes on
+    to the bound.
     Runs are censored at a cap of 100 target ARLs (at least 10 000 steps, at
     most RUN_LENGTH_CAP); ``censored`` counts those without a signal at c.  It returns the
     smallest record height (or ``lo``) at which the ARL reaches the target,
     with the ARL and its standard error at that c.  ``evaluations`` counts
-    the simulation rounds.  Raises BracketFailure when the ARL at ``lo``
-    already exceeds the target or the ARL at ``hi`` falls short of it.
+    the simulation rounds and ``simulated_steps`` the noise values drawn.
+    Raises BracketFailure when the ARL at ``lo`` already exceeds the target
+    or the ARL at ``hi`` falls short of it.
     """
     if target_arl <= 1.0:
         raise InvalidConfig(f"target ARL must exceed 1, got {target_arl}")
@@ -357,13 +398,13 @@ def calibrate_c(
     cap = min(RUN_LENGTH_CAP, max(10_000, int(100 * target_arl)))
     goal = target_arl * reps
 
-    runs = _RunMaxima(lam, ar, reps, seed)
+    runs = _RunMaxima(lam, ar, reps, seed, lo)
     rows = np.arange(reps)
     limit = min(_FIRST_HORIZON, cap)
-    bound = hi
+    bound = stop = guess = hi
     rounds = 0
     while rows.size:
-        runs.extend(rows, limit, bound)
+        runs.extend(rows, limit, stop)
         rounds += 1
         heights, weights, owners = runs.events(bound)
         totals = np.cumsum(weights, dtype=np.int64)
@@ -373,7 +414,18 @@ def calibrate_c(
         first = np.searchsorted(totals, goal)
         reached = heights[first] if first < totals.size else math.inf
         bound = min(max(reached, lo), hi)
-        rows = np.flatnonzero((runs.peak <= bound) & (runs.horizon < cap))
+        if rounds == 1:
+            # a share exp(-limit / ARL) of geometric run lengths outlast limit
+            share = math.exp(-limit / (_GUESS_MARGIN * target_arl))
+            k = int(share * (reps - 1))
+            guess = float(np.partition(runs.peak, k)[k])
+        unfinished = runs.horizon < cap
+        rows = np.flatnonzero(unfinished & (runs.peak <= min(bound, guess)))
+        if not rows.size and guess < bound:
+            # the totals are exact up to the guess, and the answer lies above it
+            guess = hi
+            rows = np.flatnonzero(unfinished & (runs.peak <= bound))
+        stop = min(bound, guess)
         limit = min(2 * limit, cap)
 
     def total_at(c: float) -> int:
@@ -392,4 +444,4 @@ def calibrate_c(
     lengths = np.bincount(owners[:upto], weights=weights[:upto], minlength=reps)
     se = float(lengths.std(ddof=1) / math.sqrt(reps)) if reps > 1 else math.inf
     censored = int(np.count_nonzero(runs.peak <= c))
-    return CalibrationResult(c, float(lengths.mean()), se, rounds, censored)
+    return CalibrationResult(c, float(lengths.mean()), se, rounds, censored, runs.steps)

@@ -77,6 +77,10 @@ def read_data(path: str) -> tuple[list[str], np.ndarray]:
                 data = _parse_rows(path, reader, len(header), skip_t)
     except OSError as err:
         raise ParseError(f"{path}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise ParseError(
+            f"{path}: not UTF-8 text (byte 0x{err.object[err.start]:02x})"
+        ) from None
     return names, data
 
 
@@ -394,6 +398,8 @@ def cmd_calibrate(args) -> int:
     print(f"achieved ARL = {res.arl:.1f} +/- {res.arl_se:.1f} "
           f"({args.reps} replications, {res.evaluations} rounds, "
           f"{res.censored} censored)")
+    print(f"simulated steps = {res.simulated_steps} "
+          f"({res.simulated_steps / args.reps:.1f} per replication)")
     return EXIT_OK
 
 

@@ -37,6 +37,10 @@ class EmptyInput(BfchartError):
     """An empty sequence was passed where data is required."""
 
 
+class NonFiniteScore(BfchartError):
+    """An observation is too extreme for its log Bayes factor to be finite."""
+
+
 class BracketFailure(BfchartError):
     """The calibration target is unattainable inside the search bracket."""
 

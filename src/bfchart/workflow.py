@@ -37,6 +37,7 @@ from .exceptions import (
     DegenerateFit,
     DimensionMismatch,
     InvalidConfig,
+    NonFiniteScore,
     NotPositiveDefinite,
     SchemaMismatch,
     TooShort,
@@ -405,9 +406,16 @@ def phase2(model: FittedModel, data, tracking: bool = False) -> MonitorResult:
         )
         lbf_vals = bayesfactor.lbf_series(y, state, model.target)
     else:
-        lbf_vals = bayesfactor.lbf_terms(
-            y, model.m_opt, model.p_star, model.s_opt, model.delta, model.target
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            lbf_vals = bayesfactor.lbf_terms(
+                y, model.m_opt, model.p_star, model.s_opt, model.delta, model.target
+            )
+        bad = np.flatnonzero(~np.isfinite(lbf_vals))
+        if bad.size:
+            # a NaN would leave every later EWMA value NaN and never signal
+            raise NonFiniteScore(
+                f"log Bayes factor is not finite at row {bad[0] + int(model.difference)}"
+            )
     return _chart_result(model, lbf_vals)
 
 

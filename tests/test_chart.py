@@ -255,6 +255,107 @@ class TestCalibrateC:
         assert abs(censored / 2000 - share) <= 4.0 * math.sqrt(2 * share * (1 - share) / 2000)
 
 
+    def test_simulated_steps_counts_the_noise(self, monkeypatch):
+        seen = []
+        advance = chart._RunMaxima._advance
+
+        def spy(runs, rows, noise):
+            seen.append(noise.size)
+            advance(runs, rows, noise)
+
+        monkeypatch.setattr(chart._RunMaxima, "_advance", spy)
+        result = calibrate_c(0.05, Ar1Model(0.0, 0.1, 1.0), 370.4, reps=500, seed=7)
+        assert result.simulated_steps == sum(seen) > 0
+
+
+def cascade_loop(x0: float, noise: np.ndarray, ar: Ar1Model, lam: float) -> np.ndarray:
+    """|z_t| / sigma_z for the AR(1) x_t = phi x_{t-1} + sigma nu_t from
+    x_{-1} = x0, smoothed by z_t = lam x_t + (1 - lam) z_{t-1} from z_{-1} = 0,
+    one step at a time."""
+    sigma, sigma_z = math.sqrt(ar.sigma2), math.sqrt(asymptotic_sigma_z2(lam, ar))
+    x, z = x0, 0.0
+    out = np.empty(noise.size)
+    for t, nu in enumerate(noise.tolist()):
+        x = ar.phi * x + sigma * nu
+        z = lam * x + (1.0 - lam) * z
+        out[t] = abs(z) / sigma_z
+    return out
+
+
+class TestCalibrationIsExact:
+    """calibrate_c against paths rebuilt from its own noise by a scalar loop.
+
+    The margin of the provisional stop height is set so that the guess lies
+    below the answer (the search must drop it), near it, and above it."""
+
+    LAM, AR, TARGET, REPS, SEED = 0.1, Ar1Model(0.0, 0.3, 1.0), 100.0, 300, 5
+
+    @pytest.mark.parametrize("margin", [1e-3, 1.25, 1e3])
+    def test_answer_is_the_smallest_record_height_reaching_the_target(
+        self, monkeypatch, margin
+    ):
+        monkeypatch.setattr(chart, "_GUESS_MARGIN", margin)
+        noise = [[] for _ in range(self.REPS)]
+        filtered = [[] for _ in range(self.REPS)]
+        stops = []
+        deviations, extend = chart._RunMaxima._deviations, chart._RunMaxima.extend
+
+        def spy_deviations(runs, rows, chunk):
+            dev = deviations(runs, rows, chunk)
+            for k, row in enumerate(rows.tolist()):
+                noise[row].append(chunk[k].copy())
+                filtered[row].append(dev[k].copy())
+            return dev
+
+        def spy_extend(runs, rows, limit, stop):
+            stops.append(stop)
+            extend(runs, rows, limit, stop)
+
+        monkeypatch.setattr(chart._RunMaxima, "_deviations", spy_deviations)
+        monkeypatch.setattr(chart._RunMaxima, "extend", spy_extend)
+        result = calibrate_c(self.LAM, self.AR, self.TARGET, reps=self.REPS, seed=self.SEED)
+
+        # the stationary starting values come first from each block's stream
+        start = np.concatenate([
+            make_rng(self.SEED, block).standard_normal(
+                min(chart._CALIB_BLOCK, self.REPS - block * chart._CALIB_BLOCK))
+            for block in range(-(-self.REPS // chart._CALIB_BLOCK))
+        ])
+        x0 = math.sqrt(self.AR.variance) * start
+        paths = [cascade_loop(x0[r], np.concatenate(noise[r]), self.AR, self.LAM)
+                 for r in range(self.REPS)]
+        for r in range(self.REPS):
+            np.testing.assert_allclose(np.concatenate(filtered[r]), paths[r],
+                                       rtol=1e-12, atol=1e-12)
+
+        cap = max(10_000, int(100 * self.TARGET))
+
+        def arl(c):
+            lengths = []
+            for path in paths:
+                above = np.flatnonzero(path > c)
+                if above.size:
+                    lengths.append(above[0] + 1)
+                else:
+                    assert path.size == cap, "a run below c stopped short of the cap"
+                    lengths.append(cap)
+            return float(np.mean(lengths))
+
+        records = np.concatenate([
+            path[np.r_[True, path[1:] > np.maximum.accumulate(path)[:-1]]]
+            for path in paths
+        ])
+        c = records[np.argmin(np.abs(records - result.c))]
+        assert c == pytest.approx(result.c, rel=1e-12) and c > 0.5
+        assert arl(c) == result.arl >= self.TARGET
+        assert arl(records[records < c].max()) < self.TARGET
+        assert result.simulated_steps == sum(path.size for path in paths)
+        if margin < 1.0:
+            assert min(stops) < result.c  # the guess was too low and dropped
+        if margin > 100.0:
+            assert min(stops) >= result.c
+
+
 def brook_evans_arl(lam: float, c: float, states: int) -> float:
     """In-control ARL of the EWMA of iid N(0, 1) data with limits +/- c sigma_z,
     started at 0, by the Markov chain of Brook & Evans (1972): the in-control

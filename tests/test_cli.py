@@ -157,6 +157,17 @@ class TestDataIO:
         with pytest.raises(cli.ParseError):
             cli.read_data(str(tmp_path / "absent.csv"))
 
+    @pytest.mark.parametrize("content", [b"a,b\n1,2\n\xff,3\n", b"\xffa,b\n1,2\n"],
+                             ids=["body", "header"])
+    def test_non_utf8_file_is_parse_error(self, tmp_path, capsys, content):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(content)
+        code = cli.main(["fit", str(path), "--out", str(tmp_path / "m.json"),
+                         "--estimate-target"])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text (byte 0xff)\n")
+
 
 #: CSV bodies on which the one-call reader must agree with the cell loop:
 #: the same names and array, or the same ParseError message
@@ -404,6 +415,9 @@ class TestCalibrateCommand:
             r"\(2000 replications, [1-9][0-9]* rounds, 0 censored\)$",
             out.splitlines()[1],
         )
+        steps = re.fullmatch(r"simulated steps = ([0-9]+) \(([0-9.]+) per replication\)",
+                             out.splitlines()[2])
+        assert steps and float(steps[2]) == pytest.approx(int(steps[1]) / 2000, abs=0.05)
 
     def test_low_reps_warns(self, capsys):
         cli.main(["calibrate", "--lambda", "1.0", "--reps", "100", "--seed", "0"])
@@ -561,20 +575,23 @@ class TestMonitorCommand:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
-    def test_non_finite_lbf_is_written_as_json_writes_it(self, fit_artifacts,
-                                                         tmp_path):
-        # a finite but huge row overflows the frozen LBF to NaN, so the
-        # report writer does meet non-finite values
+    def test_non_finite_lbf_fails_loudly(self, fit_artifacts, tmp_path, capsys):
+        # a finite but huge row overflows the frozen LBF to NaN, which would
+        # make every later EWMA value NaN and hide all signals; both modes
+        # refuse the stream instead
         _, _, model_path = fit_artifacts
         data = sample_mvn(np.zeros(2), SIGMA, 30, make_rng(95))
         data[5] = 1e200
         stream, report = tmp_path / "stream.csv", tmp_path / "report.json"
         cli.write_data(str(stream), data)
-        cli.main(["monitor", str(stream), "--model", str(model_path),
-                  "--out", str(report)])
-        text = report.read_text()
-        assert "NaN" in text
-        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        code = cli.main(["monitor", str(stream), "--model", str(model_path),
+                         "--out", str(report)])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: log Bayes factor is not finite at row 5\n")
+        assert not report.exists()
+        assert cli.main(["monitor", str(stream), "--model", str(model_path),
+                         "--tracking"]) == cli.EXIT_PARSE
 
     def test_corrupt_model_schema_exit(self, fit_artifacts, tmp_path, capsys):
         _, _, model_path = fit_artifacts
@@ -687,6 +704,7 @@ EXIT_CODES = {
     exceptions.NonStationary: cli.EXIT_PARSE,
     exceptions.ZeroVariance: cli.EXIT_PARSE,
     exceptions.EmptyInput: cli.EXIT_PARSE,
+    exceptions.NonFiniteScore: cli.EXIT_PARSE,
 }
 
 

@@ -12,6 +12,7 @@ from bfchart.exceptions import (
     DegenerateFit,
     DimensionMismatch,
     InvalidConfig,
+    NonFiniteScore,
     NotPositiveDefinite,
     SchemaMismatch,
     TooShort,
@@ -415,3 +416,13 @@ class TestPhase2NonFinite:
         stream[30, 1] = np.nan
         with pytest.raises(InvalidConfig, match="row 9, column 0"):
             phase2(iid_model, stream)
+
+    @pytest.mark.parametrize("differenced", [False, True])
+    def test_overflowing_row_raises_naming_it(self, iid_model, stream, differenced):
+        # finite rows whose frozen LBF overflows; a NaN score would leave
+        # every later EWMA value NaN and never signal
+        stream[12] = 1e200
+        stream[30] = -1e200
+        model = replace(iid_model, difference=differenced)
+        with pytest.raises(NonFiniteScore, match=r"not finite at row 12$"):
+            phase2(model, stream)
