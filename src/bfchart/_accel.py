@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from .exceptions import CovarianceNotReady
+from .linalg import chol_log_det, chol_sq
 
 #: relative distance from the scale limit below which the filter gain is
 #: treated as constant; floating point settles P_t either on the limit or
@@ -102,22 +103,6 @@ def filter_path(y, delta, m0, p0, t0=0, sum0=None):
 # ---------------------------------------------------------------------------
 
 
-def _chol_sq(L, d):
-    """Per row, the squared norm of L^{-1} d by forward substitution.
-
-    L (..., p, p) lower triangular and d (..., p) broadcast against each
-    other; the loop runs over the p coordinates only.
-    """
-    p = d.shape[-1]
-    w = np.empty(np.broadcast_shapes(L.shape[:-1], d.shape))
-    for i in range(p):
-        acc = d[..., i]
-        if i:
-            acc = acc - np.sum(L[..., i, :i] * w[..., :i], axis=-1)
-        w[..., i] = acc / L[..., i, i]
-    return np.sum(w * w, axis=-1)
-
-
 def _lbf(y, m, p_scale, s, delta, mu, l_target, logdet_target, t0=0):
     """Log Bayes factor of each row of y against the target N(mu, V).
 
@@ -137,9 +122,9 @@ def _lbf(y, m, p_scale, s, delta, mu, l_target, logdet_target, t0=0):
         ready = False
     if not ready:
         _raise_first_not_ready(np.reshape(s, (-1, p, p)), t0)
-    logdet_s = 2.0 * np.sum(np.log(diag), axis=-1)
-    q_target = _chol_sq(l_target, y - mu)
-    q_pred = _chol_sq(ls, y - m)
+    logdet_s = chol_log_det(ls)
+    q_target = chol_sq(l_target, y - mu)
+    q_pred = chol_sq(ls, y - m)
     denom = delta + p_scale
     base = 0.5 * p * math.log(delta) + 0.5 * logdet_target
     return (
@@ -160,7 +145,7 @@ def _raise_first_not_ready(stack, t0):
             ok = False
         if not ok:
             raise CovarianceNotReady(
-                f"innovation covariance is not positive definite at t={t0 + k}"
+                f"innovation covariance is not positive definite at t={t0 + k}", t=t0 + k
             )
 
 

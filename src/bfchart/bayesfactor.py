@@ -43,7 +43,7 @@ class TargetSpec:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "V", v)
         object.__setattr__(self, "_chol", chol)
-        object.__setattr__(self, "_logdet", chol_log_det(chol))
+        object.__setattr__(self, "_logdet", float(chol_log_det(chol)))
 
     @property
     def dim(self) -> int:

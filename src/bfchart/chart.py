@@ -7,10 +7,11 @@ sigma_z^2 is the asymptotic EWMA variance under AR(1) dependence:
     sigma_z^2 = sigma^2 lam (1 + phi (1 - lam))
                 / [(1 - phi^2) (2 - lam) (1 - phi (1 - lam))]
 
-The limit multiplier c is calibrated so that the in-control average run
-length matches a target (370.4 by default elsewhere).  Under common random
-numbers a replication's AR(1)+EWMA path does not depend on c, so the Monte
-Carlo ARL is a monotone step function of c; ``calibrate_c`` simulates all
+sigma_z scales with sigma, so the limit multiplier c depends on lam and phi
+alone; it is calibrated so that the in-control average run length matches a
+target (370.4 by default elsewhere).  Under common random numbers a
+replication's AR(1)+EWMA path does not depend on c, so the Monte Carlo ARL
+is a monotone step function of c; ``calibrate_c`` simulates all
 replications as one batch, extends only the runs the answer still depends
 on, and solves ARL(c) = target exactly on that step function.  Replications
 draw from one RNG stream per fixed-size block derived from (seed, block),
@@ -44,6 +45,8 @@ _FIRST_HORIZON = 256
 _CHUNK_ELEMENTS = 2**16
 #: the provisional stop height assumes an ARL this many times the target
 _GUESS_MARGIN = 1.25
+#: the interval calibration searches for c
+_BRACKET = (0.5, 6.0)
 
 
 def _check_lambda(lam: float) -> float:
@@ -76,10 +79,6 @@ class Ar1Model:
     def variance(self) -> float:
         """Stationary variance sigma2 / (1 - phi^2)."""
         return self.sigma2 / (1.0 - self.phi**2)
-
-    def centered(self) -> "Ar1Model":
-        """Same dynamics with the stationary mean removed."""
-        return Ar1Model(0.0, self.phi, self.sigma2)
 
 
 @dataclass(frozen=True)
@@ -129,26 +128,16 @@ def asymptotic_sigma_z2(lam: float, ar: Ar1Model) -> float:
     return num / den
 
 
-def fit_ar1(x, include_intercept: bool = True) -> Ar1Model:
-    """OLS of x_t on (1, x_{t-1}); sigma2 = RSS / (n - 1 - k)."""
+def fit_ar1(x) -> Ar1Model:
+    """OLS of x_t on (1, x_{t-1}); sigma2 = RSS / (n - 3)."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size < 10:
         raise TooShort(f"need at least 10 values to fit an AR(1), got {arr.size}")
-    resp = arr[1:]
-    lagged = arr[:-1]
-    if include_intercept:
-        design = np.column_stack([np.ones_like(lagged), lagged])
-    else:
-        design = lagged[:, None]
-    coef, _, _, _ = np.linalg.lstsq(design, resp, rcond=None)
-    resid = resp - design @ coef
-    k = design.shape[1]
-    dof = arr.size - 1 - k
-    if dof <= 0:
-        raise TooShort(f"not enough degrees of freedom ({dof}) for the residual variance")
-    sigma2 = float(resid @ resid) / dof
-    phi = float(coef[-1])
-    intercept = float(coef[0]) if include_intercept else 0.0
+    design = np.column_stack([np.ones(arr.size - 1), arr[:-1]])
+    coef, _, _, _ = np.linalg.lstsq(design, arr[1:], rcond=None)
+    resid = arr[1:] - design @ coef
+    sigma2 = float(resid @ resid) / (arr.size - 3)
+    intercept, phi = float(coef[0]), float(coef[1])
     if abs(phi) >= 1.0:
         raise NonStationary(f"fitted autoregressive coefficient {phi} has modulus >= 1")
     if sigma2 <= 0.0:
@@ -232,7 +221,8 @@ class CalibrationResult:
 
 
 class _RunMaxima:
-    """Batched simulation of |z_t - mu_z| / sigma_z for seeded replications.
+    """Batched simulation of |z_t - mu_z| / sigma_z for seeded replications
+    of an AR(1) with unit innovation variance.
 
     Each replication keeps only the records of its running maximum, as events
     (height, weight): a record at time t whose predecessor record came at
@@ -245,14 +235,12 @@ class _RunMaxima:
     per replication instead of as events.
     """
 
-    def __init__(self, lam: float, ar: Ar1Model, reps: int, seed: int, floor: float):
-        sigma_z = math.sqrt(asymptotic_sigma_z2(lam, ar))
-        # x_t = phi x_{t-1} + sigma nu_t smoothed by u_t = lam x_t / sigma_z
+    def __init__(self, lam: float, phi: float, reps: int, seed: int, floor: float):
+        unit = Ar1Model(0.0, phi, 1.0)
+        sigma_z = math.sqrt(asymptotic_sigma_z2(lam, unit))
+        # x_t = phi x_{t-1} + nu_t smoothed by u_t = lam x_t / sigma_z
         # + (1 - lam) u_{t-1}, as one second-order filter of the noise nu
-        self.coef = (
-            [lam * math.sqrt(ar.sigma2) / sigma_z],
-            [1.0, -(ar.phi + 1.0 - lam), ar.phi * (1.0 - lam)],
-        )
+        self.coef = ([lam / sigma_z], [1.0, -(phi + 1.0 - lam), phi * (1.0 - lam)])
         self.reps = reps
         self.floor = floor
         self.rngs = [make_rng(seed, block) for block in range(-(-reps // _CALIB_BLOCK))]
@@ -263,7 +251,7 @@ class _RunMaxima:
             for block, rng in enumerate(self.rngs)
         ])
         self.state = np.zeros((reps, 2))
-        self.state[:, 0] = lam * ar.phi * math.sqrt(ar.variance) / sigma_z * start
+        self.state[:, 0] = lam * phi * math.sqrt(unit.variance) / sigma_z * start
         self.peak = np.full(reps, -np.inf)
         self.last = np.zeros(reps, dtype=np.int64)
         self.horizon = np.zeros(reps, dtype=np.int64)
@@ -354,16 +342,17 @@ class _RunMaxima:
 
 def calibrate_c(
     lam: float,
-    ar: Ar1Model,
+    phi: float,
     target_arl: float,
     reps: int = 10**4,
     seed: int = 0,
-    lo: float = 0.5,
-    hi: float = 6.0,
 ) -> CalibrationResult:
-    """Smallest c in [lo, hi] whose simulated in-control ARL reaches the target.
+    """Smallest c in _BRACKET whose simulated in-control ARL reaches the target.
 
-    All replications share common random numbers across c: the AR(1)+EWMA
+    The limits are mu_z +/- c sigma_z and sigma_z scales with the innovation
+    deviation, so c depends on lam and phi alone: the replications simulate
+    an AR(1) with coefficient ``phi`` and unit innovation variance.  All
+    replications share common random numbers across c: the AR(1)+EWMA
     path of a replication does not depend on c, so its run length at c is
     the first time the running maximum of |z - mu_z| / sigma_z exceeds c,
     and the Monte Carlo ARL is a non-decreasing step function of c that
@@ -380,25 +369,25 @@ def calibrate_c(
     ARL at it falls short of the target, the search drops it and goes on
     to the bound.
     Runs are censored at a cap of 100 target ARLs (at least 10 000 steps, at
-    most RUN_LENGTH_CAP); ``censored`` counts those without a signal at c.  It returns the
-    smallest record height (or ``lo``) at which the ARL reaches the target,
-    with the ARL and its standard error at that c.  ``evaluations`` counts
-    the simulation rounds and ``simulated_steps`` the noise values drawn.
-    Raises BracketFailure when the ARL at ``lo`` already exceeds the target
-    or the ARL at ``hi`` falls short of it.
+    most RUN_LENGTH_CAP); ``censored`` counts those without a signal at c.
+    It returns the smallest record height (or the bracket's lower end) at
+    which the ARL reaches the target, with the ARL and its standard error at
+    that c.  ``evaluations`` counts the simulation rounds and
+    ``simulated_steps`` the noise values drawn.  Raises NonStationary for
+    |phi| >= 1, and BracketFailure when the ARL at the bracket's lower end
+    already exceeds the target or the ARL at its upper end falls short of it.
     """
     if target_arl <= 1.0:
         raise InvalidConfig(f"target ARL must exceed 1, got {target_arl}")
     if reps < 1:
         raise InvalidConfig(f"replication count must be >= 1, got {reps}")
-    if not 0.0 < lo < hi:
-        raise InvalidConfig(f"need 0 < lo < hi for the c bracket, got lo={lo}, hi={hi}")
     lam = _check_lambda(lam)
+    lo, hi = _BRACKET
     # runs far beyond the target carry no information for calibration
     cap = min(RUN_LENGTH_CAP, max(10_000, int(100 * target_arl)))
     goal = target_arl * reps
 
-    runs = _RunMaxima(lam, ar, reps, seed, lo)
+    runs = _RunMaxima(lam, phi, reps, seed, lo)
     rows = np.arange(reps)
     limit = min(_FIRST_HORIZON, cap)
     bound = stop = guess = hi

@@ -357,7 +357,8 @@ def cmd_monitor(args) -> int:
         with open(args.plot, "w", encoding="utf-8") as fh:
             fh.write(document)
     if result.signals:
-        print(f"{len(result.signals)} signal(s) at t={list(result.signals)}")
+        print(f"{len(result.signals)} signal(s), first at t={result.signals[0]}, "
+              f"last at t={result.signals[-1]}")
     else:
         print("no signals")
     for note in result.warnings:
@@ -378,9 +379,8 @@ def cmd_calibrate(args) -> int:
         lines = ["lambda,phi,c,arl,arl_se"]
         for lam in lams:
             for phi in phis:
-                ar = chart.Ar1Model(0.0, phi, args.sigma2)
                 res = chart.calibrate_c(
-                    lam, ar, args.arl, reps=args.reps, seed=args.seed
+                    lam, phi, args.arl, reps=args.reps, seed=args.seed
                 )
                 lines.append(
                     f"{lam!r},{phi!r},{res.c!r},{res.arl!r},{res.arl_se!r}"
@@ -392,8 +392,7 @@ def cmd_calibrate(args) -> int:
         else:
             print(body, end="")
         return EXIT_OK
-    ar = chart.Ar1Model(0.0, args.phi, args.sigma2)
-    res = chart.calibrate_c(args.lam, ar, args.arl, reps=args.reps, seed=args.seed)
+    res = chart.calibrate_c(args.lam, args.phi, args.arl, reps=args.reps, seed=args.seed)
     print(f"c = {res.c:.4f}")
     print(f"achieved ARL = {res.arl:.1f} +/- {res.arl_se:.1f} "
           f"({args.reps} replications, {res.evaluations} rounds, "
@@ -504,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate = sub.add_parser("calibrate", help="calibrate the limit multiplier")
     calibrate.add_argument("--lambda", dest="lam", type=float, required=True)
     calibrate.add_argument("--phi", type=float, default=0.0)
-    calibrate.add_argument("--sigma2", type=float, default=1.0)
     calibrate.add_argument("--arl", type=float, default=370.4)
     calibrate.add_argument("--reps", type=int, default=10**4)
     calibrate.add_argument("--seed", type=int, default=0)
@@ -533,26 +531,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: exit code of each library error class; a subclass takes its nearest
+#: listed ancestor's, so every other error (ParseError too) is a usage error
+_EXIT_CODES = {
+    DegenerateFit: EXIT_DEGENERATE,
+    SchemaMismatch: EXIT_SCHEMA,
+    BracketFailure: EXIT_CALIBRATION,
+    BfchartError: EXIT_PARSE,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except DegenerateFit as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except SchemaMismatch as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except BracketFailure as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CALIBRATION
     except BfchartError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(_EXIT_CODES[cls] for cls in type(err).__mro__ if cls in _EXIT_CODES)
 
 
 def entry() -> None:

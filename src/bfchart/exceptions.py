@@ -20,6 +20,10 @@ class InvalidConfig(BfchartError):
 class CovarianceNotReady(BfchartError):
     """The running innovation covariance estimate is not yet positive definite."""
 
+    def __init__(self, message: str, t: int | None = None):
+        super().__init__(message)
+        self.t = t  # the filter time of the covariance, where it is known
+
 
 class TooShort(BfchartError):
     """Input sequence is shorter than the operation requires."""

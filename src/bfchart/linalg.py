@@ -10,7 +10,6 @@ asymmetry beyond an absolute 1e-10 is rejected.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .exceptions import DimensionMismatch, NotPositiveDefinite
 
@@ -61,19 +60,32 @@ def is_spd(m) -> bool:
 
 def log_det(m) -> float:
     """log det(m) as twice the sum of log Cholesky pivots."""
-    L = cholesky(m)
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
+    return float(chol_log_det(cholesky(m)))
 
 
-def chol_log_det(L: np.ndarray) -> float:
-    """log det from an already-computed lower Cholesky factor."""
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
+def chol_log_det(L):
+    """log det of L L' for each lower Cholesky factor L (..., p, p)."""
+    return 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
+
+
+def chol_sq(L, d):
+    """d' (L L')^{-1} d as the squared norm of L^{-1} d, by forward substitution.
+
+    L (..., p, p) lower triangular and d (..., p) broadcast against each
+    other; the loop runs over the p coordinates only."""
+    p = d.shape[-1]
+    w = np.empty(np.broadcast_shapes(L.shape[:-1], d.shape))
+    for i in range(p):
+        acc = d[..., i]
+        if i:
+            acc = acc - np.sum(L[..., i, :i] * w[..., :i], axis=-1)
+        w[..., i] = acc / L[..., i, i]
+    return np.sum(w * w, axis=-1)
 
 
 def chol_quad_form(L: np.ndarray, x: np.ndarray) -> float:
     """x' (L L')^{-1} x from an already-computed lower Cholesky factor."""
-    w = solve_triangular(L, x, lower=True, check_finite=False)
-    return float(w @ w)
+    return float(chol_sq(L, x))
 
 
 def quad_form(x, m) -> float:

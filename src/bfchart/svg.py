@@ -29,7 +29,6 @@ def render_chart_svg(
     ucl: float,
     lcl: float,
     separator: int | None = None,
-    title: str = "modified EWMA chart",
 ) -> str:
     """Return the SVG document for an EWMA series with its limits."""
     z = np.asarray(z, dtype=float)
@@ -50,7 +49,7 @@ def render_chart_svg(
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        f'font-family="sans-serif" font-size="15">modified EWMA chart</text>',
     ]
     for value, dash, color, label in (
         (center, "", "black", "center"),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _accel, bayesfactor
+from . import _accel, bayesfactor, dwr
 from .bayesfactor import TargetSpec
 from .chart import (
     Ar1Model,
@@ -34,6 +34,7 @@ from .diagnostics import FitReport, fit_report
 from .dwr import DwrConfig, FilterState, run_filter, steady_state_scale
 from .exceptions import (
     BfchartError,
+    CovarianceNotReady,
     DegenerateFit,
     DimensionMismatch,
     InvalidConfig,
@@ -282,8 +283,6 @@ def phase1(
     recenter: bool = False,
     apply_difference: bool = False,
     calib_reps: int = 10**4,
-    prior_scale: float = 1e-3,
-    m0=None,
 ) -> FittedModel:
     """Fit, diagnose and calibrate on historical data; returns the frozen model.
 
@@ -312,7 +311,7 @@ def phase1(
 
     candidates = []
     for delta in deltas:
-        config = DwrConfig(dim=p, delta=float(delta), m0=m0, prior_scale=prior_scale)
+        config = DwrConfig(dim=p, delta=float(delta))
         path = run_filter(config, y)
         w = path.warmup
         if w is None or n - w < 10:
@@ -343,15 +342,14 @@ def phase1(
         warmup,
     )
     lbf_vals = lbf_all[warmup:]
-    ar = fit_ar1(lbf_vals, include_intercept=True)
+    ar = fit_ar1(lbf_vals)
     lbf_offset = ar.mean
     statistic = lbf_vals - lbf_offset
-    centered_ar = ar.centered()
 
-    calib = calibrate_c(lam, centered_ar, target_arl, reps=calib_reps, seed=seed)
+    calib = calibrate_c(lam, ar.phi, target_arl, reps=calib_reps, seed=seed)
     phase1_z = _accel.ewma_path(np.ascontiguousarray(statistic), lam, 0.0)
     center = float(phase1_z.mean()) if recenter else 0.0
-    chart = design_chart(centered_ar, lam, calib.c, center=center)
+    chart = design_chart(ar, lam, calib.c, center=center)
 
     return FittedModel(
         delta=delta_opt,
@@ -366,7 +364,7 @@ def phase1(
         difference=apply_difference,
         n_phase1=n,
         warmup=warmup,
-        prior_scale=prior_scale,
+        prior_scale=dwr.DEFAULT_PRIOR_SCALE,
         fit=report,
         grid=tuple(
             GridEntry(d, r) for _, d, _, _, r in sorted(candidates, key=lambda c: c[1])
@@ -381,7 +379,8 @@ def phase2(model: FittedModel, data, tracking: bool = False) -> MonitorResult:
     In the default frozen mode the statistic for each y depends only on the
     stored components, so observations are scored independently; the only
     sequential state is the EWMA.  With ``tracking`` the posterior mean and
-    covariance estimate keep updating as new data arrive.
+    covariance estimate keep updating as new data arrive.  A row too extreme
+    to give a finite log Bayes factor raises NonFiniteScore naming it.
     """
     y = np.asarray(data, dtype=float)
     if y.size == 0:
@@ -396,26 +395,36 @@ def phase2(model: FittedModel, data, tracking: bool = False) -> MonitorResult:
     if model.difference:
         y = difference(y)
 
-    if tracking:
-        state = FilterState(
-            delta=model.delta,
-            t=model.n_phase1,
-            m=model.m_opt.copy(),
-            P=model.p_star,
-            sum_outer=model.s_opt * model.n_phase1,
-        )
-        lbf_vals = bayesfactor.lbf_series(y, state, model.target)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a row too extreme to score is refused below; numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if tracking:
+            state = FilterState(
+                delta=model.delta,
+                t=model.n_phase1,
+                m=model.m_opt.copy(),
+                P=model.p_star,
+                sum_outer=model.s_opt * model.n_phase1,
+            )
+            try:
+                lbf_vals = bayesfactor.lbf_series(y, state, model.target)
+            except CovarianceNotReady as err:
+                # S starts positive definite and only gains outer products, so
+                # it fails only once the previous row has overflowed it
+                row = err.t - model.n_phase1 - 1 + int(model.difference)
+                raise NonFiniteScore(
+                    f"row {row} overflows the innovation covariance estimate, "
+                    "so no log Bayes factor from there on is finite"
+                ) from None
+        else:
             lbf_vals = bayesfactor.lbf_terms(
                 y, model.m_opt, model.p_star, model.s_opt, model.delta, model.target
             )
-        bad = np.flatnonzero(~np.isfinite(lbf_vals))
-        if bad.size:
-            # a NaN would leave every later EWMA value NaN and never signal
-            raise NonFiniteScore(
-                f"log Bayes factor is not finite at row {bad[0] + int(model.difference)}"
-            )
+    bad = np.flatnonzero(~np.isfinite(lbf_vals))
+    if bad.size:
+        # a NaN would leave every later EWMA value NaN and never signal
+        raise NonFiniteScore(
+            f"log Bayes factor is not finite at row {bad[0] + int(model.difference)}"
+        )
     return _chart_result(model, lbf_vals)
 
 

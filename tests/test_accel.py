@@ -3,11 +3,15 @@ oracles: elementwise scalar loops for the filter, the log Bayes factor, the
 EWMA and the AR(1)+EWMA run length."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
+import bfchart
 from bfchart import _accel
 from bfchart.dwr import FilterState
 from bfchart.exceptions import CovarianceNotReady
@@ -275,3 +279,14 @@ class TestRunLengthChunk:
         assert (200 + steps, signalled) == whole[:2] == (500, False)
         assert x == pytest.approx(whole[2], abs=1e-12)
         assert z == pytest.approx(whole[3], abs=1e-12)
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported inside the functions that need it; loading it with
+    # the package would about double the start-up of every bfchart process
+    code = ("import sys, bfchart\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bfchart.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

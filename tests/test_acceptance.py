@@ -95,7 +95,7 @@ def test_criterion_02_covariance_estimator(capsys):
 
 def test_criterion_03_calibration_design_point(capsys):
     ar = Ar1Model(0.0, 0.1, 1.0)
-    result = calibrate_c(0.05, ar, 370.4, reps=10**5, seed=0)
+    result = calibrate_c(0.05, ar.phi, 370.4, reps=10**5, seed=0)
     chart = design_chart(ar, 0.05, 2.469)
     arl, se, _ = estimate_arl(chart, ar, 10**4, seed=1, cap=10**6)
     ok = 2.42 <= result.c <= 2.52 and 352.0 <= arl <= 389.0

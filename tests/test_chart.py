@@ -35,11 +35,6 @@ class TestAr1Model:
         assert ar.mean == pytest.approx(1.0)
         assert ar.variance == pytest.approx(4.0)
 
-    def test_centered_removes_mean(self):
-        ar = Ar1Model(0.5, 0.5, 3.0).centered()
-        assert ar.mean == 0.0
-        assert ar.phi == 0.5
-
     def test_rejects_unit_root(self):
         with pytest.raises(NonStationary):
             Ar1Model(0.0, 1.0, 1.0)
@@ -189,44 +184,52 @@ class TestSimulateRunLength:
 
 class TestCalibrateC:
     def test_shewhart_closed_form(self):
-        result = calibrate_c(1.0, Ar1Model(0.0, 0.0, 1.0), 370.4, reps=10**4, seed=0)
+        result = calibrate_c(1.0, 0.0, 370.4, reps=10**4, seed=0)
         assert result.c == pytest.approx(3.00, abs=0.03)
 
     def test_larger_target_needs_larger_c(self):
-        ar = Ar1Model(0.0, 0.0, 1.0)
-        small = calibrate_c(1.0, ar, 100.0, reps=1000, seed=0)
-        large = calibrate_c(1.0, ar, 500.0, reps=1000, seed=0)
+        small = calibrate_c(1.0, 0.0, 100.0, reps=1000, seed=0)
+        large = calibrate_c(1.0, 0.0, 500.0, reps=1000, seed=0)
         assert large.c > small.c
 
     def test_bracket_failure_low(self):
         with pytest.raises(BracketFailure):
-            calibrate_c(1.0, Ar1Model(0.0, 0.0, 1.0), 1.1, reps=500, seed=0)
+            calibrate_c(1.0, 0.0, 1.1, reps=500, seed=0)
 
-    def test_bracket_failure_high(self):
+    def test_bracket_failure_high(self, monkeypatch):
+        monkeypatch.setattr(chart, "_BRACKET", (0.5, 1.0))
         with pytest.raises(BracketFailure):
-            calibrate_c(1.0, Ar1Model(0.0, 0.0, 1.0), 10**4, reps=500, seed=0,
-                        hi=1.0)
+            calibrate_c(1.0, 0.0, 10**4, reps=500, seed=0)
 
     def test_invalid_target(self):
         with pytest.raises(InvalidConfig):
-            calibrate_c(0.05, Ar1Model(0.0, 0.0, 1.0), 0.5)
+            calibrate_c(0.05, 0.0, 0.5)
 
     def test_invalid_reps(self):
         with pytest.raises(InvalidConfig):
-            calibrate_c(0.05, Ar1Model(0.0, 0.0, 1.0), 370.4, reps=0)
+            calibrate_c(0.05, 0.0, 370.4, reps=0)
 
-    @pytest.mark.parametrize("lo, hi", [(2.0, 2.0), (3.0, 2.0), (0.0, 6.0), (-1.0, 6.0)])
-    def test_invalid_bracket(self, lo, hi):
-        with pytest.raises(InvalidConfig):
-            calibrate_c(1.0, Ar1Model(0.0, 0.0, 1.0), 370.4, reps=100, lo=lo, hi=hi)
+    @pytest.mark.parametrize("phi", [1.0, -1.0, 1.5])
+    def test_rejects_unit_root(self, phi):
+        with pytest.raises(NonStationary):
+            calibrate_c(0.05, phi, 370.4, reps=100)
+
+    def test_c_carries_over_to_any_variance_and_intercept(self):
+        # c is calibrated on a unit-variance AR(1); the per-replication
+        # estimator on an AR(1) with another variance and intercept, charted
+        # around its stationary mean, reaches the same ARL at that c
+        result = calibrate_c(0.1, 0.3, 50.0, reps=2000, seed=3)
+        ar = Ar1Model(5.0, 0.3, 4.0)
+        config = design_chart(ar, 0.1, result.c, center=ar.mean)
+        mean, se, _ = estimate_arl(config, ar, 2000, seed=4)
+        assert abs(mean - result.arl) <= 3.0 * math.hypot(se, result.arl_se)
 
     def test_repeat_calls_are_equal(self):
-        ar = Ar1Model(0.0, 0.1, 1.0)
-        first = calibrate_c(0.05, ar, 370.4, reps=500, seed=7)
-        assert calibrate_c(0.05, ar, 370.4, reps=500, seed=7) == first
+        first = calibrate_c(0.05, 0.1, 370.4, reps=500, seed=7)
+        assert calibrate_c(0.05, 0.1, 370.4, reps=500, seed=7) == first
 
     def test_single_replication(self):
-        result = calibrate_c(0.05, Ar1Model(0.0, 0.1, 1.0), 370.4, reps=1, seed=0)
+        result = calibrate_c(0.05, 0.1, 370.4, reps=1, seed=0)
         assert math.isfinite(result.c) and 0.5 <= result.c <= 6.0
         assert result.arl >= 370.4
         assert result.arl_se == math.inf
@@ -235,7 +238,7 @@ class TestCalibrateC:
         # the reported ARL is the first value of the step function at or above
         # the target; the per-replication estimator on fresh streams agrees
         ar = Ar1Model(0.0, 0.1, 1.0)
-        result = calibrate_c(0.05, ar, 370.4, reps=2000, seed=3)
+        result = calibrate_c(0.05, ar.phi, 370.4, reps=2000, seed=3)
         assert 370.4 <= result.arl < 370.4 + 3.0 * result.arl_se
         assert result.censored == 0 and result.evaluations >= 1
         mean, se, _ = estimate_arl(design_chart(ar, 0.05, result.c), ar, 2000, seed=4)
@@ -246,7 +249,7 @@ class TestCalibrateC:
         # estimator at the calibrated c censors a similar share
         monkeypatch.setattr(chart, "RUN_LENGTH_CAP", 400)
         ar = Ar1Model(0.0, 0.0, 1.0)
-        result = calibrate_c(1.0, ar, 370.4, reps=2000, seed=0)
+        result = calibrate_c(1.0, ar.phi, 370.4, reps=2000, seed=0)
         assert 370.4 <= result.arl <= 400.0
         assert 0 < result.censored < 2000
         _, _, censored = estimate_arl(design_chart(ar, 1.0, result.c), ar, 2000,
@@ -264,7 +267,7 @@ class TestCalibrateC:
             advance(runs, rows, noise)
 
         monkeypatch.setattr(chart._RunMaxima, "_advance", spy)
-        result = calibrate_c(0.05, Ar1Model(0.0, 0.1, 1.0), 370.4, reps=500, seed=7)
+        result = calibrate_c(0.05, 0.1, 370.4, reps=500, seed=7)
         assert result.simulated_steps == sum(seen) > 0
 
 
@@ -313,7 +316,8 @@ class TestCalibrationIsExact:
 
         monkeypatch.setattr(chart._RunMaxima, "_deviations", spy_deviations)
         monkeypatch.setattr(chart._RunMaxima, "extend", spy_extend)
-        result = calibrate_c(self.LAM, self.AR, self.TARGET, reps=self.REPS, seed=self.SEED)
+        result = calibrate_c(self.LAM, self.AR.phi, self.TARGET, reps=self.REPS,
+                             seed=self.SEED)
 
         # the stationary starting values come first from each block's stream
         start = np.concatenate([
@@ -382,5 +386,5 @@ class TestBrookEvansOracle:
                    - brook_evans_arl(0.05, 2.486, 801)) < 0.1
 
     def test_calibrated_c_has_the_target_chain_arl(self):
-        result = calibrate_c(0.05, Ar1Model(0.0, 0.0, 1.0), 370.4, reps=10_000, seed=0)
+        result = calibrate_c(0.05, 0.0, 370.4, reps=10_000, seed=0)
         assert abs(brook_evans_arl(0.05, result.c, 401) - 370.4) <= 3.0 * result.arl_se

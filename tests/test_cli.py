@@ -8,6 +8,7 @@ import importlib
 import json
 import pkgutil
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -419,6 +420,12 @@ class TestCalibrateCommand:
                              out.splitlines()[2])
         assert steps and float(steps[2]) == pytest.approx(int(steps[1]) / 2000, abs=0.05)
 
+    @pytest.mark.parametrize("phi", ["1", "-1.0"])
+    def test_unit_root_exit_code(self, capsys, phi):
+        code = cli.main(["calibrate", "--lambda", "0.05", "--phi", phi, "--reps", "1000"])
+        assert code == cli.EXIT_PARSE
+        assert "has modulus >= 1" in capsys.readouterr().err
+
     def test_low_reps_warns(self, capsys):
         cli.main(["calibrate", "--lambda", "1.0", "--reps", "100", "--seed", "0"])
         assert "wide ARL standard error" in capsys.readouterr().err
@@ -592,6 +599,41 @@ class TestMonitorCommand:
         assert not report.exists()
         assert cli.main(["monitor", str(stream), "--model", str(model_path),
                          "--tracking"]) == cli.EXIT_PARSE
+
+    def test_tracking_names_the_overflowing_row(self, fit_artifacts, tmp_path, capsys):
+        # the row overflows tracking mode's covariance estimate; the error
+        # names the data row, not the filter time, and numpy warns nothing
+        _, _, model_path = fit_artifacts
+        data = sample_mvn(np.zeros(2), SIGMA, 30, make_rng(95))
+        data[5] = 1e200
+        stream = tmp_path / "stream.csv"
+        cli.write_data(str(stream), data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["monitor", str(stream), "--model", str(model_path),
+                             "--tracking"])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: row 5 overflows the innovation covariance estimate, "
+            "so no log Bayes factor from there on is finite\n")
+
+    def test_signal_line_stays_short(self, fit_artifacts, tmp_path, capsys):
+        # a long shifted stream flags most of its rows; stdout gives their
+        # count and the first and last one, report.json lists them all
+        _, _, model_path = fit_artifacts
+        stream, report = tmp_path / "long.csv", tmp_path / "report.json"
+        data = sample_mvn(np.zeros(2), SIGMA, 10**5, make_rng(88))
+        data[1000:, 0] += 3.0
+        cli.write_data(str(stream), data)
+        code = cli.main(["monitor", str(stream), "--model", str(model_path),
+                         "--out", str(report)])
+        assert code == cli.EXIT_SIGNAL
+        signals = json.loads(report.read_text())["signals"]
+        assert len(signals) > 9 * 10**4 and 0 < signals[0] < signals[-1]
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == (
+            f"{len(signals)} signal(s), first at t={signals[0]}, last at t={signals[-1]}")
+        assert len(out) < 300
 
     def test_corrupt_model_schema_exit(self, fit_artifacts, tmp_path, capsys):
         _, _, model_path = fit_artifacts

@@ -1,5 +1,6 @@
 """Two-phase workflow: fitting, serialization, frozen monitoring."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -124,7 +125,7 @@ class TestPhase1(object):
 
     def test_chart_limits_follow_asymptotic_variance(self, fitted):
         model, _, _ = fitted
-        sigma_z2 = asymptotic_sigma_z2(model.chart.lam, model.ar.centered())
+        sigma_z2 = asymptotic_sigma_z2(model.chart.lam, model.ar)
         assert model.chart.sigma_z == pytest.approx(np.sqrt(sigma_z2), rel=1e-12)
         assert model.chart.ucl == pytest.approx(
             model.chart.mu_z + model.chart.c * model.chart.sigma_z
@@ -426,3 +427,27 @@ class TestPhase2NonFinite:
         model = replace(iid_model, difference=differenced)
         with pytest.raises(NonFiniteScore, match=r"not finite at row 12$"):
             phase2(model, stream)
+
+    @pytest.mark.parametrize("differenced", [False, True])
+    def test_tracking_names_the_row_that_overflows_the_covariance(
+        self, iid_model, stream, differenced
+    ):
+        # the overflowed outer product makes every later S non-finite; the
+        # error names the data row, not the filter time, and warns nothing
+        stream[12] = 1e200
+        stream[30] = -1e200
+        model = replace(iid_model, difference=differenced)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteScore, match=r"^row 12 overflows"):
+                phase2(model, stream, tracking=True)
+
+    @pytest.mark.parametrize("tracking", [False, True])
+    def test_overflowing_last_row_raises(self, iid_model, stream, tracking):
+        # no later covariance sees the last row, so only its own score can
+        # tell; a NaN there would end the chart without a signal
+        stream[-1] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteScore, match=r"not finite at row 49$"):
+                phase2(iid_model, stream, tracking=tracking)
