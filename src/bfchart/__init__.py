@@ -6,7 +6,7 @@ is monitored with a modified EWMA chart whose limits are calibrated by
 Monte Carlo to a target in-control average run length.
 """
 
-from .bayesfactor import TargetSpec, bf, lbf, lbf_series
+from .bayesfactor import TargetSpec, lbf, lbf_series
 from .chart import (
     Ar1Model,
     CalibrationResult,
@@ -16,7 +16,6 @@ from .chart import (
     calibrate_c,
     design_chart,
     estimate_arl,
-    ewma_update,
     fit_ar1,
     run_chart,
     simulate_run_length,
@@ -34,12 +33,9 @@ from .diagnostics import (
 from .dwr import (
     DwrConfig,
     FilterState,
-    ForecastErrorDensity,
-    forecast_error_density,
     init,
     run_filter,
     scale_sequence,
-    steady_state_mean,
     steady_state_scale,
 )
 from .exceptions import (
@@ -59,9 +55,7 @@ from .exceptions import (
 )
 from .linalg import (
     cholesky,
-    log_det,
     make_rng,
-    quad_form,
     sample_mvn,
     sym_inv_sqrt,
 )

@@ -7,14 +7,14 @@ For target N(mu, V) and a filter with pre-update quantities (m, P, S):
              - delta (y-m)' S^{-1} (y-m) / (2 (delta + P))
 
 A value of 0 means the predictive and target densities assign the same
-likelihood to y; the chart monitors this statistic over time.  The log form
-is canonical; the plain ratio is its exponential and overflows for large
-quadratic forms.
+likelihood to y; the chart monitors this statistic over time.  Only the log
+form is computed: the plain ratio would overflow for large quadratic forms.
+All three entry points (``lbf``, ``lbf_terms``, ``lbf_series``) evaluate it
+with the one array kernel ``_accel._lbf``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,18 +107,6 @@ def _state_cov(state: FilterState) -> np.ndarray:
         raise CovarianceNotReady(
             f"innovation covariance at t={state.t} is not usable: {err}"
         ) from err
-
-
-def bf(y, state: FilterState, target: TargetSpec) -> float:
-    """Plain Bayes factor exp(lbf); raises OverflowError when unrepresentable."""
-    value = lbf(y, state, target)
-    out = math.exp(value) if value < 709.0 else math.inf
-    if not math.isfinite(out):
-        raise OverflowError(
-            f"Bayes factor exponent {value:.1f} exceeds the floating point range; "
-            "use the log form"
-        )
-    return out
 
 
 def lbf_series(data, state: FilterState, target: TargetSpec) -> np.ndarray:

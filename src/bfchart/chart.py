@@ -111,12 +111,6 @@ class RunLength(NamedTuple):
     censored: bool
 
 
-def ewma_update(z_prev: float, x: float, lam: float) -> float:
-    """One smoothing step lam x + (1 - lam) z_prev."""
-    lam = _check_lambda(lam)
-    return lam * x + (1.0 - lam) * z_prev
-
-
 def asymptotic_sigma_z2(lam: float, ar: Ar1Model) -> float:
     """Asymptotic EWMA variance under AR(1) dependence; sigma2 lam/(2-lam) at phi=0."""
     lam = _check_lambda(lam)

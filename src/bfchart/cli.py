@@ -223,12 +223,12 @@ def _read_json(path: str) -> dict:
 
 
 def read_target(path: str) -> TargetSpec:
+    """The target of a target file, parsed as a model's target is;
+    SchemaMismatch naming the file when it is not a valid target."""
     doc = _read_json(path)
     try:
-        dim = int(doc["v"]["dim"])
-        v = np.array(doc["v"]["data"], dtype=float).reshape(dim, dim)
-        return TargetSpec(mu=np.array(doc["mu"], dtype=float), V=v)
-    except (KeyError, TypeError, ValueError) as err:
+        return workflow.target_from_dict(doc)
+    except (KeyError, TypeError, ValueError, BfchartError) as err:
         raise SchemaMismatch(f"{path}: malformed target document: {err}") from err
 
 
@@ -361,8 +361,9 @@ def cmd_monitor(args) -> int:
               f"last at t={result.signals[-1]}")
     else:
         print("no signals")
-    for note in result.warnings:
-        print(f"warning: {note}")
+    if result.warnings:
+        print(f"warning: {len(result.warnings)} run(s) of {workflow.RUN_WARNING} or more "
+              f"EWMA values on one side of the center, first: {result.warnings[0]}")
     return EXIT_SIGNAL if result.signals else EXIT_OK
 
 

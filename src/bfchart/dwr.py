@@ -8,7 +8,9 @@ one-step forecast error is e = y - m, after which
     P <- 1 / (delta + P)
     S <- running mean of delta e e' / (delta + P_prev)
 
-The one-step forecast error density is N(0, (delta + P) S / delta).  ``P``
+A fresh filter starts from m = 0 and P = ``DEFAULT_PRIOR_SCALE``.  The
+one-step forecast error density is N(0, (delta + P) S / delta); it enters the
+package only through the log Bayes factor (``_accel._lbf``).  ``P``
 converges to the data-free limit (sqrt(delta^2 + 4) - delta) / 2 and ``S``
 estimates the measurement covariance.
 
@@ -16,9 +18,9 @@ estimates the measurement covariance.
 is exactly symmetric in floating point (e_i e_j = e_j e_i), so a sum that
 starts symmetric stays exactly symmetric without re-symmetrization.
 
-``FilterState.step`` is the scalar form, one observation at a time;
-``run_filter`` runs the same recursions over a whole series with the array
-kernel ``_accel.filter_path``.
+``run_filter`` runs the recursions over a whole series with the array
+kernel ``_accel.filter_path``; ``FilterState.step``, one observation at a
+time, is the scalar form that kernel is checked against.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .exceptions import CovarianceNotReady, DimensionMismatch, InvalidConfig
-from .linalg import is_spd
+from .exceptions import DimensionMismatch, InvalidConfig
 
-#: default prior scale; small so the first observation dominates the prior mean
+#: prior scale of a fresh filter; small so the first observation dominates
+#: the zero prior mean
 DEFAULT_PRIOR_SCALE = 1e-3
 
 
@@ -44,27 +46,16 @@ def _check_delta(delta: float) -> float:
 
 @dataclass(frozen=True)
 class DwrConfig:
-    """Dimension, discount factor and prior for the filter."""
+    """Dimension and discount factor of the filter."""
 
     dim: int
     delta: float
-    m0: np.ndarray | None = None
-    prior_scale: float = DEFAULT_PRIOR_SCALE
 
     def __post_init__(self):
         if int(self.dim) < 1:
             raise InvalidConfig(f"dimension must be >= 1, got {self.dim}")
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "delta", _check_delta(self.delta))
-        if float(self.prior_scale) <= 0.0:
-            raise InvalidConfig(f"prior scale must be > 0, got {self.prior_scale}")
-        object.__setattr__(self, "prior_scale", float(self.prior_scale))
-        m0 = np.zeros(self.dim) if self.m0 is None else np.asarray(self.m0, float)
-        if m0.shape != (self.dim,):
-            raise DimensionMismatch(
-                f"prior mean of shape {m0.shape} does not match dim {self.dim}"
-            )
-        object.__setattr__(self, "m0", m0.copy())
 
 
 @dataclass
@@ -103,38 +94,15 @@ class FilterState:
         return FilterState(self.delta, self.t, self.m.copy(), self.P, self.sum_outer.copy())
 
 
-@dataclass(frozen=True)
-class ForecastErrorDensity:
-    """Parameters of the zero-mean normal one-step forecast error density."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-
 def init(config: DwrConfig) -> FilterState:
-    """Fresh filter state from a validated configuration."""
+    """Fresh filter state: zero prior mean and scale ``DEFAULT_PRIOR_SCALE``."""
     return FilterState(
         delta=config.delta,
         t=0,
-        m=config.m0.copy(),
-        P=config.prior_scale,
+        m=np.zeros(config.dim),
+        P=DEFAULT_PRIOR_SCALE,
         sum_outer=np.zeros((config.dim, config.dim)),
     )
-
-
-def forecast_error_density(state: FilterState) -> ForecastErrorDensity:
-    """N(0, (delta + P) S / delta); refuses until S is positive definite.
-
-    No regularization is applied while S is rank deficient: scoring against
-    a patched covariance would silently bias the Bayes factors.
-    """
-    s = state.S
-    if s is None or not is_spd(s):
-        raise CovarianceNotReady(
-            f"innovation covariance is not positive definite at t={state.t}"
-        )
-    cov = (state.delta + state.P) * s / state.delta
-    return ForecastErrorDensity(mean=np.zeros_like(state.m), cov=cov)
 
 
 def steady_state_scale(delta: float) -> float:
@@ -151,17 +119,6 @@ def scale_sequence(delta: float, p0: float = DEFAULT_PRIOR_SCALE, n: int = 200) 
     if p0 <= 0.0:
         raise InvalidConfig(f"prior scale must be > 0, got {p0}")
     return _accel.scale_path(delta, p0, n)[1:]
-
-
-def steady_state_mean(m0, errors, delta: float) -> np.ndarray:
-    """Steady-state approximation of the posterior mean: m0 + P/(delta+P) sum(e)."""
-    p_lim = steady_state_scale(delta)
-    gain = p_lim / (delta + p_lim)
-    m0 = np.asarray(m0, dtype=float)
-    total = np.zeros_like(m0)
-    for e in errors:
-        total = total + np.asarray(e, dtype=float)
-    return m0 + gain * total
 
 
 @dataclass(frozen=True)
@@ -197,7 +154,7 @@ class FilterPath:
 
 
 def run_filter(config: DwrConfig, data) -> FilterPath:
-    """Run the filter over ``data`` (n x dim) via the accelerated kernel."""
+    """Run a fresh filter (see ``init``) over ``data`` (n x dim) in one pass."""
     y = np.ascontiguousarray(data, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
@@ -206,7 +163,7 @@ def run_filter(config: DwrConfig, data) -> FilterPath:
             f"data of shape {y.shape} does not match dim {config.dim}"
         )
     e, m_pre, p_pre, s_post, m_fin, p_fin, sum_fin = _accel.filter_path(
-        y, config.delta, config.m0, config.prior_scale
+        y, config.delta, np.zeros(config.dim), DEFAULT_PRIOR_SCALE
     )
     n, p = y.shape
     s_pre = np.concatenate([np.zeros((1, p, p)), s_post[:-1]], axis=0)

@@ -1,10 +1,11 @@
 """Small dense SPD-matrix kernels and reproducible multivariate normal sampling.
 
 Every covariance handled by the package is a small (p x p, p typically 2-10)
-symmetric positive definite matrix.  Determinants and quadratic forms go
-through a Cholesky factorisation, never an explicit inverse.  Inputs are
-symmetrized as (m + m')/2 before factorisation to absorb I/O rounding;
-asymmetry beyond an absolute 1e-10 is rejected.
+symmetric positive definite matrix.  Log determinants and quadratic forms
+are taken from a Cholesky factor (``chol_log_det``, ``chol_sq``), never
+from an explicit inverse.  Inputs are symmetrized as (m + m')/2 before
+factorisation to absorb I/O rounding; asymmetry beyond an absolute 1e-10
+is rejected.
 """
 
 from __future__ import annotations
@@ -49,20 +50,6 @@ def cholesky(m) -> np.ndarray:
         raise NotPositiveDefinite(str(err)) from err
 
 
-def is_spd(m) -> bool:
-    """True if ``m`` passes the symmetry check and factorizes."""
-    try:
-        cholesky(m)
-    except (NotPositiveDefinite, DimensionMismatch):
-        return False
-    return True
-
-
-def log_det(m) -> float:
-    """log det(m) as twice the sum of log Cholesky pivots."""
-    return float(chol_log_det(cholesky(m)))
-
-
 def chol_log_det(L):
     """log det of L L' for each lower Cholesky factor L (..., p, p)."""
     return 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
@@ -74,6 +61,8 @@ def chol_sq(L, d):
     L (..., p, p) lower triangular and d (..., p) broadcast against each
     other; the loop runs over the p coordinates only."""
     p = d.shape[-1]
+    if L.shape[-1] != p:
+        raise DimensionMismatch(f"vector length {p} is not the factor's {L.shape[-1]}")
     w = np.empty(np.broadcast_shapes(L.shape[:-1], d.shape))
     for i in range(p):
         acc = d[..., i]
@@ -81,22 +70,6 @@ def chol_sq(L, d):
             acc = acc - np.sum(L[..., i, :i] * w[..., :i], axis=-1)
         w[..., i] = acc / L[..., i, i]
     return np.sum(w * w, axis=-1)
-
-
-def chol_quad_form(L: np.ndarray, x: np.ndarray) -> float:
-    """x' (L L')^{-1} x from an already-computed lower Cholesky factor."""
-    return float(chol_sq(L, x))
-
-
-def quad_form(x, m) -> float:
-    """x' m^{-1} x via one triangular solve, never an explicit inverse."""
-    v = np.asarray(x, dtype=float)
-    L = cholesky(m)
-    if v.shape != (L.shape[0],):
-        raise DimensionMismatch(
-            f"vector of length {v.shape} does not match matrix dim {L.shape[0]}"
-        )
-    return chol_quad_form(L, v)
 
 
 def sym_inv_sqrt(m) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import Ar1Model
-from .dwr import DwrConfig, steady_state_scale
+from .dwr import DwrConfig, run_filter, steady_state_scale
 from .exceptions import DimensionMismatch, InvalidConfig
 from .linalg import as_spd, cholesky, sample_mvn
 
@@ -76,7 +76,7 @@ def level_noise_scale(delta: float) -> float:
 def gen_local_level(
     config: DwrConfig, sigma, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """A realization of y_t = mu_t + eps_t with mu_t a random walk from m0.
+    """A realization of y_t = mu_t + eps_t with mu_t a random walk from 0.
 
     eps_t ~ N(0, Sigma) and the walk noise is N(0, q Sigma) with q from
     ``level_noise_scale(config.delta)``.
@@ -91,22 +91,19 @@ def gen_local_level(
     q = level_noise_scale(config.delta)
     walk = np.sqrt(q) * rng.standard_normal((n, config.dim)) @ L.T
     noise = rng.standard_normal((n, config.dim)) @ L.T
-    levels = config.m0 + np.cumsum(walk, axis=0)
-    return levels + noise
+    return np.cumsum(walk, axis=0) + noise
 
 
 def gen_ar1(ar: Ar1Model, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Stationary-start AR(1) realization of length n."""
+    """Stationary-start AR(1) realization of length n, as one ``lfilter`` pass."""
+    from scipy.signal import lfilter
+
     if n < 1:
         raise InvalidConfig(f"sample count must be >= 1, got {n}")
-    sigma = np.sqrt(ar.sigma2)
-    out = np.empty(n)
-    x = ar.mean + np.sqrt(ar.variance) * rng.standard_normal()
-    noise = sigma * rng.standard_normal(n)
-    for t in range(n):
-        x = ar.intercept + ar.phi * x + noise[t]
-        out[t] = x
-    return out
+    x0 = ar.mean + np.sqrt(ar.variance) * rng.standard_normal()
+    noise = np.sqrt(ar.sigma2) * rng.standard_normal(n)
+    x, _ = lfilter([1.0], [1.0, -ar.phi], ar.intercept + noise, zi=[ar.phi * x0])
+    return x
 
 
 def scenario_lbf_study(
@@ -123,7 +120,6 @@ def scenario_lbf_study(
     The filter keeps updating while scoring.
     """
     from . import bayesfactor
-    from .dwr import init
     from .linalg import make_rng
 
     scenarios = reference_scenarios()
@@ -134,9 +130,8 @@ def scenario_lbf_study(
     for index, name in enumerate(SCENARIO_NAMES):
         rng = make_rng(seed, index)
         config = DwrConfig(dim=2, delta=delta)
-        state = init(config)
-        for row in gen_iid(scenarios["in_control"], warmup, rng):
-            state.step(row)
+        warm = gen_iid(scenarios["in_control"], warmup, rng)
+        state = run_filter(config, warm).final
         draws = gen_iid(scenarios[name], n, rng)
         out[name] = bayesfactor.lbf_series(draws, state, target)
     return out

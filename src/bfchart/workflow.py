@@ -25,6 +25,7 @@ from .bayesfactor import TargetSpec
 from .chart import (
     Ar1Model,
     ChartConfig,
+    asymptotic_sigma_z2,
     calibrate_c,
     design_chart,
     fit_ar1,
@@ -117,7 +118,6 @@ class FittedModel:
     difference: bool
     n_phase1: int
     warmup: int
-    prior_scale: float
     fit: FitReport
     grid: tuple[GridEntry, ...] = ()
     phase1_z: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -134,9 +134,9 @@ class FittedModel:
                 f"m_opt of shape {np.shape(self.m_opt)} and s_opt of shape "
                 f"{np.shape(self.s_opt)} do not match target dim {p}"
             )
-        scalars = (self.delta, self.p_star, self.lbf_offset, self.prior_scale,
-                   self.ar.intercept, self.ar.phi, self.ar.sigma2, self.chart.lam,
-                   self.chart.c, self.chart.mu_z, self.chart.sigma_z)
+        scalars = (self.delta, self.p_star, self.lbf_offset, self.ar.intercept,
+                   self.ar.phi, self.ar.sigma2, self.chart.lam, self.chart.c,
+                   self.chart.mu_z, self.chart.sigma_z)
         arrays = (self.m_opt, self.s_opt, self.target.mu, self.phase1_z)
         if not (all(math.isfinite(v) for v in scalars)
                 and all(np.all(np.isfinite(a)) for a in arrays)):
@@ -168,7 +168,7 @@ class FittedModel:
             "difference": self.difference,
             "n_phase1": self.n_phase1,
             "warmup": self.warmup,
-            "prior_scale": self.prior_scale,
+            "prior_scale": dwr.DEFAULT_PRIOR_SCALE,
             "m_opt": self.m_opt.tolist(),
             "s_opt": {"dim": p, "data": self.s_opt.reshape(-1).tolist()},
             "target": {
@@ -202,13 +202,10 @@ class FittedModel:
                 f"unsupported schema version {doc.get('schema_version')!r}"
             )
         try:
-            target = TargetSpec(
-                mu=np.array(doc["target"]["mu"], dtype=float),
-                V=_mat_from(doc["target"]["v"]),
-            )
+            target = target_from_dict(doc["target"])
             ar = Ar1Model(**doc["ar"])
             chart = ChartConfig(**doc["chart"])
-            return FittedModel(
+            model = FittedModel(
                 delta=float(doc["delta"]),
                 m_opt=np.array(doc["m_opt"], dtype=float),
                 s_opt=_mat_from(doc["s_opt"]),
@@ -221,15 +218,36 @@ class FittedModel:
                 difference=bool(doc["difference"]),
                 n_phase1=int(doc["n_phase1"]),
                 warmup=int(doc["warmup"]),
-                prior_scale=float(doc["prior_scale"]),
                 fit=_report_from(doc["fit"]),
                 grid=tuple(
                     GridEntry(float(g["delta"]), _report_from(g)) for g in doc["grid"]
                 ),
                 phase1_z=np.array(doc["phase1_z"], dtype=float),
             )
+            prior_scale = float(doc["prior_scale"])
         except (KeyError, TypeError, ValueError, BfchartError) as err:
             raise SchemaMismatch(f"malformed model document: {err}") from err
+        # derived values are checked at load only: a model built in code may
+        # move its center on purpose
+        if model.recenter and not model.phase1_z.size:
+            raise SchemaMismatch("recenter is set but phase1_z is empty")
+        for name, value, want in (
+            ("prior_scale", prior_scale, dwr.DEFAULT_PRIOR_SCALE),
+            ("lbf_offset", model.lbf_offset, model.ar.mean),
+            ("chart.sigma_z", model.chart.sigma_z,
+             math.sqrt(asymptotic_sigma_z2(model.chart.lam, model.ar))),
+            ("chart.mu_z", model.chart.mu_z,
+             float(model.phase1_z.mean()) if model.recenter else 0.0),
+        ):
+            if not math.isclose(value, want, rel_tol=1e-12):
+                raise SchemaMismatch(f"{name} {value!r} is not the {want!r} "
+                                     "that Phase I derives for this model")
+        return model
+
+
+def target_from_dict(doc: dict) -> TargetSpec:
+    """The target of a ``{"mu": [...], "v": {"dim": p, "data": [...]}}`` document."""
+    return TargetSpec(mu=np.array(doc["mu"], dtype=float), V=_mat_from(doc["v"]))
 
 
 def _report_dict(report: FitReport) -> dict:
@@ -364,7 +382,6 @@ def phase1(
         difference=apply_difference,
         n_phase1=n,
         warmup=warmup,
-        prior_scale=dwr.DEFAULT_PRIOR_SCALE,
         fit=report,
         grid=tuple(
             GridEntry(d, r) for _, d, _, _, r in sorted(candidates, key=lambda c: c[1])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
-from bfchart.bayesfactor import TargetSpec, bf, lbf, lbf_series
+from bfchart.bayesfactor import TargetSpec, lbf, lbf_series
 from bfchart.dwr import DwrConfig, FilterState, init
 from bfchart.exceptions import (
     CovarianceNotReady,
@@ -139,30 +139,6 @@ class TestLbf:
         state = scalar_state(0.9, 0.1, 1.0)
         with pytest.raises(DimensionMismatch):
             lbf([0.0, 0.0], state, TargetSpec([0.0], [[1.0]]))
-
-
-class TestBf:
-    def test_identical_densities_give_one(self):
-        mu = np.array([0.3, -0.2])
-        v = np.array([[1.0, 0.4], [0.4, 2.0]])
-        delta, p_scale = 0.8, 0.3
-        state = FilterState(
-            delta=delta, t=2, m=mu.copy(), P=p_scale,
-            sum_outer=2 * delta * v / (delta + p_scale),
-        )
-        assert bf(mu + 0.5, state, TargetSpec(mu, v)) == pytest.approx(1.0, abs=1e-10)
-
-    def test_exponentiates_hand_case(self):
-        state = scalar_state(0.9, 0.1, 1.0)
-        value = bf([1.0], state, TargetSpec([0.0], [[1.0]]))
-        assert value == pytest.approx(0.9973233, abs=1e-7)
-
-    def test_overflow_raises(self):
-        # a huge target quadratic form pushes the exponent past the float range
-        state = scalar_state(0.9, 0.1, 1.0)
-        target = TargetSpec([0.0], [[1e-6]])
-        with pytest.raises(OverflowError):
-            bf([50.0], state, target)
 
 
 class TestLbfSeries:

@@ -14,7 +14,6 @@ from bfchart.chart import (
     calibrate_c,
     design_chart,
     estimate_arl,
-    ewma_update,
     fit_ar1,
     run_chart,
     simulate_run_length,
@@ -45,21 +44,27 @@ class TestAr1Model:
 
 
 class TestEwmaUpdate:
+    """Hand values of the step z = lam x + (1 - lam) z_prev, through run_chart
+    with the chart center as z_prev of the first step."""
+
     def test_lambda_one_is_identity(self):
-        assert ewma_update(0.7, 3.0, 1.0) == 3.0
+        cfg = ChartConfig(lam=1.0, c=3.0, mu_z=0.7, sigma_z=1.0)
+        z, _ = run_chart([3.0, -1.5], cfg)
+        assert z.tolist() == [3.0, -1.5]
 
     def test_hand_step(self):
-        assert ewma_update(0.2, 1.0, 0.05) == pytest.approx(0.24)
+        cfg = ChartConfig(lam=0.05, c=3.0, mu_z=0.2, sigma_z=1.0)
+        z, _ = run_chart([1.0], cfg)
+        assert z[0] == pytest.approx(0.24)
 
     def test_constant_fixed_point(self):
-        z = 2.5
-        for _ in range(10):
-            z = ewma_update(z, 2.5, 0.3)
-        assert z == pytest.approx(2.5)
+        cfg = ChartConfig(lam=0.3, c=3.0, mu_z=2.5, sigma_z=1.0)
+        z, _ = run_chart(np.full(10, 2.5), cfg)
+        np.testing.assert_allclose(z, 2.5)
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(InvalidConfig):
-            ewma_update(0.0, 1.0, 0.0)
+            ChartConfig(lam=0.0, c=3.0, mu_z=0.0, sigma_z=1.0)
 
 
 class TestAsymptoticSigmaZ2:

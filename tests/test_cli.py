@@ -487,6 +487,28 @@ class TestFitCommand:
         ])
         assert code == cli.EXIT_OK
 
+    @pytest.mark.parametrize("doc", [
+        {"mu": [0.0, 0.0], "v": {"dim": 2, "data": [1.0, 2.0, 2.0, 1.0]}},
+        {"mu": [0.0, 0.0, 0.0], "v": {"dim": 2, "data": [1.0, 0.0, 0.0, 1.0]}},
+        {"mu": [0.0, 0.0], "v": {"dim": 2, "data": [1.0, 0.0, 0.0]}},
+        [0.0, 0.0],
+        "target",
+        None,
+    ], ids=["indefinite_v", "long_mu", "cut_data", "list", "string", "null"])
+    def test_bad_target_file_exits_schema(self, tmp_path, capsys, doc):
+        data = tmp_path / "d.csv"
+        write_stream(data, 60, seed=86)
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(doc))
+        out = tmp_path / "m.json"
+        code = cli.main(["fit", str(data), "--out", str(out),
+                         "--target-file", str(target), "--reps", "200"])
+        assert code == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {target}: malformed target document: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1.0,x\n")
@@ -528,6 +550,23 @@ class TestFitCommand:
 
 
 class TestMonitorCommand:
+    def test_one_warning_line_for_many_runs(self, fit_artifacts, tmp_path, capsys):
+        _, _, model_path = fit_artifacts
+        stream = tmp_path / "stream.csv"
+        write_stream(stream, 3000, seed=93)
+        report = tmp_path / "report.json"
+        code = cli.main(["monitor", str(stream), "--model", str(model_path),
+                         "--tracking", "--out", str(report)])
+        assert code in (cli.EXIT_OK, cli.EXIT_SIGNAL)
+        runs = json.loads(report.read_text())["warnings"]
+        assert len(runs) > 10
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("warning:")] == [
+            f"warning: {len(runs)} run(s) of 8 or more EWMA values on one side "
+            f"of the center, first: {runs[0]}"
+        ]
+        assert len(lines) == 2
+
     def test_in_control_stream_no_signal(self, fit_artifacts, tmp_path, capsys):
         _, _, model_path = fit_artifacts
         stream = tmp_path / "stream.csv"
@@ -693,6 +732,26 @@ def _nan_in_m_opt(doc):
     doc["m_opt"][0] = float("nan")
 
 
+def _lbf_offset_off_the_ar_mean(doc):
+    doc["lbf_offset"] += 0.1
+
+
+def _tripled_sigma_z(doc):
+    doc["chart"]["sigma_z"] *= 3.0
+
+
+def _mu_z_off_zero(doc):
+    doc["chart"]["mu_z"] = 0.5 * doc["chart"]["sigma_z"]
+
+
+def _recenter_without_its_center(doc):
+    doc["recenter"] = True
+
+
+def _another_prior_scale(doc):
+    doc["prior_scale"] = 1.0
+
+
 class TestModelValidation:
     """Every inconsistent model file exits 4 before any scoring."""
 
@@ -700,7 +759,9 @@ class TestModelValidation:
     @pytest.mark.parametrize("mutate", [
         _cut_m_opt, _one_by_one_s_opt, _long_target_mean, _delta_out_of_range,
         _negative_p_star, _p_star_of_another_delta, _indefinite_s_opt,
-        _no_phase1_rows, _nan_in_m_opt,
+        _no_phase1_rows, _nan_in_m_opt, _lbf_offset_off_the_ar_mean,
+        _tripled_sigma_z, _mu_z_off_zero, _recenter_without_its_center,
+        _another_prior_scale,
     ], ids=lambda f: f.__name__.strip("_"))
     def test_inconsistent_model_exits_schema(self, fit_artifacts, tmp_path, capsys,
                                              mutate, tracking):
@@ -715,6 +776,28 @@ class TestModelValidation:
         code = cli.main(args + (["--tracking"] if tracking else []))
         assert code == cli.EXIT_SCHEMA
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-9])
+    def test_recentered_model_checks_its_center(self, tmp_path, capsys, shift):
+        train = tmp_path / "train.csv"
+        write_stream(train, 120, seed=91)
+        model_path = tmp_path / "model.json"
+        assert cli.main(["fit", str(train), "--out", str(model_path),
+                         "--estimate-target", "--recenter", "--delta-grid", "0.9",
+                         "--reps", "200"]) == cli.EXIT_OK
+        doc = json.loads(model_path.read_text())
+        assert doc["chart"]["mu_z"] != 0.0
+        doc["chart"]["mu_z"] += shift * doc["chart"]["sigma_z"]
+        model_path.write_text(json.dumps(doc))
+        stream = tmp_path / "stream.csv"
+        write_stream(stream, 30, seed=92)
+        capsys.readouterr()
+        code = cli.main(["monitor", str(stream), "--model", str(model_path)])
+        if shift:
+            assert code == cli.EXIT_SCHEMA
+            assert "chart.mu_z" in capsys.readouterr().err
+        else:
+            assert code in (cli.EXIT_OK, cli.EXIT_SIGNAL)
 
 
 def _import_all_modules():

@@ -1,18 +1,20 @@
 """Discount local-level filter: recursions, limits, vectorized path."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bfchart.bayesfactor import TargetSpec, lbf
 from bfchart.dwr import (
+    DEFAULT_PRIOR_SCALE,
     DwrConfig,
     FilterState,
-    forecast_error_density,
     init,
     run_filter,
     scale_sequence,
-    steady_state_mean,
     steady_state_scale,
 )
 from bfchart.exceptions import (
@@ -25,8 +27,8 @@ from bfchart.linalg import make_rng
 
 class TestConfig:
     def test_construction(self):
-        state = init(DwrConfig(dim=2, delta=0.5, prior_scale=0.001))
-        assert state.P == 0.001
+        state = init(DwrConfig(dim=2, delta=0.5))
+        assert state.P == DEFAULT_PRIOR_SCALE == 0.001
         assert state.t == 0
         np.testing.assert_array_equal(state.m, np.zeros(2))
 
@@ -45,18 +47,12 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             DwrConfig(dim=0, delta=0.5)
 
-    def test_bad_prior_scale_rejected(self):
-        with pytest.raises(InvalidConfig):
-            DwrConfig(dim=1, delta=0.5, prior_scale=0.0)
-
-    def test_m0_shape_checked(self):
-        with pytest.raises(DimensionMismatch):
-            DwrConfig(dim=2, delta=0.5, m0=[1.0, 2.0, 3.0])
 
 
 class TestStep:
     def test_zero_observation(self):
-        state = init(DwrConfig(dim=1, delta=1.0, prior_scale=1.0))
+        state = FilterState(delta=1.0, t=0, m=np.zeros(1), P=1.0,
+                            sum_outer=np.zeros((1, 1)))
         e = state.step([0.0])
         assert e == pytest.approx(0.0)
         assert state.m[0] == 0.0
@@ -64,7 +60,8 @@ class TestStep:
         assert state.S[0, 0] == 0.0
 
     def test_hand_recursion(self):
-        state = init(DwrConfig(dim=1, delta=0.5, prior_scale=0.001))
+        state = FilterState(delta=0.5, t=0, m=np.zeros(1), P=0.001,
+                            sum_outer=np.zeros((1, 1)))
         e = state.step([2.0])
         assert e[0] == pytest.approx(2.0)
         assert state.m[0] == pytest.approx(0.002 / 0.501, abs=1e-12)
@@ -93,13 +90,16 @@ class TestStep:
 
 
 class TestForecastErrorDensity:
+    """N(m, (delta + P) S / delta), as it enters the log Bayes factor."""
+
     def test_hand_case(self):
         state = FilterState(
             delta=0.9, t=5, m=np.zeros(1), P=0.1, sum_outer=np.full((1, 1), 5.0)
         )
-        density = forecast_error_density(state)
-        assert density.cov[0, 0] == pytest.approx(1.0 / 0.9, abs=1e-12)
-        np.testing.assert_array_equal(density.mean, [0.0])
+        # variance 1 / 0.9 against a N(0, 1) target: at y = 1 the log ratio
+        # is log(0.9) / 2 - 0.9 / 2 + 1 / 2
+        value = lbf([1.0], state, TargetSpec([0.0], [[1.0]]))
+        assert value == pytest.approx(0.5 * math.log(0.9) + 0.05, abs=1e-12)
 
     def test_steady_state_closed_form(self):
         sigma = np.array([[1.0, 2.0], [2.0, 5.0]])
@@ -107,18 +107,21 @@ class TestForecastErrorDensity:
         state = FilterState(
             delta=1.0, t=10, m=np.zeros(2), P=p_lim, sum_outer=sigma * 10
         )
-        density = forecast_error_density(state)
-        np.testing.assert_allclose(density.cov, (1.0 + p_lim) * sigma, atol=1e-12)
+        # the density equals a N(0, (1 + P) Sigma) target, so every y scores 0
+        target = TargetSpec(np.zeros(2), (1.0 + p_lim) * sigma)
+        for y in ([0.0, 0.0], [1.5, -2.0], [-3.0, 4.0]):
+            assert lbf(y, state, target) == pytest.approx(0.0, abs=1e-12)
 
     def test_refuses_before_first_observation(self):
         with pytest.raises(CovarianceNotReady):
-            forecast_error_density(init(DwrConfig(dim=2, delta=0.9)))
+            lbf([0.0, 0.0], init(DwrConfig(dim=2, delta=0.9)),
+                TargetSpec(np.zeros(2), np.eye(2)))
 
     def test_refuses_singular_estimate(self):
         state = init(DwrConfig(dim=2, delta=0.9))
         state.step([0.0, 0.0])  # zero error leaves the estimate all zero
         with pytest.raises(CovarianceNotReady):
-            forecast_error_density(state)
+            lbf([0.0, 0.0], state, TargetSpec(np.zeros(2), np.eye(2)))
 
 
 class TestSteadyStateScale:
@@ -147,8 +150,7 @@ class TestSteadyStateScale:
 
 class TestScaleSequence:
     def test_matches_stepwise_filter(self):
-        config = DwrConfig(dim=1, delta=0.6, prior_scale=0.001)
-        state = init(config)
+        state = init(DwrConfig(dim=1, delta=0.6))
         expected = []
         for _ in range(20):
             state.step([0.3])  # P does not depend on the data
@@ -158,17 +160,6 @@ class TestScaleSequence:
     def test_rejects_bad_prior(self):
         with pytest.raises(InvalidConfig):
             scale_sequence(0.5, p0=-1.0)
-
-
-class TestSteadyStateMean:
-    def test_empty_errors(self):
-        np.testing.assert_array_equal(
-            steady_state_mean([1.0, 2.0], [], 0.5), [1.0, 2.0]
-        )
-
-    def test_hand_case(self):
-        value = steady_state_mean([0.0], [[1.0]], 1.0)
-        assert value[0] == pytest.approx(0.618034 / 1.618034, abs=1e-6)
 
 
 class TestRunFilter:

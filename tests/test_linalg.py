@@ -9,15 +9,22 @@ from hypothesis.extra.numpy import arrays
 from bfchart.exceptions import DimensionMismatch, NotPositiveDefinite
 from bfchart.linalg import (
     as_spd,
-    chol_quad_form,
+    chol_log_det,
+    chol_sq,
     cholesky,
-    is_spd,
-    log_det,
     make_rng,
-    quad_form,
     sample_mvn,
     sym_inv_sqrt,
 )
+
+
+# log det(m) and x' m^{-1} x as the package forms them: from a Cholesky factor
+def log_det(m):
+    return chol_log_det(cholesky(m))
+
+
+def quad_form(x, m):
+    return chol_sq(cholesky(m), np.asarray(x, dtype=float))
 
 
 def random_spd(draw_matrix):
@@ -65,18 +72,9 @@ class TestCholesky:
         np.testing.assert_allclose(L @ L.T, as_spd(m), atol=1e-8)
 
 
-class TestIsSpd:
-    def test_true_for_spd(self):
-        assert is_spd([[2.0, 1.0], [1.0, 2.0]])
-
-    def test_false_for_indefinite(self):
-        assert not is_spd([[1.0, 2.0], [2.0, 1.0]])
-
-    def test_false_for_non_square(self):
-        assert not is_spd(np.ones((2, 3)))
-
-
 class TestLogDet:
+    """chol_log_det of the Cholesky factor."""
+
     def test_identity_is_zero(self):
         assert log_det(np.eye(3)) == 0.0
 
@@ -96,6 +94,8 @@ class TestLogDet:
 
 
 class TestQuadForm:
+    """chol_sq of the Cholesky factor: x' m^{-1} x."""
+
     def test_zero_vector(self):
         assert quad_form([0.0, 0.0], np.eye(2)) == 0.0
 
@@ -111,6 +111,8 @@ class TestQuadForm:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             quad_form([1.0, 2.0, 3.0], np.eye(2))
+        with pytest.raises(DimensionMismatch):
+            quad_form([1.0], np.eye(2))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -122,11 +124,15 @@ class TestQuadForm:
         assert quad_form(x, m) == pytest.approx(expected, rel=1e-8, abs=1e-8)
 
     def test_chol_quad_form_consistent(self):
-        m = np.array([[2.0, 0.5], [0.5, 1.0]])
-        x = np.array([1.0, -2.0])
-        assert chol_quad_form(cholesky(m), x) == pytest.approx(
-            quad_form(x, m), abs=1e-12
-        )
+        # a stack of factors and vectors gives each one's value, which for
+        # the first is 11 / 1.75 (inverse of m is [[1, -0.5], [-0.5, 2]] / 1.75)
+        m = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 2.0], [2.0, 5.0]]])
+        x = np.array([[1.0, -2.0], [1.0, 1.0]])
+        got = chol_sq(np.linalg.cholesky(m), x)
+        assert got.shape == (2,)
+        assert got[0] == pytest.approx(11.0 / 1.75, abs=1e-12)
+        assert got[1] == pytest.approx(quad_form(x[1], m[1]), abs=1e-12)
+        assert got[1] == pytest.approx(2.0, abs=1e-12)
 
 
 class TestSymInvSqrt:

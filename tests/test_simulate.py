@@ -104,12 +104,37 @@ class TestGenLocalLevel:
             gen_local_level(DwrConfig(dim=2, delta=0.5), np.eye(3), 10, make_rng(0))
 
     def test_starts_near_prior_mean(self):
-        config = DwrConfig(dim=1, delta=0.9, m0=[100.0])
-        data = gen_local_level(config, [[1.0]], 5, make_rng(44))
-        assert abs(data[0, 0] - 100.0) < 10.0
+        # the walk starts from the filter's zero prior mean: the first row is
+        # one walk step plus noise, N(0, (1 + q) Sigma)
+        config = DwrConfig(dim=1, delta=0.9)
+        first = [gen_local_level(config, [[4.0]], 5, make_rng(44, k))[0, 0]
+                 for k in range(400)]
+        sd = 2.0 * np.sqrt(1.0 + level_noise_scale(0.9))
+        assert abs(np.mean(first)) < 4.0 * sd / np.sqrt(400)
+        assert np.std(first) == pytest.approx(sd, rel=0.15)
+
+
+def gen_ar1_loop(ar, n, rng):
+    """The AR(1) recursion one value at a time, drawing as gen_ar1 does."""
+    x = ar.mean + np.sqrt(ar.variance) * rng.standard_normal()
+    noise = np.sqrt(ar.sigma2) * rng.standard_normal(n)
+    out = np.empty(n)
+    for t in range(n):
+        x = ar.intercept + ar.phi * x + noise[t]
+        out[t] = x
+    return out
 
 
 class TestGenAr1:
+    @pytest.mark.parametrize("ar", [Ar1Model(0.0, 0.0, 4.0), Ar1Model(0.1, 0.3, 1.0),
+                                    Ar1Model(-2.0, -0.95, 0.5),
+                                    Ar1Model(5.0, 0.99, 2.0)])
+    @pytest.mark.parametrize("n", [1, 2, 500])
+    def test_matches_scalar_loop(self, ar, n):
+        np.testing.assert_allclose(gen_ar1(ar, n, make_rng(48)),
+                                   gen_ar1_loop(ar, n, make_rng(48)),
+                                   rtol=1e-12, atol=0)
+
     def test_white_noise_reduction(self):
         x = gen_ar1(Ar1Model(0.0, 0.0, 4.0), 10**4, make_rng(45))
         assert np.var(x) == pytest.approx(4.0, rel=0.1)

@@ -18,7 +18,7 @@ from bfchart.exceptions import (
     SchemaMismatch,
     TooShort,
 )
-from bfchart.linalg import is_spd, make_rng
+from bfchart.linalg import cholesky, make_rng
 from bfchart.simulate import gen_local_level
 from bfchart.workflow import (
     DELTA_GRID,
@@ -113,7 +113,7 @@ class TestPhase1(object):
     def test_selected_model_is_adequate(self, fitted):
         model, _, _ = fitted
         assert model.delta in (0.7, 0.8, 0.9)
-        assert is_spd(model.s_opt)
+        cholesky(model.s_opt)  # raises unless positive definite
         assert np.all((model.fit.msse > 0.8) & (model.fit.msse < 1.2))
         assert model.p_star == pytest.approx(steady_state_scale(model.delta))
         assert model.n_phase1 == 400
