@@ -6,12 +6,17 @@
   vectorised over rows; (m, P, S) broadcast, so scoring against one frozen
   state takes a single Cholesky factorisation.
 * ``ewma_path`` and ``run_length_chunk``: the EWMA and the AR(1)+EWMA
-  run-length recursions as ``scipy.signal.lfilter`` calls.
+  run-length recursions.
+* ``recurrence``: the one linear-recurrence kernel under the filter's
+  constant-gain tail, the EWMA, the run lengths, calibration's AR(1)+EWMA
+  cascade and the AR(1) generator.  It means what
+  ``scipy.signal.lfilter([b0], [1, a1(, a2)], x, zi=zi)`` means and runs in
+  blocks of matrix products.
 
 The scalar forms (``dwr.FilterState.step``, one ``bayesfactor.lbf`` per
 observation) and plain loops in the tests are the references these kernels
-are checked against.  ``scipy.signal`` is imported inside the functions: at
-module level it would add about 0.4 s to every process importing bfchart.
+are checked against; the tests also check ``recurrence`` against
+``lfilter``.  The package needs numpy only.
 """
 
 from __future__ import annotations
@@ -23,10 +28,97 @@ import numpy as np
 from .exceptions import CovarianceNotReady
 from .linalg import chol_log_det, chol_sq
 
+#: most steps ``recurrence`` runs as one matrix product; a block of width B
+#: costs 2B flops per value, and more blocks cost more carry work
+_BLOCK = 64
+#: most multiply-adds in one matrix-product call: OpenBLAS runs a larger
+#: product on all its threads, which for these thin products costs more
+#: than it saves and slows the work after it
+_PRODUCT_SIZE = 2**18
+
 #: relative distance from the scale limit below which the filter gain is
 #: treated as constant; floating point settles P_t either on the limit or
 #: on a two-cycle one ulp wide, so exact equality may never happen
 _SETTLED_RTOL = 1e-15
+
+
+# ---------------------------------------------------------------------------
+# linear recurrences
+# ---------------------------------------------------------------------------
+
+
+def recurrence(b0, a, x, zi):
+    """y[t] = b0 x[t] - a1 y[t-1] - a2 y[t-2] along the last axis of x.
+
+    ``a`` is (a1,) or (a1, a2) and ``zi``, of shape x.shape[:-1] + (len(a),),
+    the initial state in ``scipy.signal.lfilter``'s transposed form: it adds
+    zi[0] to y[0] and zi[1] to y[1].  Returns (y, zf) as
+    ``lfilter([b0], [1, *a], x, zi=zi)`` does, equal up to rounding.  A
+    first-order recurrence runs as a second-order one with a2 = 0.
+
+    The steps are cut into blocks of equal width B <= _BLOCK, zero-padded at
+    the end.  Within a block the output is the input convolved with the
+    impulse response h, one product with the B x B Toeplitz matrix of h.  A
+    block also gets a state from the block before it, added into its first
+    two inputs: the state each block's own inputs pass on follows from its
+    last two zero-state outputs, one thin product, and the states are
+    carried across blocks by a doubling scan with powers of the 2 x 2 map
+    that takes a block's starting state to its end state.
+    """
+    order = len(a)
+    a1, a2 = float(a[0]), float(a[1]) if order > 1 else 0.0
+    lead, n = x.shape[:-1], x.shape[-1]
+    zi = np.asarray(zi, dtype=float)
+    if n == 0:
+        return np.empty(x.shape), zi.copy()
+    blocks = -(-n // _BLOCK)
+    width = -(-n // blocks)
+    w = np.empty(lead + (blocks * width,))
+    np.multiply(x, b0, out=w[..., :n])
+    w[..., n:] = 0.0
+    rows = w.reshape(-1, blocks, width)
+    rows[:, 0, :min(order, width)] += zi.reshape(-1, order)[:, :width]
+    h = [1.0, -a1]
+    for _ in range(2, width):
+        h.append(-a1 * h[-1] - a2 * h[-2])
+    padded = np.array([0.0] * (width - 1) + h[:width])
+    # toeplitz[j, i] = h[i - j], zero below the diagonal: rows that step
+    # back through ``padded``, copied so that the products run in BLAS
+    toeplitz = np.ascontiguousarray(np.ndarray(
+        (width, width), buffer=padded, offset=(width - 1) * padded.itemsize,
+        strides=(-padded.itemsize, padded.itemsize)))
+    # the state (y[t-1], y[t-2]) leaves behind: (-a1 y[t-1] - a2 y[t-2], -a2 y[t-1])
+    leave = np.array([[-a2, 0.0], [-a1, -a2]])  # rows: y[t-2], y[t-1]
+    flat = w.reshape(-1, width)
+    if blocks > 1:
+        # the state each block's own inputs pass on, from its zero-state
+        # last two outputs; width >= 3 here
+        carry = _product(flat, toeplitz[:, -2:] @ leave).reshape(-1, blocks, 2)[:, :-1]
+        # a block's starting state u (u_i added to input i) -> its end state
+        step = np.array([[h[-2], h[-1]], [h[-3], h[-2]]]) @ leave
+        shift = 1
+        while shift < blocks - 1:
+            carry[:, shift:] += carry[:, :-shift] @ step
+            step = step @ step
+            shift *= 2
+        rows[:, 1:, :2] += carry
+    y = _product(flat, toeplitz).reshape(lead + (blocks * width,))[..., :n]
+    if n > 1:
+        zf = y[..., -2:] @ leave
+    else:
+        zf = y[..., -1:] @ leave[1:]
+        if order > 1:  # one step leaves zi[1] still to be added
+            zf[..., 0] += zi[..., 1]
+    return y, zf[..., :order]
+
+
+def _product(a, b):
+    """a @ b in calls of at most _PRODUCT_SIZE multiply-adds each."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    span = max(1, _PRODUCT_SIZE // (a.shape[1] * b.shape[1]))
+    for lo in range(0, a.shape[0], span):
+        np.matmul(a[lo:lo + span], b, out=out[lo:lo + span])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -62,10 +154,8 @@ def filter_path(y, delta, m0, p0, t0=0, sum0=None):
 
     P_t does not depend on the data.  Once it is within ``_SETTLED_RTOL`` of
     its limit, the mean recursion has a constant gain and runs as one
-    first-order ``lfilter`` over the rest of the series.
+    first-order ``recurrence`` over the rest of the series.
     """
-    from scipy.signal import lfilter
-
     n, p = y.shape
     scales = scale_path(delta, p0, n)
     p_pre = scales[:n]
@@ -83,11 +173,10 @@ def filter_path(y, delta, m0, p0, t0=0, sum0=None):
         scale = p_pre[settled]
         denom = delta + scale
         gain = delta / denom
-        m_post, _ = lfilter([scale / denom], [1.0, -gain], y[settled:], axis=0,
-                            zi=(gain * m)[None, :])
+        m_post, _ = recurrence(scale / denom, (-gain,), y[settled:].T, (gain * m)[:, None])
         m_pre[settled] = m
-        m_pre[settled + 1:] = m_post[:-1]
-        m = m_post[-1].copy()
+        m_pre[settled + 1:] = m_post[:, :-1].T
+        m = m_post[:, -1].copy()
 
     e = y - m_pre
     weight = delta / (delta + p_pre)
@@ -164,27 +253,27 @@ def lbf_path(y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet_target, start):
 
 def ewma_path(x, lam, z0):
     """z_t = lam x_t + (1 - lam) z_{t-1} from z_{-1} = z0."""
-    from scipy.signal import lfilter
-
-    if x.shape[0] == 0:
-        return np.empty(0)
-    z, _ = lfilter([lam], [1.0, -(1.0 - lam)], x, zi=[(1.0 - lam) * z0])
-    return z
+    return recurrence(lam, (lam - 1.0,), x, [(1.0 - lam) * z0])[0]
 
 
 def run_length_chunk(noise, x, z, phi, icept, lam, ucl, lcl):
     """Advance the AR(1)+EWMA recursion through one noise chunk.
 
     Returns (steps_consumed, signalled, x_end, z_end); on a signal the step
-    count is the within-chunk index of the crossing (1-based).
+    count is the within-chunk index of the crossing (1-based).  The AR(1)
+    x_t = icept + phi x_{t-1} + noise_t smoothed by z_t = lam x_t
+    + (1 - lam) z_{t-1} is one second-order recurrence of the shocks
+    icept + noise_t, as in calibration; x at the last step taken is the
+    sum of the shocks weighted by powers of phi.
     """
-    from scipy.signal import lfilter
-
     n = noise.shape[0]
-    xs, _ = lfilter([1.0], [1.0, -phi], icept + noise, zi=[phi * x])
-    zs, _ = lfilter([lam], [1.0, -(1.0 - lam)], xs, zi=[(1.0 - lam) * z])
+    shocks = icept + noise
+    damp = 1.0 - lam
+    zs, _ = recurrence(lam, (-(phi + damp), phi * damp), shocks,
+                       [lam * phi * x + damp * z, -phi * damp * z])
     hit = (zs > ucl) | (zs < lcl)
-    if hit.any():
-        k = int(np.argmax(hit))
-        return k + 1, True, float(xs[k]), float(zs[k])
-    return n, False, float(xs[-1]), float(zs[-1])
+    signalled = bool(hit.any())
+    k = int(np.argmax(hit)) if signalled else n - 1
+    powers = np.power(phi, np.arange(k, -1, -1.0))
+    x_end = phi ** (k + 1) * x + float(powers @ shocks[:k + 1])
+    return (k + 1 if signalled else n), signalled, x_end, float(zs[k])

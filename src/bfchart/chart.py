@@ -65,10 +65,14 @@ class Ar1Model:
     sigma2: float
 
     def __post_init__(self):
+        # the checks are written so that NaN fails them
+        if not (math.isfinite(self.intercept) and math.isfinite(self.phi)):
+            raise InvalidConfig(f"AR(1) coefficients must be finite, got "
+                                f"intercept={self.intercept}, phi={self.phi}")
         if abs(self.phi) >= 1.0:
             raise NonStationary(f"autoregressive coefficient {self.phi} has modulus >= 1")
-        if self.sigma2 <= 0.0:
-            raise InvalidConfig(f"innovation variance must be > 0, got {self.sigma2}")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise InvalidConfig(f"innovation variance must be finite and > 0, got {self.sigma2}")
 
     @property
     def mean(self) -> float:
@@ -92,10 +96,12 @@ class ChartConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _check_lambda(self.lam))
-        if self.c <= 0.0:
-            raise InvalidConfig(f"limit multiplier must be > 0, got {self.c}")
-        if self.sigma_z <= 0.0:
-            raise InvalidConfig(f"sigma_z must be > 0, got {self.sigma_z}")
+        if not 0.0 < self.c < math.inf:
+            raise InvalidConfig(f"limit multiplier must be finite and > 0, got {self.c}")
+        if not 0.0 < self.sigma_z < math.inf:
+            raise InvalidConfig(f"sigma_z must be finite and > 0, got {self.sigma_z}")
+        if not math.isfinite(self.mu_z):
+            raise InvalidConfig(f"chart center must be finite, got {self.mu_z}")
 
     @property
     def ucl(self) -> float:
@@ -233,13 +239,13 @@ class _RunMaxima:
         unit = Ar1Model(0.0, phi, 1.0)
         sigma_z = math.sqrt(asymptotic_sigma_z2(lam, unit))
         # x_t = phi x_{t-1} + nu_t smoothed by u_t = lam x_t / sigma_z
-        # + (1 - lam) u_{t-1}, as one second-order filter of the noise nu
-        self.coef = ([lam / sigma_z], [1.0, -(phi + 1.0 - lam), phi * (1.0 - lam)])
+        # + (1 - lam) u_{t-1}, as one second-order recurrence of the noise nu
+        self.coef = (lam / sigma_z, (-(phi + 1.0 - lam), phi * (1.0 - lam)))
         self.reps = reps
         self.floor = floor
         self.rngs = [make_rng(seed, block) for block in range(-(-reps // _CALIB_BLOCK))]
         # the AR(1) starts from its stationary law x_{-1} and the EWMA at the
-        # chart center, which is the lfilter state (lam phi x_{-1} / sigma_z, 0)
+        # chart center, which is the recurrence state (lam phi x_{-1} / sigma_z, 0)
         start = np.concatenate([
             rng.standard_normal(min(_CALIB_BLOCK, reps - block * _CALIB_BLOCK))
             for block, rng in enumerate(self.rngs)
@@ -275,9 +281,7 @@ class _RunMaxima:
 
     def _deviations(self, rows: np.ndarray, noise: np.ndarray) -> np.ndarray:
         """|z - mu_z| / sigma_z of ``rows`` over the next noise.shape[1] steps."""
-        from scipy.signal import lfilter
-
-        u, state = lfilter(*self.coef, noise, axis=1, zi=self.state[rows])
+        u, state = _accel.recurrence(*self.coef, noise, self.state[rows])
         self.state[rows] = state
         return np.abs(u, out=u)
 
@@ -371,8 +375,8 @@ def calibrate_c(
     |phi| >= 1, and BracketFailure when the ARL at the bracket's lower end
     already exceeds the target or the ARL at its upper end falls short of it.
     """
-    if target_arl <= 1.0:
-        raise InvalidConfig(f"target ARL must exceed 1, got {target_arl}")
+    if not 1.0 < target_arl < math.inf:
+        raise InvalidConfig(f"target ARL must be finite and exceed 1, got {target_arl}")
     if reps < 1:
         raise InvalidConfig(f"replication count must be >= 1, got {reps}")
     lam = _check_lambda(lam)

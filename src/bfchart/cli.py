@@ -404,6 +404,9 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.lbf and (args.dwr or args.scenario != "all"):
+        print("simulate: --lbf needs --scenario all and no --dwr", file=sys.stderr)
+        return EXIT_PARSE
     if args.dwr:
         config = DwrConfig(dim=args.dim, delta=args.delta)
         data = simulate.gen_local_level(
@@ -412,7 +415,7 @@ def cmd_simulate(args) -> int:
         write_data(args.out, data)
         print(f"{args.n} local-level rows written to {args.out}")
         return EXIT_OK
-    if args.scenario == "all" and args.lbf:
+    if args.lbf:
         study = simulate.scenario_lbf_study(
             n=args.n, warmup=args.warmup, delta=args.delta, seed=args.seed
         )
@@ -533,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: exit code of each library error class; a subclass takes its nearest
-#: listed ancestor's, so every other error (ParseError too) is a usage error
+#: listed ancestor's, so every other error (ParseError too) is a usage error,
+#: as is an output file that cannot be written
 _EXIT_CODES = {
     DegenerateFit: EXIT_DEGENERATE,
     SchemaMismatch: EXIT_SCHEMA,
@@ -550,6 +554,10 @@ def main(argv=None) -> int:
     except BfchartError as err:
         print(f"error: {err}", file=sys.stderr)
         return next(_EXIT_CODES[cls] for cls in type(err).__mro__ if cls in _EXIT_CODES)
+    except OSError as err:
+        where = "" if err.filename is None else f"{err.filename}: "
+        print(f"error: {where}{err.strerror or err}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def entry() -> None:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _accel
 from .chart import Ar1Model
 from .dwr import DwrConfig, run_filter, steady_state_scale
 from .exceptions import DimensionMismatch, InvalidConfig
@@ -95,14 +96,13 @@ def gen_local_level(
 
 
 def gen_ar1(ar: Ar1Model, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Stationary-start AR(1) realization of length n, as one ``lfilter`` pass."""
-    from scipy.signal import lfilter
-
+    """Stationary-start AR(1) realization of length n, as one first-order
+    ``_accel.recurrence`` pass over the shifted noise."""
     if n < 1:
         raise InvalidConfig(f"sample count must be >= 1, got {n}")
     x0 = ar.mean + np.sqrt(ar.variance) * rng.standard_normal()
     noise = np.sqrt(ar.sigma2) * rng.standard_normal(n)
-    x, _ = lfilter([1.0], [1.0, -ar.phi], ar.intercept + noise, zi=[ar.phi * x0])
+    x, _ = _accel.recurrence(1.0, (-ar.phi,), ar.intercept + noise, [ar.phi * x0])
     return x
 
 

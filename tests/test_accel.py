@@ -1,7 +1,9 @@
 """Array kernels agree with plain loop references, which are kept here as
 oracles: elementwise scalar loops for the filter, the log Bayes factor, the
-EWMA and the AR(1)+EWMA run length."""
+EWMA and the AR(1)+EWMA run length.  ``scipy.signal.lfilter`` is the oracle
+of the linear-recurrence kernel."""
 
+import json
 import math
 import os
 import subprocess
@@ -9,6 +11,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 from scipy.stats import multivariate_normal
 
 import bfchart
@@ -237,6 +240,56 @@ class TestLbfPath:
         np.testing.assert_allclose(out[start:], expected, atol=1e-10)
 
 
+B = _accel._BLOCK
+
+
+class TestRecurrence:
+    """``recurrence`` against ``lfilter`` on calibration's AR(1)+EWMA cascade
+    (second order) and on its two first-order stages, for one and for many
+    rows, at lengths around the block width."""
+
+    @staticmethod
+    def assert_matches_lfilter(b0, a, x, zi):
+        y, zf = _accel.recurrence(b0, a, x, zi)
+        want, want_zf = lfilter([b0], [1.0, *a], x, zi=zi)
+        scale = max(1.0, float(np.abs(want).max()))
+        assert y.shape == want.shape and zf.shape == want_zf.shape
+        np.testing.assert_allclose(y, want, rtol=0, atol=5e-14 * scale)
+        np.testing.assert_allclose(zf, want_zf, rtol=0, atol=5e-14 * scale)
+
+    @pytest.mark.parametrize("rows", [1, 1000])
+    @pytest.mark.parametrize("steps", [1, 2, B - 1, B, B + 1, 2048])
+    @pytest.mark.parametrize("lam", [0.05, 1.0])
+    @pytest.mark.parametrize("phi", [-0.9, 0.0, 0.1, 0.95])
+    def test_matches_lfilter(self, phi, lam, steps, rows):
+        rng = make_rng(82, steps)
+        x = rng.standard_normal((rows, steps))
+        zi = rng.standard_normal((rows, 2))
+        damp = 1.0 - lam
+        self.assert_matches_lfilter(0.3, (-(phi + damp), phi * damp), x, zi)
+        self.assert_matches_lfilter(1.0, (-phi,), x, zi[:, :1])
+        self.assert_matches_lfilter(lam, (-damp,), x, zi[:, 1:])
+
+    @pytest.mark.parametrize("steps", [1, 2, 3 * B + 5, 100_000])
+    def test_one_dimensional_series(self, steps):
+        x = make_rng(83).standard_normal(steps)
+        self.assert_matches_lfilter(0.05, (-0.95,), x, [0.4])
+        self.assert_matches_lfilter(0.05, (-1.04, 0.0855), x, [0.4, -0.2])
+
+    def test_leaves_its_input_alone(self):
+        x = make_rng(84).standard_normal((3, 2 * B + 1))
+        zi = np.ones((3, 2))
+        before = x.copy(), zi.copy()
+        _accel.recurrence(0.5, (-0.9, 0.1), x, zi)
+        np.testing.assert_array_equal(x, before[0])
+        np.testing.assert_array_equal(zi, before[1])
+
+    def test_empty_input_keeps_the_state(self):
+        y, zf = _accel.recurrence(0.5, (-0.9, 0.1), np.empty((4, 0)), np.ones((4, 2)))
+        assert y.shape == (4, 0)
+        np.testing.assert_array_equal(zf, np.ones((4, 2)))
+
+
 class TestEwmaPath:
     def test_references_agree(self):
         x = make_rng(75).standard_normal(200)
@@ -282,11 +335,37 @@ class TestRunLengthChunk:
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported inside the functions that need it; loading it with
-    # the package would about double the start-up of every bfchart process
+    # scipy is not a runtime dependency; loading it would about double the
+    # start-up of every bfchart process
     code = ("import sys, bfchart\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bfchart.__file__))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    # every command in one fresh process: simulate, fit (which calibrates),
+    # calibrate, and monitor frozen with report and plot and with --tracking
+    calls = [
+        ["simulate", "-n", "300", "--seed", "1", "--out", "train.csv"],
+        ["simulate", "-n", "200", "--seed", "2", "--out", "new.csv"],
+        ["simulate", "--dwr", "-n", "50", "--out", "level.csv"],
+        ["fit", "train.csv", "--estimate-target", "--reps", "200", "--out", "model.json"],
+        ["calibrate", "--lambda", "0.05", "--phi", "0.1", "--reps", "200"],
+        ["monitor", "new.csv", "--model", "model.json", "--out", "report.json",
+         "--plot", "chart.svg"],
+        ["monitor", "new.csv", "--model", "model.json", "--tracking"],
+    ]
+    code = ("import json, sys\n"
+            "from bfchart import cli\n"
+            f"codes = [cli.main(argv) for argv in {calls!r}]\n"
+            "scipy = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "print(json.dumps([codes, scipy]), file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bfchart.__file__))}
+    err = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stderr
+    codes, modules = json.loads(err.splitlines()[-1])
+    assert set(codes) <= {0, 10}  # ok, or a signal in the new data
+    assert modules == []

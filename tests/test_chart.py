@@ -42,6 +42,22 @@ class TestAr1Model:
         with pytest.raises(InvalidConfig):
             Ar1Model(0.0, 0.5, 0.0)
 
+    @pytest.mark.parametrize("fields", [(math.nan, 0.5, 1.0), (0.0, math.nan, 1.0),
+                                        (0.0, 0.5, math.nan), (0.0, 0.5, math.inf),
+                                        (math.inf, 0.5, 1.0)])
+    def test_rejects_non_finite_fields(self, fields):
+        with pytest.raises(InvalidConfig, match="finite"):
+            Ar1Model(*fields)
+
+
+class TestChartConfig:
+    @pytest.mark.parametrize("field", ["c", "sigma_z", "mu_z"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_fields(self, field, value):
+        fields = {"lam": 0.05, "c": 2.5, "mu_z": 0.0, "sigma_z": 0.1, field: value}
+        with pytest.raises(InvalidConfig, match="finite"):
+            ChartConfig(**fields)
+
 
 class TestEwmaUpdate:
     """Hand values of the step z = lam x + (1 - lam) z_prev, through run_chart
@@ -209,6 +225,15 @@ class TestCalibrateC:
     def test_invalid_target(self):
         with pytest.raises(InvalidConfig):
             calibrate_c(0.05, 0.0, 0.5)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_non_finite_target(self, target):
+        with pytest.raises(InvalidConfig, match="finite"):
+            calibrate_c(0.05, 0.0, target, reps=10)
+
+    def test_non_finite_phi(self):
+        with pytest.raises(InvalidConfig, match="finite"):
+            calibrate_c(0.05, math.nan, 370.4, reps=10)
 
     def test_invalid_reps(self):
         with pytest.raises(InvalidConfig):

@@ -386,6 +386,16 @@ class TestSimulateCommand:
         _, data = cli.read_data(str(out))
         assert data.shape == (40, 3)
 
+    @pytest.mark.parametrize("flags", [["--scenario", "mean_shift"], [],
+                                       ["--scenario", "all", "--dwr"]])
+    def test_lbf_needs_scenario_all(self, tmp_path, capsys, flags):
+        out = tmp_path / "data.csv"
+        code = cli.main(["simulate", "--lbf", *flags, "-n", "50", "--out", str(out),
+                         "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_PARSE
+        assert "--lbf needs --scenario all" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_lbf_study_outputs(self, tmp_path):
         code = cli.main(["simulate", "--scenario", "all", "--lbf", "-n", "150",
                          "--warmup", "100", "--seed", "0",
@@ -425,6 +435,17 @@ class TestCalibrateCommand:
         code = cli.main(["calibrate", "--lambda", "0.05", "--phi", phi, "--reps", "1000"])
         assert code == cli.EXIT_PARSE
         assert "has modulus >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--arl", "nan"], ["--arl", "inf"],
+                                       ["--phi", "nan"], ["--phi", "inf"],
+                                       ["--lambda", "nan"],
+                                       ["--grid-phi", "0.1,nan"]])
+    def test_non_finite_input_exit_code(self, capsys, flags):
+        code = cli.main(["calibrate", "--lambda", "0.05", *flags, "--reps", "1000"])
+        assert code == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be finite" in err or "must lie in" in err
 
     def test_low_reps_warns(self, capsys):
         cli.main(["calibrate", "--lambda", "1.0", "--reps", "100", "--seed", "0"])
@@ -507,6 +528,16 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {target}: malformed target document: ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("arl", ["inf", "nan"])
+    def test_non_finite_arl_exit_code(self, fit_artifacts, tmp_path, capsys, arl):
+        _, train, _ = fit_artifacts
+        out = tmp_path / "model.json"
+        code = cli.main(["fit", str(train), "--estimate-target", "--arl", arl,
+                         "--reps", "200", "--out", str(out)])
+        assert code == cli.EXIT_PARSE
+        assert "target ARL must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
@@ -694,6 +725,34 @@ class TestMonitorCommand:
         write_stream(stream, 30, seed=89)
         code = cli.main(["monitor", str(stream), "--model", str(mangled)])
         assert code == cli.EXIT_SCHEMA
+
+
+UNWRITABLE = "/nonexistent-bfchart-dir/out"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "{train}", "--estimate-target", "--reps", "200", "--out", UNWRITABLE],
+    ["monitor", "{train}", "--model", "{model}", "--out", UNWRITABLE],
+    ["monitor", "{train}", "--model", "{model}", "--plot", UNWRITABLE],
+    ["monitor", "{train}", "--model", "{model}", "--tracking", "--out", UNWRITABLE],
+    ["calibrate", "--lambda", "1.0", "--grid-phi", "0.0", "--reps", "1000",
+     "--out", UNWRITABLE],
+    ["simulate", "-n", "20", "--out", UNWRITABLE],
+    ["simulate", "--dwr", "-n", "20", "--out", UNWRITABLE],
+    ["simulate", "--scenario", "all", "--lbf", "-n", "20", "--out-dir", UNWRITABLE],
+])
+def test_unwritable_output_exits_parse(fit_artifacts, capsys, argv):
+    _, train, model = fit_artifacts
+    argv = [a.format(train=train, model=model) for a in argv]
+    assert cli.main(argv) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {UNWRITABLE}") and err.count("\n") == 1
+    assert "No such file or directory" in err
+
+
+def test_output_path_that_is_a_directory_exits_parse(tmp_path, capsys):
+    assert cli.main(["simulate", "-n", "20", "--out", str(tmp_path)]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
 
 
 def _cut_m_opt(doc):
