@@ -11,14 +11,12 @@ from .chart import (
     Ar1Model,
     CalibrationResult,
     ChartConfig,
-    RunLength,
     asymptotic_sigma_z2,
     calibrate_c,
     design_chart,
     estimate_arl,
     fit_ar1,
     run_chart,
-    simulate_run_length,
 )
 from .diagnostics import (
     FitReport,

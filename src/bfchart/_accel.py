@@ -1,17 +1,16 @@
 """Numeric kernels over whole series, one array implementation per formula.
 
-* ``filter_path``: the discount local-level recursions over a series,
-  optionally resumed from a filter state.
+* ``recurrence``: the one linear-recurrence kernel under the filter's
+  constant-gain tail (``dwr.filter_path``), the EWMA, the run lengths,
+  calibration's AR(1)+EWMA cascade and the AR(1) generator.  It means what
+  ``scipy.signal.lfilter([b0], [1, a1(, a2)], x, zi=zi)`` means and runs in
+  blocks of matrix products.
 * ``lbf_path`` and ``_lbf``: the log Bayes factor of many observations,
   vectorised over rows; (m, P, S) broadcast, so scoring against one frozen
   state takes a single Cholesky factorisation.
 * ``ewma_path`` and ``run_length_chunk``: the EWMA and the AR(1)+EWMA
-  run-length recursions.
-* ``recurrence``: the one linear-recurrence kernel under the filter's
-  constant-gain tail, the EWMA, the run lengths, calibration's AR(1)+EWMA
-  cascade and the AR(1) generator.  It means what
-  ``scipy.signal.lfilter([b0], [1, a1(, a2)], x, zi=zi)`` means and runs in
-  blocks of matrix products.
+  run-length recursions; ``cascade`` gives the latter's coefficients to
+  calibration too.
 
 The scalar forms (``dwr.FilterState.step``, one ``bayesfactor.lbf`` per
 observation) and plain loops in the tests are the references these kernels
@@ -28,6 +27,8 @@ import numpy as np
 from .exceptions import CovarianceNotReady
 from .linalg import chol_log_det, chol_sq
 
+# perfbench hooks ewma_path, run_length_chunk and lbf_path here, so they stay in _accel
+
 #: most steps ``recurrence`` runs as one matrix product; a block of width B
 #: costs 2B flops per value, and more blocks cost more carry work
 _BLOCK = 64
@@ -35,11 +36,6 @@ _BLOCK = 64
 #: product on all its threads, which for these thin products costs more
 #: than it saves and slows the work after it
 _PRODUCT_SIZE = 2**18
-
-#: relative distance from the scale limit below which the filter gain is
-#: treated as constant; floating point settles P_t either on the limit or
-#: on a two-cycle one ulp wide, so exact equality may never happen
-_SETTLED_RTOL = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -122,72 +118,6 @@ def _product(a, b):
 
 
 # ---------------------------------------------------------------------------
-# discount filter path
-# ---------------------------------------------------------------------------
-
-
-def scale_limit(delta: float) -> float:
-    """Positive fixed point of P = 1/(delta + P): (sqrt(delta^2 + 4) - delta) / 2."""
-    return (math.sqrt(delta * delta + 4.0) - delta) / 2.0
-
-
-def scale_path(delta: float, p0: float, n: int) -> np.ndarray:
-    """The data-free scales P_0 = p0, P_1, ..., P_n of the recursion."""
-    out = np.empty(n + 1)
-    scale = float(p0)
-    out[0] = scale
-    for t in range(1, n + 1):
-        scale = 1.0 / (delta + scale)
-        out[t] = scale
-    return out
-
-
-def filter_path(y, delta, m0, p0, t0=0, sum0=None):
-    """Run the discount local-level recursions over a whole series.
-
-    The run starts from the state (t0, m0, p0, sum0) -- t0 observations
-    absorbed, posterior mean m0, scale p0 and running outer-product sum
-    sum0 (zeros when None).  Returns (e, m_pre, p_pre, s_post, m_final,
-    p_final, sum_final): the ``_pre`` arrays hold the quantities used to
-    score observation t, and s_post[t] = sum of the weighted outer products
-    so far divided by t0 + t + 1.
-
-    P_t does not depend on the data.  Once it is within ``_SETTLED_RTOL`` of
-    its limit, the mean recursion has a constant gain and runs as one
-    first-order ``recurrence`` over the rest of the series.
-    """
-    n, p = y.shape
-    scales = scale_path(delta, p0, n)
-    p_pre = scales[:n]
-    limit = scale_limit(delta)
-    near = np.abs(p_pre - limit) <= _SETTLED_RTOL * limit
-    settled = int(np.argmax(near)) if near.any() else n
-
-    m_pre = np.empty((n, p))
-    m = np.asarray(m0, dtype=float).copy()
-    for t in range(settled):
-        m_pre[t] = m
-        denom = delta + p_pre[t]
-        m = (delta * m + p_pre[t] * y[t]) / denom
-    if settled < n:
-        scale = p_pre[settled]
-        denom = delta + scale
-        gain = delta / denom
-        m_post, _ = recurrence(scale / denom, (-gain,), y[settled:].T, (gain * m)[:, None])
-        m_pre[settled] = m
-        m_pre[settled + 1:] = m_post[:, :-1].T
-        m = m_post[:, -1].copy()
-
-    e = y - m_pre
-    weight = delta / (delta + p_pre)
-    outer = weight[:, None, None] * (e[:, :, None] * e[:, None, :])
-    start = np.zeros((1, p, p)) if sum0 is None else np.asarray(sum0, float)[None]
-    sums = np.cumsum(np.concatenate([start, outer]), axis=0)[1:]
-    s_post = sums / (t0 + np.arange(1.0, n + 1.0))[:, None, None]
-    return e, m_pre, p_pre, s_post, m, float(scales[n]), sums[-1].copy()
-
-
-# ---------------------------------------------------------------------------
 # log Bayes factor
 # ---------------------------------------------------------------------------
 
@@ -256,24 +186,28 @@ def ewma_path(x, lam, z0):
     return recurrence(lam, (lam - 1.0,), x, [(1.0 - lam) * z0])[0]
 
 
-def run_length_chunk(noise, x, z, phi, icept, lam, ucl, lcl):
+def cascade(lam, phi):
+    """(a1, a2) of the AR(1) x_t = phi x_{t-1} + s_t smoothed by the EWMA
+    z_t = lam x_t + (1 - lam) z_{t-1}, as one second-order recurrence of the
+    shocks s: z_t = lam s_t + (phi + 1 - lam) z_{t-1} - phi (1 - lam) z_{t-2}.
+    """
+    return (-(phi + 1.0 - lam), phi * (1.0 - lam))
+
+
+def run_length_chunk(noise, state, phi, icept, lam, ucl, lcl):
     """Advance the AR(1)+EWMA recursion through one noise chunk.
 
-    Returns (steps_consumed, signalled, x_end, z_end); on a signal the step
-    count is the within-chunk index of the crossing (1-based).  The AR(1)
-    x_t = icept + phi x_{t-1} + noise_t smoothed by z_t = lam x_t
-    + (1 - lam) z_{t-1} is one second-order recurrence of the shocks
-    icept + noise_t, as in calibration; x at the last step taken is the
-    sum of the shocks weighted by powers of phi.
+    The AR(1) x_t = icept + phi x_{t-1} + noise_t smoothed by z_t = lam x_t
+    + (1 - lam) z_{t-1} runs as the ``cascade`` recurrence of the shocks
+    icept + noise_t from ``state``, its ``recurrence`` state: from (x, z)
+    before the chunk that is (lam phi x + (1 - lam) z, -phi (1 - lam) z).
+    Returns (steps, signalled, state_end): on a signal the step count is
+    the within-chunk index of the crossing (1-based), else the chunk
+    length; state_end is the state after the whole chunk, from which the
+    next chunk goes on.
     """
-    n = noise.shape[0]
-    shocks = icept + noise
-    damp = 1.0 - lam
-    zs, _ = recurrence(lam, (-(phi + damp), phi * damp), shocks,
-                       [lam * phi * x + damp * z, -phi * damp * z])
+    zs, state_end = recurrence(lam, cascade(lam, phi), icept + noise, state)
     hit = (zs > ucl) | (zs < lcl)
-    signalled = bool(hit.any())
-    k = int(np.argmax(hit)) if signalled else n - 1
-    powers = np.power(phi, np.arange(k, -1, -1.0))
-    x_end = phi ** (k + 1) * x + float(powers @ shocks[:k + 1])
-    return (k + 1 if signalled else n), signalled, x_end, float(zs[k])
+    if hit.any():
+        return int(np.argmax(hit)) + 1, True, state_end
+    return noise.shape[0], False, state_end

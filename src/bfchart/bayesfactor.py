@@ -9,8 +9,8 @@ For target N(mu, V) and a filter with pre-update quantities (m, P, S):
 A value of 0 means the predictive and target densities assign the same
 likelihood to y; the chart monitors this statistic over time.  Only the log
 form is computed: the plain ratio would overflow for large quadratic forms.
-All three entry points (``lbf``, ``lbf_terms``, ``lbf_series``) evaluate it
-with the one array kernel ``_accel._lbf``.
+All four callers (``lbf``, ``lbf_terms``, ``lbf_series`` and Phase I's
+``_accel.lbf_path``) evaluate it with the one array kernel ``_accel._lbf``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .dwr import FilterState
+from .dwr import FilterState, filter_path
 from .exceptions import CovarianceNotReady, DimensionMismatch, NotPositiveDefinite
 from .linalg import as_spd, chol_log_det, cholesky
 
@@ -114,7 +114,7 @@ def lbf_series(data, state: FilterState, target: TargetSpec) -> np.ndarray:
 
     The state must already be warm (S positive definite).  The returned
     sequence is aligned with the input; the state ends advanced len(data)
-    steps.  The filter runs as one resumed ``_accel.filter_path`` call and
+    steps.  The filter runs as one resumed ``dwr.filter_path`` call and
     the scores as one batched LBF, so the state is left unchanged when a
     covariance is not positive definite.
     """
@@ -128,14 +128,9 @@ def lbf_series(data, state: FilterState, target: TargetSpec) -> np.ndarray:
             f"{state.m.shape} do not match target dim {target.dim}"
         )
     s_first = _state_cov(state)
-    # a symmetric start keeps every later S exactly symmetric
-    sum0 = 0.5 * (state.sum_outer + state.sum_outer.T)
-    _, m_pre, p_pre, s_post, m_fin, p_fin, sum_fin = _accel.filter_path(
-        y, state.delta, state.m, state.P, state.t, sum0
-    )
+    _, m_pre, p_pre, s_post, final = filter_path(y, state)
     s_pre = np.concatenate([s_first[None], s_post[:-1]])
     out = _accel._lbf(y, m_pre, p_pre, s_pre, state.delta, target.mu,
                       target.chol, target.logdet, t0=state.t)
-    state.t += len(y)
-    state.m, state.P, state.sum_outer = m_fin, p_fin, sum_fin
+    state.t, state.m, state.P, state.sum_outer = final.t, final.m, final.P, final.sum_outer
     return out

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -112,11 +111,6 @@ class ChartConfig:
         return self.mu_z - self.c * self.sigma_z
 
 
-class RunLength(NamedTuple):
-    length: int
-    censored: bool
-
-
 def asymptotic_sigma_z2(lam: float, ar: Ar1Model) -> float:
     """Asymptotic EWMA variance under AR(1) dependence; sigma2 lam/(2-lam) at phi=0."""
     lam = _check_lambda(lam)
@@ -161,33 +155,6 @@ def run_chart(x, config: ChartConfig) -> tuple[np.ndarray, np.ndarray]:
     return z, (z > config.ucl) | (z < config.lcl)
 
 
-def simulate_run_length(
-    config: ChartConfig,
-    ar: Ar1Model,
-    rng: np.random.Generator,
-    cap: int = RUN_LENGTH_CAP,
-) -> RunLength:
-    """First time the EWMA of a stationary AR(1) stream leaves the limits.
-
-    The AR(1) state starts from its stationary distribution and the EWMA
-    from the chart center; runs longer than ``cap`` are censored at ``cap``.
-    """
-    sigma = math.sqrt(ar.sigma2)
-    x = ar.mean + math.sqrt(ar.variance) * rng.standard_normal()
-    z = config.mu_z
-    total = 0
-    while total < cap:
-        chunk = min(_CHUNK, cap - total)
-        noise = sigma * rng.standard_normal(chunk)
-        steps, signalled, x, z = _accel.run_length_chunk(
-            noise, x, z, ar.phi, ar.intercept, config.lam, config.ucl, config.lcl
-        )
-        total += int(steps)
-        if signalled:
-            return RunLength(total, False)
-    return RunLength(cap, True)
-
-
 def estimate_arl(
     config: ChartConfig,
     ar: Ar1Model,
@@ -195,13 +162,30 @@ def estimate_arl(
     seed: int,
     cap: int = RUN_LENGTH_CAP,
 ) -> tuple[float, float, int]:
-    """Mean run length over seeded replications: (mean, standard error, censored)."""
+    """Mean run length over seeded replications: (mean, standard error, censored).
+
+    Replication ``rep`` draws from its own stream (seed, rep).  Its AR(1)
+    starts from its stationary distribution and the EWMA from the chart
+    center, and its run length is the first time the EWMA leaves the
+    limits; runs longer than ``cap`` are censored at ``cap``.
+    """
+    sigma = math.sqrt(ar.sigma2)
+    lam, damp = config.lam, 1.0 - config.lam
     lengths = np.empty(reps)
     censored = 0
     for rep in range(reps):
-        rl = simulate_run_length(config, ar, make_rng(seed, rep), cap=cap)
-        lengths[rep] = rl.length
-        censored += rl.censored
+        rng = make_rng(seed, rep)
+        x = ar.mean + math.sqrt(ar.variance) * rng.standard_normal()
+        state = [lam * ar.phi * x + damp * config.mu_z, -ar.phi * damp * config.mu_z]
+        total, signalled = 0, False
+        while total < cap and not signalled:
+            noise = sigma * rng.standard_normal(min(_CHUNK, cap - total))
+            steps, signalled, state = _accel.run_length_chunk(
+                noise, state, ar.phi, ar.intercept, lam, config.ucl, config.lcl
+            )
+            total += steps
+        lengths[rep] = total
+        censored += not signalled
     mean = float(lengths.mean())
     se = float(lengths.std(ddof=1) / math.sqrt(reps)) if reps > 1 else math.inf
     return mean, se, censored
@@ -238,9 +222,8 @@ class _RunMaxima:
     def __init__(self, lam: float, phi: float, reps: int, seed: int, floor: float):
         unit = Ar1Model(0.0, phi, 1.0)
         sigma_z = math.sqrt(asymptotic_sigma_z2(lam, unit))
-        # x_t = phi x_{t-1} + nu_t smoothed by u_t = lam x_t / sigma_z
-        # + (1 - lam) u_{t-1}, as one second-order recurrence of the noise nu
-        self.coef = (lam / sigma_z, (-(phi + 1.0 - lam), phi * (1.0 - lam)))
+        # the AR(1)+EWMA cascade of the noise, in units of sigma_z
+        self.coef = (lam / sigma_z, _accel.cascade(lam, phi))
         self.reps = reps
         self.floor = floor
         self.rngs = [make_rng(seed, block) for block in range(-(-reps // _CALIB_BLOCK))]

@@ -212,12 +212,17 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n}\n")
 
 
-def _read_json(path: str) -> dict:
+def _read_json(path: str) -> tuple[object, bytes]:
+    """The document in a UTF-8 JSON file, and the bytes it was read from."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return json.loads(raw.decode("utf-8")), raw
     except OSError as err:
         raise ParseError(f"{path}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        bad = err.object[err.start]
+        raise SchemaMismatch(f"{path}: not UTF-8 text (byte 0x{bad:02x})") from None
     except json.JSONDecodeError as err:
         raise SchemaMismatch(f"{path}: invalid JSON: {err}") from err
 
@@ -225,18 +230,11 @@ def _read_json(path: str) -> dict:
 def read_target(path: str) -> TargetSpec:
     """The target of a target file, parsed as a model's target is;
     SchemaMismatch naming the file when it is not a valid target."""
-    doc = _read_json(path)
+    doc, _ = _read_json(path)
     try:
         return workflow.target_from_dict(doc)
-    except (KeyError, TypeError, ValueError, BfchartError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError, BfchartError) as err:
         raise SchemaMismatch(f"{path}: malformed target document: {err}") from err
-
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +310,15 @@ def _print_fit_report(model: workflow.FittedModel, names: list[str]) -> None:
 
 
 def cmd_monitor(args) -> int:
-    model = workflow.FittedModel.from_dict(_read_json(args.model))
+    model_doc, model_bytes = _read_json(args.model)
+    model = workflow.FittedModel.from_dict(model_doc)
     names, data = read_data(args.data)
     result = workflow.phase2(model, data, tracking=args.tracking)
     doc = {
         "schema_version": workflow.SCHEMA_VERSION,
         "kind": "bfchart-report",
         "model_file": args.model,
-        "model_sha256": _sha256(args.model),
+        "model_sha256": hashlib.sha256(model_bytes).hexdigest(),
         "metadata": {
             "bfchart_version": __version__,
             "columns": names,

@@ -18,23 +18,29 @@ estimates the measurement covariance.
 is exactly symmetric in floating point (e_i e_j = e_j e_i), so a sum that
 starts symmetric stays exactly symmetric without re-symmetrization.
 
-``run_filter`` runs the recursions over a whole series with the array
-kernel ``_accel.filter_path``; ``FilterState.step``, one observation at a
-time, is the scalar form that kernel is checked against.
+``filter_path`` runs the recursions over a whole series as arrays, and
+``run_filter`` runs it from a fresh state; ``FilterState.step``, one
+observation at a time, is the scalar form it is checked against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
+from ._accel import recurrence
 from .exceptions import DimensionMismatch, InvalidConfig
 
 #: prior scale of a fresh filter; small so the first observation dominates
 #: the zero prior mean
 DEFAULT_PRIOR_SCALE = 1e-3
+
+#: relative distance from the scale limit below which the filter gain is
+#: treated as constant; floating point settles P_t either on the limit or
+#: on a two-cycle one ulp wide, so exact equality may never happen
+_SETTLED_RTOL = 1e-15
 
 
 def _check_delta(delta: float) -> float:
@@ -110,15 +116,68 @@ def steady_state_scale(delta: float) -> float:
 
     The limit is the positive solution of the fixed point P = 1/(delta + P).
     """
-    return _accel.scale_limit(_check_delta(delta))
+    delta = _check_delta(delta)
+    return (math.sqrt(delta * delta + 4.0) - delta) / 2.0
 
 
 def scale_sequence(delta: float, p0: float = DEFAULT_PRIOR_SCALE, n: int = 200) -> np.ndarray:
-    """The data-free trajectory P_1..P_n of the scale recursion."""
+    """The data-free trajectory P_1..P_n of the scale recursion from P_0 = p0."""
     delta = _check_delta(delta)
     if p0 <= 0.0:
         raise InvalidConfig(f"prior scale must be > 0, got {p0}")
-    return _accel.scale_path(delta, p0, n)[1:]
+    out = np.empty(n)
+    scale = float(p0)
+    for t in range(n):
+        scale = 1.0 / (delta + scale)
+        out[t] = scale
+    return out
+
+
+def filter_path(y, start: FilterState):
+    """Run the discount local-level recursions over a whole series.
+
+    The run starts from ``start``, which it leaves as it is.  Returns (e,
+    m_pre, p_pre, s_post, final): the ``_pre`` arrays hold the quantities
+    used to score observation t, s_post[t] = sum of the weighted outer
+    products so far divided by start.t + t + 1, and ``final`` is the state
+    after the last observation.
+
+    P_t does not depend on the data.  Once it is within ``_SETTLED_RTOL`` of
+    its limit, the mean recursion has a constant gain and runs as one
+    first-order ``recurrence`` over the rest of the series.
+    """
+    n, p = y.shape
+    delta = start.delta
+    scales = np.concatenate([[float(start.P)], scale_sequence(delta, start.P, n)])
+    p_pre = scales[:n]
+    limit = steady_state_scale(delta)
+    near = np.abs(p_pre - limit) <= _SETTLED_RTOL * limit
+    settled = int(np.argmax(near)) if near.any() else n
+
+    m_pre = np.empty((n, p))
+    m = np.asarray(start.m, dtype=float).copy()
+    for t in range(settled):
+        m_pre[t] = m
+        denom = delta + p_pre[t]
+        m = (delta * m + p_pre[t] * y[t]) / denom
+    if settled < n:
+        scale = p_pre[settled]
+        denom = delta + scale
+        gain = delta / denom
+        m_post, _ = recurrence(scale / denom, (-gain,), y[settled:].T, (gain * m)[:, None])
+        m_pre[settled] = m
+        m_pre[settled + 1:] = m_post[:, :-1].T
+        m = m_post[:, -1].copy()
+
+    e = y - m_pre
+    weight = delta / (delta + p_pre)
+    outer = weight[:, None, None] * (e[:, :, None] * e[:, None, :])
+    # a symmetric start keeps every later S exactly symmetric
+    sum0 = 0.5 * (start.sum_outer + start.sum_outer.T)
+    sums = np.cumsum(np.concatenate([sum0[None], outer]), axis=0)[1:]
+    s_post = sums / (start.t + np.arange(1.0, n + 1.0))[:, None, None]
+    final = FilterState(delta, start.t + n, m, float(scales[n]), sums[-1].copy())
+    return e, m_pre, p_pre, s_post, final
 
 
 @dataclass(frozen=True)
@@ -162,12 +221,8 @@ def run_filter(config: DwrConfig, data) -> FilterPath:
         raise DimensionMismatch(
             f"data of shape {y.shape} does not match dim {config.dim}"
         )
-    e, m_pre, p_pre, s_post, m_fin, p_fin, sum_fin = _accel.filter_path(
-        y, config.delta, np.zeros(config.dim), DEFAULT_PRIOR_SCALE
-    )
-    n, p = y.shape
-    s_pre = np.concatenate([np.zeros((1, p, p)), s_post[:-1]], axis=0)
-    final = FilterState(delta=config.delta, t=n, m=m_fin, P=p_fin, sum_outer=sum_fin)
+    e, m_pre, p_pre, s_post, final = filter_path(y, init(config))
+    s_pre = np.concatenate([np.zeros((1, config.dim, config.dim)), s_post[:-1]], axis=0)
     return FilterPath(
         delta=config.delta,
         errors=e,

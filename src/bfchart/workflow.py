@@ -149,12 +149,14 @@ class FittedModel:
                 f"p_star {self.p_star!r} is not the steady-state scale {limit!r} "
                 f"of delta {self.delta}"
             )
-        try:
-            cholesky(self.s_opt)
-        except NotPositiveDefinite as err:
-            raise SchemaMismatch(f"s_opt is not positive definite: {err}") from None
         if self.n_phase1 < 1:
             raise SchemaMismatch(f"n_phase1 must be >= 1, got {self.n_phase1}")
+        try:
+            # tracking resumes from the running sum s_opt * n_phase1
+            with np.errstate(over="ignore"):
+                cholesky(self.s_opt * self.n_phase1)
+        except NotPositiveDefinite as err:
+            raise SchemaMismatch(f"s_opt * n_phase1 is not positive definite: {err}") from None
 
     def to_dict(self) -> dict:
         p = self.m_opt.shape[0]
@@ -214,10 +216,10 @@ class FittedModel:
                 ar=ar,
                 chart=chart,
                 lbf_offset=float(doc["lbf_offset"]),
-                recenter=bool(doc["recenter"]),
-                difference=bool(doc["difference"]),
-                n_phase1=int(doc["n_phase1"]),
-                warmup=int(doc["warmup"]),
+                recenter=_json_value(doc, "recenter", bool),
+                difference=_json_value(doc, "difference", bool),
+                n_phase1=_json_value(doc, "n_phase1", int),
+                warmup=_json_value(doc, "warmup", int),
                 fit=_report_from(doc["fit"]),
                 grid=tuple(
                     GridEntry(float(g["delta"]), _report_from(g)) for g in doc["grid"]
@@ -225,12 +227,15 @@ class FittedModel:
                 phase1_z=np.array(doc["phase1_z"], dtype=float),
             )
             prior_scale = float(doc["prior_scale"])
-        except (KeyError, TypeError, ValueError, BfchartError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError, BfchartError) as err:
             raise SchemaMismatch(f"malformed model document: {err}") from err
         # derived values are checked at load only: a model built in code may
         # move its center on purpose
-        if model.recenter and not model.phase1_z.size:
-            raise SchemaMismatch("recenter is set but phase1_z is empty")
+        warmup, n = model.warmup, model.n_phase1
+        if not 0 <= warmup < n or model.phase1_z.shape != (n - warmup,):
+            raise SchemaMismatch(f"need 0 <= warmup < n_phase1 and n_phase1 - warmup "
+                                 f"phase1_z values, got warmup {warmup}, n_phase1 {n} "
+                                 f"and {model.phase1_z.size} values")
         for name, value, want in (
             ("prior_scale", prior_scale, dwr.DEFAULT_PRIOR_SCALE),
             ("lbf_offset", model.lbf_offset, model.ar.mean),
@@ -248,6 +253,13 @@ class FittedModel:
 def target_from_dict(doc: dict) -> TargetSpec:
     """The target of a ``{"mu": [...], "v": {"dim": p, "data": [...]}}`` document."""
     return TargetSpec(mu=np.array(doc["mu"], dtype=float), V=_mat_from(doc["v"]))
+
+
+def _json_value(doc: dict, key: str, kind: type):
+    """doc[key], which must be of type ``kind`` exactly: a bool is no int here."""
+    if type(doc[key]) is not kind:
+        raise SchemaMismatch(f"{key} must be a JSON {kind.__name__}, got {doc[key]!r}")
+    return doc[key]
 
 
 def _report_dict(report: FitReport) -> dict:
@@ -271,7 +283,7 @@ def _report_from(doc: dict) -> FitReport:
 
 
 def _mat_from(doc: dict) -> np.ndarray:
-    dim = int(doc["dim"])
+    dim = _json_value(doc, "dim", int)
     data = np.array(doc["data"], dtype=float)
     if data.size != dim * dim:
         raise SchemaMismatch(f"matrix payload of size {data.size} is not {dim}x{dim}")
@@ -321,7 +333,11 @@ def phase1(
         col = int(flat[0])
         raise DegenerateFit(f"column {col} is constant: every value is {y[0, col]}")
     if target is None:
-        target = estimate_target(y, zero_mean=apply_difference)
+        try:
+            with np.errstate(over="ignore"):
+                target = estimate_target(y, zero_mean=apply_difference)
+        except NotPositiveDefinite as err:
+            raise DegenerateFit(f"estimated target covariance: {err}") from None
     if target.dim != p:
         raise DimensionMismatch(
             f"target dim {target.dim} does not match data dim {p}"

@@ -16,7 +16,7 @@ from scipy.stats import multivariate_normal
 
 import bfchart
 from bfchart import _accel
-from bfchart.dwr import FilterState
+from bfchart.dwr import FilterState, filter_path
 from bfchart.exceptions import CovarianceNotReady
 from bfchart.linalg import cholesky, make_rng
 
@@ -103,6 +103,12 @@ def rl_chunk_loop(noise, x, z, phi, icept, lam, ucl, lcl):
     return noise.shape[0], False, x, z
 
 
+def fresh_state(delta, m0, p0):
+    """The filter state with no observation absorbed, mean m0 and scale p0."""
+    p = len(m0)
+    return FilterState(delta, 0, np.array(m0, dtype=float), p0, np.zeros((p, p)))
+
+
 def filter_inputs(seed=70, n=60, p=3, delta=0.8):
     y = np.ascontiguousarray(make_rng(seed).standard_normal((n, p)))
     return y, delta, np.zeros(p), 1e-3
@@ -133,20 +139,23 @@ class TestFilterPath:
 
     def test_active_kernel_matches_reference(self):
         # 500 rows take delta = 0.1 past the point where P_t settles
-        args = filter_inputs(seed=72, n=500, p=2, delta=0.1)
-        for a, b in zip(_accel.filter_path(*args), filter_path_loop(*args)):
+        y, delta, m0, p0 = filter_inputs(seed=72, n=500, p=2, delta=0.1)
+        e, m_pre, p_pre, s_post, final = filter_path(y, fresh_state(delta, m0, p0))
+        got = (e, m_pre, p_pre, s_post, final.m, final.P, final.sum_outer)
+        for a, b in zip(got, filter_path_loop(y, delta, m0, p0)):
             np.testing.assert_allclose(a, b, atol=1e-13)
+        assert final.t == len(y)
 
     def test_p_sequence_is_the_scalar_recursion(self):
         y, delta, m0, p0 = filter_inputs(n=400, delta=0.2)
-        _, _, p_pre, _, _, p_final, _ = _accel.filter_path(y, delta, m0, p0)
+        _, _, p_pre, _, final = filter_path(y, fresh_state(delta, m0, p0))
         _, _, want, _, _, want_final, _ = filter_path_loop(y, delta, m0, p0)
         np.testing.assert_array_equal(p_pre, want)
-        assert p_final == want_final
+        assert final.P == want_final
 
     def test_s_post_is_exactly_symmetric(self):
         y, delta, m0, p0 = filter_inputs(n=200, p=4)
-        s_post = _accel.filter_path(y, delta, m0, p0)[3]
+        s_post = filter_path(y, fresh_state(delta, m0, p0))[3]
         np.testing.assert_array_equal(s_post, np.swapaxes(s_post, 1, 2))
 
 
@@ -311,27 +320,39 @@ class TestEwmaPath:
         assert _accel.ewma_path(np.empty(0), 0.1, 0.0).shape == (0,)
 
 
+def cascade_state(x, z, phi, lam):
+    """The ``recurrence`` state of the AR(1)+EWMA cascade at (x, z)."""
+    return np.array([lam * phi * x + (1.0 - lam) * z, -phi * (1.0 - lam) * z])
+
+
 class TestRunLengthChunk:
     @pytest.mark.parametrize("scale", [0.2, 3.0])  # no-signal and signal regimes
     def test_references_agree(self, scale):
         noise = scale * make_rng(77).standard_normal(500)
-        a = rl_chunk_loop(noise, 0.1, 0.0, 0.3, 0.05, 0.1, 0.5, -0.5)
-        b = _accel.run_length_chunk(noise, 0.1, 0.0, 0.3, 0.05, 0.1, 0.5, -0.5)
-        assert a[0] == b[0] and a[1] == b[1]
-        assert a[2] == pytest.approx(b[2], abs=1e-12)
-        assert a[3] == pytest.approx(b[3], abs=1e-12)
+        phi, icept, lam = 0.3, 0.05, 0.1
+        start = cascade_state(0.1, 0.0, phi, lam)
+        a = rl_chunk_loop(noise, 0.1, 0.0, phi, icept, lam, 0.5, -0.5)
+        b = _accel.run_length_chunk(noise, start, phi, icept, lam, 0.5, -0.5)
+        assert a[:2] == b[:2] and a[1] == (scale > 1.0)
+        assert type(b[0]) is int
+        # the state after the whole chunk, whether or not it signalled
+        _, _, x, z = rl_chunk_loop(noise, 0.1, 0.0, phi, icept, lam, np.inf, -np.inf)
+        np.testing.assert_allclose(b[2], cascade_state(x, z, phi, lam),
+                                   rtol=0, atol=1e-12)
 
     def test_active_kernel_matches_reference(self):
-        # two chunks carrying (x, z) end where one pass over both ends
+        # two chunks carrying the state end where one pass over both ends
         noise = 0.2 * make_rng(78).standard_normal(500)
-        args = (0.1, 0.0, 0.05, 0.3, -0.3)
+        phi, icept, lam, ucl, lcl = 0.1, 0.0, 0.05, 0.3, -0.3
+        args = (phi, icept, lam, ucl, lcl)
         whole = rl_chunk_loop(noise, 0.0, 0.0, *args)
-        steps, signalled, x, z = _accel.run_length_chunk(noise[:200], 0.0, 0.0, *args)
+        state = cascade_state(0.0, 0.0, phi, lam)
+        steps, signalled, state = _accel.run_length_chunk(noise[:200], state, *args)
         assert (steps, signalled) == (200, False)
-        steps, signalled, x, z = _accel.run_length_chunk(noise[200:], x, z, *args)
+        steps, signalled, state = _accel.run_length_chunk(noise[200:], state, *args)
         assert (200 + steps, signalled) == whole[:2] == (500, False)
-        assert x == pytest.approx(whole[2], abs=1e-12)
-        assert z == pytest.approx(whole[3], abs=1e-12)
+        np.testing.assert_allclose(state, cascade_state(*whole[2:], phi, lam),
+                                   rtol=0, atol=1e-12)
 
 
 def test_import_loads_no_scipy():

@@ -16,7 +16,6 @@ from bfchart.chart import (
     estimate_arl,
     fit_ar1,
     run_chart,
-    simulate_run_length,
 )
 from bfchart.exceptions import (
     BracketFailure,
@@ -184,17 +183,21 @@ class TestRunChart:
 
 
 class TestSimulateRunLength:
+    """Run lengths through ``estimate_arl``, one replication stream per (seed, rep)."""
+
     def test_huge_limits_hit_cap(self):
         cfg = ChartConfig(lam=0.5, c=1000.0, mu_z=0.0, sigma_z=1.0)
-        rl = simulate_run_length(cfg, Ar1Model(0.0, 0.0, 1.0), make_rng(34), cap=500)
-        assert rl.length == 500
-        assert rl.censored
+        # 5000 steps span three noise chunks, the last one cut short
+        assert estimate_arl(cfg, Ar1Model(0.0, 0.0, 1.0), 3, seed=34, cap=5000) == (
+            5000.0, 0.0, 3)
 
     def test_deterministic_per_seed(self):
-        cfg = design_chart(Ar1Model(0.0, 0.1, 1.0), 0.05, 2.469)
-        a = simulate_run_length(cfg, Ar1Model(0.0, 0.1, 1.0), make_rng(35))
-        b = simulate_run_length(cfg, Ar1Model(0.0, 0.1, 1.0), make_rng(35))
-        assert a == b
+        ar = Ar1Model(0.0, 0.1, 1.0)
+        cfg = design_chart(ar, 0.05, 2.469)
+        a = estimate_arl(cfg, ar, 20, seed=35)
+        assert a == estimate_arl(cfg, ar, 20, seed=35)
+        assert a != estimate_arl(cfg, ar, 20, seed=36)
+        assert a[2] == 0
 
     def test_tight_limits_signal_fast(self):
         cfg = ChartConfig(lam=1.0, c=0.01, mu_z=0.0, sigma_z=1.0)

@@ -4,6 +4,7 @@ The per-cell CSV reader and the per-point report and CSV writers are kept
 here as oracles for the array-speed I/O in ``cli``."""
 
 import csv
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -12,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bfchart
 from bfchart import cli, exceptions
@@ -530,6 +533,41 @@ class TestFitCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_target_file_that_is_not_utf8_exits_schema(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_stream(data, 60, seed=86)
+        target = tmp_path / "target.json"
+        target.write_bytes(b'{"mu": [0.0, 0.0], "v": {"dim": 2, "data": [1, 0, 0, 1]}'
+                           b', "note": "\xff"}')
+        out = tmp_path / "m.json"
+        code = cli.main(["fit", str(data), "--out", str(out),
+                         "--target-file", str(target), "--reps", "200"])
+        assert code == cli.EXIT_SCHEMA
+        assert capsys.readouterr().err == f"error: {target}: not UTF-8 text (byte 0xff)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["collinear", "tiny", "huge_value"])
+    def test_degenerate_estimated_target_exit_code(self, tmp_path, capsys, case):
+        data = sample_mvn(np.zeros(2), SIGMA, 60, make_rng(87))
+        if case == "collinear":
+            data[:, 1] = 2.0 * data[:, 0] + 1.0
+            fault = "Matrix is not positive definite"
+        elif case == "tiny":
+            data *= 1e-200
+            fault = "Matrix is not positive definite"
+        else:
+            data[7, 0] = 1e300
+            fault = "matrix has non-finite entries"
+        path = tmp_path / "d.csv"
+        cli.write_data(str(path), data)
+        out = tmp_path / "m.json"
+        code = cli.main(["fit", str(path), "--out", str(out), "--estimate-target",
+                         "--reps", "200"])
+        assert code == cli.EXIT_DEGENERATE
+        assert capsys.readouterr().err == (
+            f"error: estimated target covariance: {fault}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("arl", ["inf", "nan"])
     def test_non_finite_arl_exit_code(self, fit_artifacts, tmp_path, capsys, arl):
         _, train, _ = fit_artifacts
@@ -622,7 +660,7 @@ class TestMonitorCommand:
         assert code == cli.EXIT_SIGNAL
         doc = json.loads(report.read_text())
         assert doc["signals"]
-        assert doc["model_sha256"] == cli._sha256(str(model_path))
+        assert doc["model_sha256"] == hashlib.sha256(model_path.read_bytes()).hexdigest()
         svg_text = plot.read_text()
         assert svg_text.startswith("<svg")
         assert "polyline" in svg_text
@@ -716,6 +754,36 @@ class TestMonitorCommand:
         code = cli.main(["monitor", str(stream), "--model", str(broken)])
         assert code == cli.EXIT_SCHEMA
         assert "error:" in capsys.readouterr().err
+
+    def test_model_that_is_not_utf8_exits_schema(self, fit_artifacts, tmp_path, capsys):
+        _, train, model_path = fit_artifacts
+        broken = tmp_path / "latin1.json"
+        broken.write_bytes(model_path.read_bytes().replace(b'"kind"', b'"k\xe9ind"'))
+        code = cli.main(["monitor", str(train), "--model", str(broken)])
+        assert code == cli.EXIT_SCHEMA
+        assert capsys.readouterr().err == f"error: {broken}: not UTF-8 text (byte 0xe9)\n"
+
+    def test_hash_names_the_bytes_that_were_read(self, fit_artifacts, tmp_path,
+                                                 monkeypatch):
+        # the model file changes after it was read: the report's hash is
+        # still that of the model it was scored against
+        _, train, model_path = fit_artifacts
+        model = tmp_path / "model.json"
+        original = model_path.read_bytes()
+        model.write_bytes(original)
+        load = cli.workflow.FittedModel.from_dict
+
+        def load_then_overwrite(doc):
+            model.write_bytes(original + b"\n")
+            return load(doc)
+
+        monkeypatch.setattr(cli.workflow.FittedModel, "from_dict", load_then_overwrite)
+        report = tmp_path / "report.json"
+        code = cli.main(["monitor", str(train), "--model", str(model),
+                         "--out", str(report)])
+        assert code in (cli.EXIT_OK, cli.EXIT_SIGNAL)
+        doc = json.loads(report.read_text())
+        assert doc["model_sha256"] == hashlib.sha256(original).hexdigest()
 
     def test_invalid_json_schema_exit(self, fit_artifacts, tmp_path):
         _, _, model_path = fit_artifacts
@@ -811,6 +879,61 @@ def _another_prior_scale(doc):
     doc["prior_scale"] = 1.0
 
 
+def _difference_as_text(doc):
+    doc["difference"] = "false"
+
+
+def _recenter_as_number(doc):
+    doc["recenter"] = 0
+
+
+def _fractional_n_phase1(doc):
+    doc["n_phase1"] += 0.5
+
+
+def _n_phase1_as_text(doc):
+    doc["n_phase1"] = str(doc["n_phase1"])
+
+
+def _warmup_as_bool(doc):
+    # False would pass as 0: the other fields agree with a warm-up of 0
+    doc["warmup"] = False
+    doc["n_phase1"] = len(doc["phase1_z"])
+
+
+def _negative_warmup(doc):
+    # phase1_z padded so that it still holds n_phase1 - warmup values
+    doc["phase1_z"] = [0.0] * (doc["warmup"] + 5) + doc["phase1_z"]
+    doc["warmup"] = -5
+
+
+def _warmup_at_n_phase1(doc):
+    doc["warmup"] = doc["n_phase1"]
+    doc["phase1_z"] = []
+
+
+def _huge_warmup(doc):
+    doc["warmup"] = 10**9
+
+
+def _cut_phase1_z(doc):
+    doc["phase1_z"] = doc["phase1_z"][:-1]
+
+
+def _s_opt_dim_as_text(doc):
+    doc["s_opt"]["dim"] = "2"
+
+
+def _fractional_target_dim(doc):
+    doc["target"]["v"]["dim"] = 2.0
+
+
+def _huge_s_opt_variance(doc):
+    # finite and positive definite, but the running sum tracking resumes
+    # from, s_opt * n_phase1, overflows
+    doc["s_opt"]["data"][0] = 1e308
+
+
 class TestModelValidation:
     """Every inconsistent model file exits 4 before any scoring."""
 
@@ -820,7 +943,10 @@ class TestModelValidation:
         _negative_p_star, _p_star_of_another_delta, _indefinite_s_opt,
         _no_phase1_rows, _nan_in_m_opt, _lbf_offset_off_the_ar_mean,
         _tripled_sigma_z, _mu_z_off_zero, _recenter_without_its_center,
-        _another_prior_scale,
+        _another_prior_scale, _difference_as_text, _recenter_as_number,
+        _fractional_n_phase1, _n_phase1_as_text, _warmup_as_bool, _negative_warmup,
+        _huge_warmup, _warmup_at_n_phase1, _cut_phase1_z, _s_opt_dim_as_text, _fractional_target_dim,
+        _huge_s_opt_variance,
     ], ids=lambda f: f.__name__.strip("_"))
     def test_inconsistent_model_exits_schema(self, fit_artifacts, tmp_path, capsys,
                                              mutate, tracking):
@@ -911,3 +1037,112 @@ class TestExitCodeTable:
 
     def test_table_names_only_library_errors(self):
         assert set(EXIT_CODES) == set(_subclasses(exceptions.BfchartError))
+
+
+def _leaf_paths(value, path=()):
+    """Key paths to every field of a JSON document: each value, and the
+    first element of each list."""
+    if path:
+        yield path
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _leaf_paths(value[key], path + (key,))
+    elif isinstance(value, list) and value:
+        yield from _leaf_paths(value[0], path + (0,))
+
+
+#: changes of one field: other JSON types, non-finite, huge, negative and
+#: fractional numbers, and a list one element shorter or longer
+FUZZ_CHANGES = [None, True, False, "1", "x", [], {}, [1.0], float("nan"),
+                float("inf"), -float("inf"), 1e308, -1e308, 10**400, -10**400,
+                -5, 0, 1, 2.5, 1e-320, "shorter", "longer"]
+#: replacement text for one CSV cell
+FUZZ_CELLS = ["nan", "inf", "-inf", "1e308", "-1e308", "1e300", "1e-320", "0",
+              "-5", "x", "", "1,2"]
+#: exit codes a command may end with: ok, usage, degenerate fit, schema, signal
+DOCUMENTED_EXITS = {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_DEGENERATE,
+                    cli.EXIT_SCHEMA, cli.EXIT_SIGNAL}
+
+
+def _mutate_field(doc, path, change):
+    """Apply ``change`` to the field at ``path``: a new value, or "shorter"
+    and "longer" for a list one element shorter or longer."""
+    *parents, key = path
+    owner = doc
+    for step in parents:
+        owner = owner[step]
+    value = owner[key]
+    if change == "shorter":
+        owner[key] = value[:-1] if isinstance(value, list) else []
+    elif change == "longer":
+        owner[key] = (value + value[-1:]) if isinstance(value, list) and value else [value]
+    else:
+        owner[key] = change
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A small fitted model and the CSV text of a Phase I and a Phase II stream."""
+    root = tmp_path_factory.mktemp("fuzz")
+    train, stream = root / "train.csv", root / "stream.csv"
+    write_stream(train, 40, seed=93)
+    write_stream(stream, 20, seed=94, shift=1.0)
+    model = root / "model.json"
+    assert cli.main(["fit", str(train), "--out", str(model), "--estimate-target",
+                     "--delta-grid", "0.9", "--reps", "200"]) == cli.EXIT_OK
+    doc = json.loads(model.read_text())
+    return root, doc, train.read_text(), stream.read_text()
+
+
+def _run_commands(calls, capsys):
+    """Run each CLI call; each ends in a documented exit code, and an error
+    exit in a one-line message."""
+    for argv in calls:
+        capsys.readouterr()
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code in DOCUMENTED_EXITS, (argv, err)
+        if code in (cli.EXIT_OK, cli.EXIT_SIGNAL):
+            assert "error" not in err
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestFailLoudFuzz:
+    """One changed model field or CSV cell ends in a documented exit code
+    with a one-line message, never in a traceback."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_change_exits_with_a_documented_code(self, fuzz_inputs, capsys, data):
+        root, model_doc, train_text, stream_text = fuzz_inputs
+        model, stream = root / "m.json", root / "s.csv"
+        # one changed model field, monitored frozen and tracking
+        doc = json.loads(json.dumps(model_doc))
+        path = data.draw(st.sampled_from(list(_leaf_paths(doc))))
+        _mutate_field(doc, path, data.draw(st.sampled_from(FUZZ_CHANGES)))
+        model.write_text(json.dumps(doc))
+        stream.write_text(stream_text)
+        monitor = ["monitor", str(stream), "--model", str(model)]
+        _run_commands([monitor, monitor + ["--tracking"]], capsys)
+        # one changed cell of the monitored or of the Phase I data
+        command = data.draw(st.sampled_from(["monitor", "fit"]))
+        lines = (stream_text if command == "monitor" else train_text).splitlines()
+        row = data.draw(st.integers(0, len(lines) - 1))
+        cells = lines[row].split(",")
+        col = data.draw(st.integers(0, len(cells) - 1))
+        change = data.draw(st.sampled_from(FUZZ_CELLS + ["drop"]))
+        if change == "drop":
+            del cells[col]
+        else:
+            cells[col] = change
+        lines[row] = ",".join(cells)
+        stream.write_text("\n".join(lines) + "\n")
+        if command == "monitor":
+            model.write_text(json.dumps(model_doc))
+            calls = [monitor, monitor + ["--tracking"]]
+        else:
+            calls = [["fit", str(stream), "--out", str(root / "refit.json"),
+                      "--estimate-target", "--delta-grid", "0.9", "--reps", "200"]]
+        _run_commands(calls, capsys)

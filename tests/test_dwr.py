@@ -12,6 +12,7 @@ from bfchart.dwr import (
     DEFAULT_PRIOR_SCALE,
     DwrConfig,
     FilterState,
+    filter_path,
     init,
     run_filter,
     scale_sequence,
@@ -243,22 +244,24 @@ class TestRunFilter:
                                    rtol=0, atol=1e-12)
 
     def test_resumed_kernel_matches_continued_steps(self):
-        from bfchart import _accel
-
         config = DwrConfig(dim=2, delta=0.4)
         data = make_rng(15).standard_normal((120, 2))
         state = run_filter(config, data[:50]).final
-        e, m_pre, p_pre, s_post, m_fin, p_fin, sum_fin = _accel.filter_path(
-            data[50:], state.delta, state.m, state.P, state.t, state.sum_outer
-        )
+        before = state.copy()
+        e, m_pre, p_pre, s_post, final = filter_path(data[50:], state)
         shadow = state.copy()
         for k, row in enumerate(data[50:]):
             np.testing.assert_allclose(m_pre[k], shadow.m, rtol=0, atol=1e-12)
             assert p_pre[k] == shadow.P
             np.testing.assert_allclose(e[k], shadow.step(row), rtol=0, atol=1e-12)
             np.testing.assert_allclose(s_post[k], shadow.S, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(m_fin, shadow.m, rtol=0, atol=1e-12)
-        assert p_fin == shadow.P
-        np.testing.assert_allclose(sum_fin, shadow.sum_outer, rtol=0, atol=1e-12)
+        assert (final.delta, final.t) == (shadow.delta, shadow.t) == (0.4, 120)
+        np.testing.assert_allclose(final.m, shadow.m, rtol=0, atol=1e-12)
+        assert final.P == shadow.P
+        np.testing.assert_allclose(final.sum_outer, shadow.sum_outer, rtol=0, atol=1e-12)
         # an owning array: a view would keep the whole (n, p, p) sums alive
-        assert sum_fin.base is None
+        assert final.sum_outer.base is None
+        # the start state is left as it was
+        assert state.t == before.t and state.P == before.P
+        np.testing.assert_array_equal(state.m, before.m)
+        np.testing.assert_array_equal(state.sum_outer, before.sum_outer)
