@@ -5,9 +5,10 @@
   calibration's AR(1)+EWMA cascade and the AR(1) generator.  It means what
   ``scipy.signal.lfilter([b0], [1, a1(, a2)], x, zi=zi)`` means and runs in
   blocks of matrix products.
-* ``lbf_path`` and ``_lbf``: the log Bayes factor of many observations,
-  vectorised over rows; (m, P, S) broadcast, so scoring against one frozen
-  state takes a single Cholesky factorisation.
+* ``lbf_path`` and ``_lbf``: the log Bayes factor of many observations
+  against a ``bayesfactor.TargetSpec``, vectorised over rows; (m, P, S)
+  broadcast, so scoring against one frozen state takes a single Cholesky
+  factorisation, and ``lbf_path`` scores the rows of a ``dwr.FilterPath``.
 * ``ewma_path`` and ``run_length_chunk``: the EWMA and the AR(1)+EWMA
   run-length recursions; ``cascade`` gives the latter's coefficients to
   calibration too.
@@ -122,14 +123,15 @@ def _product(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _lbf(y, m, p_scale, s, delta, mu, l_target, logdet_target, t0=0):
+def _lbf(y, m, p_scale, s, delta, target, t0=0):
     """Log Bayes factor of each row of y against the target N(mu, V).
 
     (m, p_scale, s) are the pre-update mean (..., p), scale (...) and
     innovation covariance estimate (..., p, p) and broadcast against the
-    rows of y; V enters through its Cholesky factor and log determinant.
-    Raises CovarianceNotReady, naming t0 plus the index of the first
-    covariance that is not positive definite.
+    rows of y; ``target`` is a ``bayesfactor.TargetSpec``, whose V enters
+    through its Cholesky factor and log determinant.  Raises
+    CovarianceNotReady, naming t0 plus the index of the first covariance
+    that is not positive definite.
     """
     p = y.shape[-1]
     try:
@@ -142,10 +144,10 @@ def _lbf(y, m, p_scale, s, delta, mu, l_target, logdet_target, t0=0):
     if not ready:
         _raise_first_not_ready(np.reshape(s, (-1, p, p)), t0)
     logdet_s = chol_log_det(ls)
-    q_target = chol_sq(l_target, y - mu)
+    q_target = chol_sq(target.chol, y - target.mu)
     q_pred = chol_sq(ls, y - m)
     denom = delta + p_scale
-    base = 0.5 * p * math.log(delta) + 0.5 * logdet_target
+    base = 0.5 * p * math.log(delta) + 0.5 * target.logdet
     return (
         base
         - 0.5 * p * np.log(denom)
@@ -168,12 +170,11 @@ def _raise_first_not_ready(stack, t0):
             )
 
 
-def lbf_path(y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet_target, start):
-    """Score each observation from ``start`` on; entries before it are NaN."""
-    out = np.full(y.shape[0], np.nan)
-    out[start:] = _lbf(y[start:], m_pre[start:], p_pre[start:], s_pre[start:],
-                       delta, mu, l_target, logdet_target, t0=start)
-    return out
+def lbf_path(y, path, target, start):
+    """Score observations ``start:`` of y against the ``dwr.FilterPath`` run
+    over y; returns the n - start scores."""
+    return _lbf(y[start:], path.m_pre[start:], path.p_pre[start:], path.s_pre[start:],
+                path.delta, target, t0=start)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ A value of 0 means the predictive and target densities assign the same
 likelihood to y; the chart monitors this statistic over time.  Only the log
 form is computed: the plain ratio would overflow for large quadratic forms.
 All four callers (``lbf``, ``lbf_terms``, ``lbf_series`` and Phase I's
-``_accel.lbf_path``) evaluate it with the one array kernel ``_accel._lbf``.
+``_accel.lbf_path``) evaluate it with the one array kernel ``_accel._lbf``,
+which takes the ``TargetSpec``.  ``lbf_series`` scores the pre-update
+quantities of the ``dwr.FilterPath`` it runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,35 +29,30 @@ from .linalg import as_spd, chol_log_det, cholesky
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Target error density N(mu, V) with cached factorisation of V."""
+    """Target error density N(mu, V) with V's Cholesky factor and log
+    determinant cached; mu, V and the factor are read-only copies."""
 
     mu: np.ndarray
     V: np.ndarray
+    chol: np.ndarray = field(init=False, repr=False)
+    logdet: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
+        mu = np.array(self.mu, dtype=float)
         v = as_spd(self.V)
         if mu.shape != (v.shape[0],):
             raise DimensionMismatch(
                 f"target mean shape {mu.shape} does not match V dim {v.shape[0]}"
             )
         chol = cholesky(v)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "V", v)
-        object.__setattr__(self, "_chol", chol)
-        object.__setattr__(self, "_logdet", float(chol_log_det(chol)))
+        for name, a in (("mu", mu), ("V", v), ("chol", chol)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "logdet", float(chol_log_det(chol)))
 
     @property
     def dim(self) -> int:
         return self.mu.shape[0]
-
-    @property
-    def logdet(self) -> float:
-        return self._logdet
-
-    @property
-    def chol(self) -> np.ndarray:
-        return self._chol
 
 
 def lbf_terms(
@@ -75,8 +72,7 @@ def lbf_terms(
     p = target.dim
     if obs.shape[-1:] != (p,):
         raise DimensionMismatch(f"observation shape {obs.shape} does not match dim {p}")
-    return _accel._lbf(obs, m, p_scale, s, delta, target.mu, target.chol,
-                       target.logdet)
+    return _accel._lbf(obs, m, p_scale, s, delta, target)
 
 
 def lbf(y, state: FilterState, target: TargetSpec) -> float:
@@ -87,8 +83,7 @@ def lbf(y, state: FilterState, target: TargetSpec) -> float:
             f"observation shape {obs.shape} does not match dim {target.dim}"
         )
     s = _state_cov(state)
-    return float(_accel._lbf(obs, state.m, state.P, s, state.delta, target.mu,
-                             target.chol, target.logdet, t0=state.t))
+    return float(_accel._lbf(obs, state.m, state.P, s, state.delta, target, t0=state.t))
 
 
 def _state_cov(state: FilterState) -> np.ndarray:
@@ -99,13 +94,13 @@ def _state_cov(state: FilterState) -> np.ndarray:
     s = state.S
     if s is None:
         raise CovarianceNotReady(
-            f"innovation covariance is not positive definite at t={state.t}"
+            f"innovation covariance is not positive definite at t={state.t}", t=state.t
         )
     try:
         return as_spd(s)
     except NotPositiveDefinite as err:
         raise CovarianceNotReady(
-            f"innovation covariance at t={state.t} is not usable: {err}"
+            f"innovation covariance at t={state.t} is not usable: {err}", t=state.t
         ) from err
 
 
@@ -115,8 +110,8 @@ def lbf_series(data, state: FilterState, target: TargetSpec) -> np.ndarray:
     The state must already be warm (S positive definite).  The returned
     sequence is aligned with the input; the state ends advanced len(data)
     steps.  The filter runs as one resumed ``dwr.filter_path`` call and
-    the scores as one batched LBF, so the state is left unchanged when a
-    covariance is not positive definite.
+    the scores as one batched LBF of its pre-update quantities, so the
+    state is left unchanged when a covariance is not positive definite.
     """
     arr = np.asarray(data, dtype=float)
     if arr.size == 0:
@@ -127,10 +122,10 @@ def lbf_series(data, state: FilterState, target: TargetSpec) -> np.ndarray:
             f"observations of dim {y.shape[1]} and a state of shape "
             f"{state.m.shape} do not match target dim {target.dim}"
         )
-    s_first = _state_cov(state)
-    _, m_pre, p_pre, s_post, final = filter_path(y, state)
-    s_pre = np.concatenate([s_first[None], s_post[:-1]])
-    out = _accel._lbf(y, m_pre, p_pre, s_pre, state.delta, target.mu,
-                      target.chol, target.logdet, t0=state.t)
+    _state_cov(state)
+    path = filter_path(y, state)
+    out = _accel._lbf(y, path.m_pre, path.p_pre, path.s_pre, state.delta, target,
+                      t0=state.t)
+    final = path.final
     state.t, state.m, state.P, state.sum_outer = final.t, final.m, final.P, final.sum_outer
     return out

@@ -261,8 +261,6 @@ def cmd_fit(args) -> int:
         return EXIT_PARSE
     names, data = read_data(args.data)
     target = read_target(args.target_file) if args.target_file else None
-    if target is not None and args.difference:
-        target = TargetSpec(mu=np.zeros(target.dim), V=target.V)
     model = workflow.phase1(
         data,
         target=target,
@@ -314,6 +312,7 @@ def cmd_monitor(args) -> int:
     model = workflow.FittedModel.from_dict(model_doc)
     names, data = read_data(args.data)
     result = workflow.phase2(model, data, tracking=args.tracking)
+    signals = np.flatnonzero(result.out_of_control)
     doc = {
         "schema_version": workflow.SCHEMA_VERSION,
         "kind": "bfchart-report",
@@ -339,7 +338,7 @@ def cmd_monitor(args) -> int:
             "z": result.z,
             "out_of_control": result.out_of_control,
         }),
-        "signals": _Rows(np.flatnonzero(result.out_of_control)),
+        "signals": _Rows(signals),
         "lbf": _Rows(result.lbf),
         "warnings": list(result.warnings),
     }
@@ -355,15 +354,14 @@ def cmd_monitor(args) -> int:
         )
         with open(args.plot, "w", encoding="utf-8") as fh:
             fh.write(document)
-    if result.signals:
-        print(f"{len(result.signals)} signal(s), first at t={result.signals[0]}, "
-              f"last at t={result.signals[-1]}")
+    if signals.size:
+        print(f"{signals.size} signal(s), first at t={signals[0]}, last at t={signals[-1]}")
     else:
         print("no signals")
     if result.warnings:
         print(f"warning: {len(result.warnings)} run(s) of {workflow.RUN_WARNING} or more "
               f"EWMA values on one side of the center, first: {result.warnings[0]}")
-    return EXIT_SIGNAL if result.signals else EXIT_OK
+    return EXIT_SIGNAL if signals.size else EXIT_OK
 
 
 def cmd_calibrate(args) -> int:

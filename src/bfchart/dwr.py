@@ -18,9 +18,10 @@ estimates the measurement covariance.
 is exactly symmetric in floating point (e_i e_j = e_j e_i), so a sum that
 starts symmetric stays exactly symmetric without re-symmetrization.
 
-``filter_path`` runs the recursions over a whole series as arrays, and
-``run_filter`` runs it from a fresh state; ``FilterState.step``, one
-observation at a time, is the scalar form it is checked against.
+``filter_path`` runs the recursions over a whole series as arrays and
+returns a ``FilterPath``, which holds the covariance estimates as one
+array; ``run_filter`` runs it from a fresh state.  ``FilterState.step``,
+one observation at a time, is the scalar form it is checked against.
 """
 
 from __future__ import annotations
@@ -133,14 +134,13 @@ def scale_sequence(delta: float, p0: float = DEFAULT_PRIOR_SCALE, n: int = 200) 
     return out
 
 
-def filter_path(y, start: FilterState):
+def filter_path(y, start: FilterState) -> "FilterPath":
     """Run the discount local-level recursions over a whole series.
 
-    The run starts from ``start``, which it leaves as it is.  Returns (e,
-    m_pre, p_pre, s_post, final): the ``_pre`` arrays hold the quantities
-    used to score observation t, s_post[t] = sum of the weighted outer
-    products so far divided by start.t + t + 1, and ``final`` is the state
-    after the last observation.
+    The run starts from ``start``, which it leaves as it is, and returns
+    the ``FilterPath``: the covariance estimates s[0] (the start's S, zero
+    for a fresh filter) to s[n] = sum of the weighted outer products so far
+    divided by start.t + n, and the state after the last observation.
 
     P_t does not depend on the data.  Once it is within ``_SETTLED_RTOL`` of
     its limit, the mean recursion has a constant gain and runs as one
@@ -170,14 +170,16 @@ def filter_path(y, start: FilterState):
         m = m_post[:, -1].copy()
 
     e = y - m_pre
-    weight = delta / (delta + p_pre)
-    outer = weight[:, None, None] * (e[:, :, None] * e[:, None, :])
+    # s holds the running sums, then the estimates, in place
+    s = np.empty((n + 1, p, p))
     # a symmetric start keeps every later S exactly symmetric
-    sum0 = 0.5 * (start.sum_outer + start.sum_outer.T)
-    sums = np.cumsum(np.concatenate([sum0[None], outer]), axis=0)[1:]
-    s_post = sums / (start.t + np.arange(1.0, n + 1.0))[:, None, None]
-    final = FilterState(delta, start.t + n, m, float(scales[n]), sums[-1].copy())
-    return e, m_pre, p_pre, s_post, final
+    s[0] = 0.5 * start.sum_outer + 0.5 * start.sum_outer.T
+    np.multiply(e[:, :, None], e[:, None, :], out=s[1:])
+    s[1:] *= (delta / (delta + p_pre))[:, None, None]
+    np.cumsum(s, axis=0, out=s)
+    final = FilterState(delta, start.t + n, m, float(scales[n]), s[-1].copy())
+    s /= np.maximum(start.t + np.arange(n + 1.0), 1.0)[:, None, None]
+    return FilterPath(delta=delta, errors=e, m_pre=m_pre, p_pre=p_pre, s=s, final=final)
 
 
 @dataclass(frozen=True)
@@ -185,17 +187,27 @@ class FilterPath:
     """Vectorized filter run over a full series.
 
     ``errors[t]``, ``m_pre[t]``, ``p_pre[t]`` and ``s_pre[t]`` are the
-    quantities in force when observation t arrived (s_pre[0] is the zero
-    matrix); ``final`` is the state after the last observation.
+    quantities in force when observation t arrived; ``s`` (n+1, p, p) holds
+    every covariance estimate once, s[t] after t observations, and
+    ``final`` is the state after the last observation.
     """
 
     delta: float
     errors: np.ndarray
     m_pre: np.ndarray
     p_pre: np.ndarray
-    s_pre: np.ndarray
-    s_post: np.ndarray
+    s: np.ndarray
     final: FilterState
+
+    @property
+    def s_pre(self) -> np.ndarray:
+        """The covariance estimate in force when each observation arrived."""
+        return self.s[:-1]
+
+    @property
+    def s_post(self) -> np.ndarray:
+        """The covariance estimate after each observation."""
+        return self.s[1:]
 
     @property
     def warmup(self) -> int | None:
@@ -221,14 +233,4 @@ def run_filter(config: DwrConfig, data) -> FilterPath:
         raise DimensionMismatch(
             f"data of shape {y.shape} does not match dim {config.dim}"
         )
-    e, m_pre, p_pre, s_post, final = filter_path(y, init(config))
-    s_pre = np.concatenate([np.zeros((1, config.dim, config.dim)), s_post[:-1]], axis=0)
-    return FilterPath(
-        delta=config.delta,
-        errors=e,
-        m_pre=m_pre,
-        p_pre=p_pre,
-        s_pre=s_pre,
-        s_post=s_post,
-        final=final,
-    )
+    return filter_path(y, init(config))

@@ -3,7 +3,7 @@
 Every covariance handled by the package is a small (p x p, p typically 2-10)
 symmetric positive definite matrix.  Log determinants and quadratic forms
 are taken from a Cholesky factor (``chol_log_det``, ``chol_sq``), never
-from an explicit inverse.  Inputs are symmetrized as (m + m')/2 before
+from an explicit inverse.  Inputs are symmetrized as m/2 + m'/2 before
 factorisation to absorb I/O rounding; asymmetry beyond an absolute 1e-10
 is rejected.
 """
@@ -32,13 +32,14 @@ def as_spd(m) -> np.ndarray:
 
 
 def _symmetrized(a: np.ndarray) -> np.ndarray:
-    """(a + a')/2 for a matrix or a stack (..., p, p) of finite, symmetric ones."""
+    """(a + a')/2 for a matrix or a stack (..., p, p) of finite, symmetric ones,
+    taken as a/2 + a'/2: the same bits for normal-range entries, and no overflow."""
     if not np.all(np.isfinite(a)):
         raise NotPositiveDefinite("matrix has non-finite entries")
     at = np.swapaxes(a, -1, -2)
     if a.size and np.max(np.abs(a - at)) > SYM_ATOL:
         raise NotPositiveDefinite("matrix is not symmetric to within 1e-10")
-    return 0.5 * (a + at)
+    return 0.5 * a + 0.5 * at
 
 
 def cholesky(m) -> np.ndarray:

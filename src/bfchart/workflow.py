@@ -77,21 +77,16 @@ def difference(data) -> np.ndarray:
     return np.diff(y, axis=0)
 
 
-def estimate_target(data, zero_mean: bool = False) -> TargetSpec:
-    """Sample mean and covariance (divisor n-1) as the target density.
-
-    ``zero_mean`` forces the target mean to zero, the convention for
-    dispersion-only monitoring of a differenced series.
-    """
+def estimate_target(data) -> TargetSpec:
+    """Sample mean and covariance (divisor n-1) as the target density."""
     y = np.asarray(data, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
     n, p = y.shape
     if n < p + 2:
         raise TooShort(f"need at least dim + 2 = {p + 2} observations, got {n}")
-    mu = np.zeros(p) if zero_mean else y.mean(axis=0)
     cov = np.cov(y, rowvar=False, ddof=1).reshape(p, p)
-    return TargetSpec(mu=mu, V=cov)
+    return TargetSpec(mu=y.mean(axis=0), V=cov)
 
 
 @dataclass(frozen=True)
@@ -104,22 +99,20 @@ class GridEntry:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Frozen Phase I components sufficient to monitor new data."""
+    """Frozen Phase I components sufficient to monitor new data; the arrays
+    are read-only copies."""
 
     delta: float
     m_opt: np.ndarray
     s_opt: np.ndarray
-    p_star: float
     target: TargetSpec
     ar: Ar1Model
     chart: ChartConfig
-    lbf_offset: float
     recenter: bool
     difference: bool
     n_phase1: int
     warmup: int
-    fit: FitReport
-    grid: tuple[GridEntry, ...] = ()
+    grid: tuple[GridEntry, ...]
     phase1_z: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
@@ -128,27 +121,26 @@ class FittedModel:
         The scoring kernels broadcast, so a mean or covariance of the wrong
         shape would otherwise give silently wrong statistics.
         """
+        for name in ("m_opt", "s_opt", "phase1_z"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
         p = self.target.dim
         if np.shape(self.m_opt) != (p,) or np.shape(self.s_opt) != (p, p):
             raise SchemaMismatch(
                 f"m_opt of shape {np.shape(self.m_opt)} and s_opt of shape "
                 f"{np.shape(self.s_opt)} do not match target dim {p}"
             )
-        scalars = (self.delta, self.p_star, self.lbf_offset, self.ar.intercept,
-                   self.ar.phi, self.ar.sigma2, self.chart.lam, self.chart.c,
-                   self.chart.mu_z, self.chart.sigma_z)
+        scalars = (self.delta, self.ar.intercept, self.ar.phi, self.ar.sigma2,
+                   self.chart.lam, self.chart.c, self.chart.mu_z, self.chart.sigma_z)
         arrays = (self.m_opt, self.s_opt, self.target.mu, self.phase1_z)
         if not (all(math.isfinite(v) for v in scalars)
                 and all(np.all(np.isfinite(a)) for a in arrays)):
             raise SchemaMismatch("model has non-finite values")
         if not 0.0 < self.delta <= 1.0:
             raise SchemaMismatch(f"discount factor {self.delta} is not in (0, 1]")
-        limit = steady_state_scale(self.delta)
-        if not math.isclose(self.p_star, limit, rel_tol=1e-12):
-            raise SchemaMismatch(
-                f"p_star {self.p_star!r} is not the steady-state scale {limit!r} "
-                f"of delta {self.delta}"
-            )
+        if not any(g.delta == self.delta for g in self.grid):
+            raise SchemaMismatch(f"the grid has no entry at delta {self.delta}")
         if self.n_phase1 < 1:
             raise SchemaMismatch(f"n_phase1 must be >= 1, got {self.n_phase1}")
         try:
@@ -157,6 +149,21 @@ class FittedModel:
                 cholesky(self.s_opt * self.n_phase1)
         except NotPositiveDefinite as err:
             raise SchemaMismatch(f"s_opt * n_phase1 is not positive definite: {err}") from None
+
+    @property
+    def p_star(self) -> float:
+        """The steady-state filter scale at ``delta``, which Phase II scores with."""
+        return steady_state_scale(self.delta)
+
+    @property
+    def lbf_offset(self) -> float:
+        """The AR(1) stationary mean, taken off the LBF before charting."""
+        return self.ar.mean
+
+    @property
+    def fit(self) -> FitReport:
+        """The diagnostics of the selected discount factor: its grid entry."""
+        return next(g.report for g in self.grid if g.delta == self.delta)
 
     def to_dict(self) -> dict:
         p = self.m_opt.shape[0]
@@ -211,22 +218,22 @@ class FittedModel:
                 delta=float(doc["delta"]),
                 m_opt=np.array(doc["m_opt"], dtype=float),
                 s_opt=_mat_from(doc["s_opt"]),
-                p_star=float(doc["p_star"]),
                 target=target,
                 ar=ar,
                 chart=chart,
-                lbf_offset=float(doc["lbf_offset"]),
                 recenter=_json_value(doc, "recenter", bool),
                 difference=_json_value(doc, "difference", bool),
                 n_phase1=_json_value(doc, "n_phase1", int),
                 warmup=_json_value(doc, "warmup", int),
-                fit=_report_from(doc["fit"]),
                 grid=tuple(
                     GridEntry(float(g["delta"]), _report_from(g)) for g in doc["grid"]
                 ),
                 phase1_z=np.array(doc["phase1_z"], dtype=float),
             )
             prior_scale = float(doc["prior_scale"])
+            p_star = float(doc["p_star"])
+            lbf_offset = float(doc["lbf_offset"])
+            fit = _report_dict(_report_from(doc["fit"]))
         except (KeyError, TypeError, ValueError, OverflowError, BfchartError) as err:
             raise SchemaMismatch(f"malformed model document: {err}") from err
         # derived values are checked at load only: a model built in code may
@@ -238,7 +245,8 @@ class FittedModel:
                                  f"and {model.phase1_z.size} values")
         for name, value, want in (
             ("prior_scale", prior_scale, dwr.DEFAULT_PRIOR_SCALE),
-            ("lbf_offset", model.lbf_offset, model.ar.mean),
+            ("p_star", p_star, model.p_star),
+            ("lbf_offset", lbf_offset, model.lbf_offset),
             ("chart.sigma_z", model.chart.sigma_z,
              math.sqrt(asymptotic_sigma_z2(model.chart.lam, model.ar))),
             ("chart.mu_z", model.chart.mu_z,
@@ -247,6 +255,8 @@ class FittedModel:
             if not math.isclose(value, want, rel_tol=1e-12):
                 raise SchemaMismatch(f"{name} {value!r} is not the {want!r} "
                                      "that Phase I derives for this model")
+        if fit != _report_dict(model.fit):
+            raise SchemaMismatch(f"fit is not the grid entry at delta {model.delta}")
         return model
 
 
@@ -298,8 +308,12 @@ class MonitorResult:
     x: np.ndarray
     z: np.ndarray
     out_of_control: np.ndarray
-    signals: tuple[int, ...]
     warnings: tuple[str, ...]
+
+    @property
+    def signals(self) -> tuple[int, ...]:
+        """The indices of the out-of-control points."""
+        return tuple(np.flatnonzero(self.out_of_control).tolist())
 
 
 def phase1(
@@ -335,13 +349,16 @@ def phase1(
     if target is None:
         try:
             with np.errstate(over="ignore"):
-                target = estimate_target(y, zero_mean=apply_difference)
+                target = estimate_target(y)
         except NotPositiveDefinite as err:
             raise DegenerateFit(f"estimated target covariance: {err}") from None
     if target.dim != p:
         raise DimensionMismatch(
             f"target dim {target.dim} does not match data dim {p}"
         )
+    if apply_difference:
+        # a differenced series is monitored for its dispersion only
+        target = TargetSpec(mu=np.zeros(p), V=target.V)
 
     candidates = []
     for delta in deltas:
@@ -362,23 +379,11 @@ def phase1(
             "no discount factor candidate produced a positive definite "
             "covariance estimate"
         )
-    _, delta_opt, path, warmup, report = min(candidates, key=lambda c: (c[0], c[1]))
+    _, delta_opt, path, warmup, _ = min(candidates, key=lambda c: (c[0], c[1]))
 
-    lbf_all = _accel.lbf_path(
-        np.ascontiguousarray(y),
-        path.m_pre,
-        path.p_pre,
-        np.ascontiguousarray(path.s_pre),
-        delta_opt,
-        target.mu,
-        target.chol,
-        target.logdet,
-        warmup,
-    )
-    lbf_vals = lbf_all[warmup:]
+    lbf_vals = _accel.lbf_path(y, path, target, warmup)
     ar = fit_ar1(lbf_vals)
-    lbf_offset = ar.mean
-    statistic = lbf_vals - lbf_offset
+    statistic = lbf_vals - ar.mean
 
     calib = calibrate_c(lam, ar.phi, target_arl, reps=calib_reps, seed=seed)
     phase1_z = _accel.ewma_path(np.ascontiguousarray(statistic), lam, 0.0)
@@ -387,18 +392,15 @@ def phase1(
 
     return FittedModel(
         delta=delta_opt,
-        m_opt=path.final.m.copy(),
+        m_opt=path.final.m,
         s_opt=as_spd(path.final.S),
-        p_star=steady_state_scale(delta_opt),
         target=target,
         ar=ar,
         chart=chart,
-        lbf_offset=lbf_offset,
         recenter=recenter,
         difference=apply_difference,
         n_phase1=n,
         warmup=warmup,
-        fit=report,
         grid=tuple(
             GridEntry(d, r) for _, d, _, _, r in sorted(candidates, key=lambda c: c[1])
         ),
@@ -469,7 +471,6 @@ def _chart_result(model: FittedModel, lbf_vals: np.ndarray) -> MonitorResult:
         x=x,
         z=z,
         out_of_control=out_of_control,
-        signals=tuple(np.flatnonzero(out_of_control).tolist()),
         warnings=tuple(_run_warnings(z, model.chart.mu_z)),
     )
 

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from scipy.stats import multivariate_normal
 
 import bfchart
 from bfchart import _accel
+from bfchart.bayesfactor import TargetSpec
 from bfchart.dwr import FilterState, filter_path
 from bfchart.exceptions import CovarianceNotReady
-from bfchart.linalg import cholesky, make_rng
+from bfchart.linalg import make_rng
 
 
 def filter_path_loop(y, delta, m0, p0):
@@ -64,13 +66,14 @@ def fwd_quad_loop(L, d):
     return acc
 
 
-def lbf_path_loop(y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet_target, start):
+def lbf_path_loop(y, path, target, start):
     """The log Bayes factor of each observation from ``start`` on."""
     n, p = y.shape
+    m_pre, p_pre, s_pre, delta = path.m_pre, path.p_pre, path.s_pre, path.delta
     out = np.full(n, np.nan)
-    base = 0.5 * p * math.log(delta) + 0.5 * logdet_target
+    base = 0.5 * p * math.log(delta) + 0.5 * target.logdet
     for t in range(start, n):
-        q_target = fwd_quad_loop(l_target, y[t] - mu)
+        q_target = fwd_quad_loop(target.chol, y[t] - target.mu)
         ls = np.linalg.cholesky(s_pre[t])
         logdet_s = 2.0 * sum(math.log(ls[i, i]) for i in range(p))
         q_pred = fwd_quad_loop(ls, y[t] - m_pre[t])
@@ -115,14 +118,14 @@ def filter_inputs(seed=70, n=60, p=3, delta=0.8):
 
 
 def lbf_inputs(seed=71, n=60, p=2, delta=0.9, start=10):
+    """(y, path, target, start): the loop oracle's filter run over y holds
+    the fields of a ``FilterPath`` that ``lbf_path`` reads."""
     y, delta, m0, p0 = filter_inputs(seed, n, p, delta)
     e, m_pre, p_pre, s_post, _, _, _ = filter_path_loop(y, delta, m0, p0)
     s_pre = np.concatenate([np.zeros((1, p, p)), s_post[:-1]], axis=0)
-    mu = np.zeros(p)
+    path = SimpleNamespace(m_pre=m_pre, p_pre=p_pre, s_pre=s_pre, delta=delta)
     v = np.array([[1.0, 0.3], [0.3, 2.0]])[:p, :p]
-    l_target = cholesky(v)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(l_target))))
-    return y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet, start
+    return y, path, TargetSpec(np.zeros(p), v), start
 
 
 class TestFilterPath:
@@ -140,42 +143,45 @@ class TestFilterPath:
     def test_active_kernel_matches_reference(self):
         # 500 rows take delta = 0.1 past the point where P_t settles
         y, delta, m0, p0 = filter_inputs(seed=72, n=500, p=2, delta=0.1)
-        e, m_pre, p_pre, s_post, final = filter_path(y, fresh_state(delta, m0, p0))
-        got = (e, m_pre, p_pre, s_post, final.m, final.P, final.sum_outer)
+        path = filter_path(y, fresh_state(delta, m0, p0))
+        final = path.final
+        got = (path.errors, path.m_pre, path.p_pre, path.s_post, final.m, final.P,
+               final.sum_outer)
         for a, b in zip(got, filter_path_loop(y, delta, m0, p0)):
             np.testing.assert_allclose(a, b, atol=1e-13)
         assert final.t == len(y)
 
     def test_p_sequence_is_the_scalar_recursion(self):
         y, delta, m0, p0 = filter_inputs(n=400, delta=0.2)
-        _, _, p_pre, _, final = filter_path(y, fresh_state(delta, m0, p0))
+        path = filter_path(y, fresh_state(delta, m0, p0))
         _, _, want, _, _, want_final, _ = filter_path_loop(y, delta, m0, p0)
-        np.testing.assert_array_equal(p_pre, want)
-        assert final.P == want_final
+        np.testing.assert_array_equal(path.p_pre, want)
+        assert path.final.P == want_final
 
     def test_s_post_is_exactly_symmetric(self):
         y, delta, m0, p0 = filter_inputs(n=200, p=4)
-        s_post = filter_path(y, fresh_state(delta, m0, p0))[3]
+        s_post = filter_path(y, fresh_state(delta, m0, p0)).s_post
         np.testing.assert_array_equal(s_post, np.swapaxes(s_post, 1, 2))
 
 
 class TestLbfPath:
     def test_loop_and_numpy_references_agree(self):
-        y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet, start = lbf_inputs()
-        loop = lbf_path_loop(y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet,
-                             start)
-        v = l_target @ l_target.T
+        y, path, target, start = lbf_inputs()
+        loop = lbf_path_loop(y, path, target, start)
+        delta = path.delta
         for t in range(start, len(y)):
-            cov = (delta + p_pre[t]) * s_pre[t] / delta
-            want = (multivariate_normal.logpdf(y[t], m_pre[t], cov)
-                    - multivariate_normal.logpdf(y[t], mu, v))
+            cov = (delta + path.p_pre[t]) * path.s_pre[t] / delta
+            want = (multivariate_normal.logpdf(y[t], path.m_pre[t], cov)
+                    - multivariate_normal.logpdf(y[t], target.mu, target.V))
             assert loop[t] == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     def test_active_kernel_matches_reference(self):
         args = lbf_inputs(seed=73)
-        np.testing.assert_allclose(
-            _accel.lbf_path(*args), lbf_path_loop(*args), atol=1e-12, equal_nan=True
-        )
+        y, _, _, start = args
+        got = _accel.lbf_path(*args)
+        # the scored rows only, with no prefix for the rows before start
+        assert got.shape == (len(y) - start,)
+        np.testing.assert_allclose(got, lbf_path_loop(*args)[start:], atol=1e-12)
 
     def test_matches_density_ratio_oracle(self):
         rng = make_rng(79)
@@ -190,9 +196,7 @@ class TestLbfPath:
             v = b @ b.T + 0.5 * np.eye(p)
             mu = rng.standard_normal(p)
             y = 2.0 * rng.standard_normal((n, p))
-            l_target = cholesky(v)
-            logdet = 2.0 * float(np.sum(np.log(np.diag(l_target))))
-            got = _accel._lbf(y, m, scales, s, delta, mu, l_target, logdet)
+            got = _accel._lbf(y, m, scales, s, delta, TargetSpec(mu, v))
             want = [
                 multivariate_normal.logpdf(y[t], m[t], (delta + scales[t]) * s[t] / delta)
                 - multivariate_normal.logpdf(y[t], mu, v)
@@ -201,52 +205,47 @@ class TestLbfPath:
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
     def test_constant_state_broadcasts(self):
-        y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet, _ = lbf_inputs(seed=80)
-        m, scale, s = m_pre[30], p_pre[30], s_pre[30]
+        y, path, target, _ = lbf_inputs(seed=80)
+        m, scale, s = path.m_pre[30], path.p_pre[30], path.s_pre[30]
         n = len(y)
-        once = _accel._lbf(y, m, scale, s, delta, mu, l_target, logdet)
+        once = _accel._lbf(y, m, scale, s, path.delta, target)
         tiled = _accel._lbf(y, np.tile(m, (n, 1)), np.full(n, scale),
-                            np.tile(s, (n, 1, 1)), delta, mu, l_target, logdet)
+                            np.tile(s, (n, 1, 1)), path.delta, target)
         np.testing.assert_allclose(once, tiled, atol=1e-13)
 
     def test_names_the_first_covariance_that_is_not_ready(self):
-        y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet, _ = lbf_inputs(seed=81)
-        s_pre = s_pre.copy()
+        y, path, target, _ = lbf_inputs(seed=81)
+        s_pre = path.s_pre
         s_pre[23] = [[1.0, 2.0], [2.0, 1.0]]
         s_pre[40] = np.nan
         with pytest.raises(CovarianceNotReady, match="at t=23"):
-            _accel.lbf_path(y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet, 10)
+            _accel.lbf_path(y, path, target, 10)
         s_pre[23] = s_pre[22]
         with pytest.raises(CovarianceNotReady, match="at t=40"):
-            _accel.lbf_path(y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet, 10)
+            _accel.lbf_path(y, path, target, 10)
         # a NaN matrix factors without raising; it still comes first
         s_pre[40] = [[1.0, 2.0], [2.0, 1.0]]
         s_pre[23] = np.nan
         with pytest.raises(CovarianceNotReady, match="at t=23"):
-            _accel.lbf_path(y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet, 10)
+            _accel.lbf_path(y, path, target, 10)
 
     def test_matches_sequential_scorer(self):
-        from bfchart.bayesfactor import TargetSpec, lbf
+        from bfchart.bayesfactor import lbf
 
-        y, m_pre, p_pre, s_pre, delta, mu, l_target, logdet, start = lbf_inputs(
-            seed=74
-        )
-        target = TargetSpec(mu=mu, V=l_target @ l_target.T)
+        y, path, target, start = lbf_inputs(seed=74)
         state = FilterState(
-            delta=delta,
+            delta=path.delta,
             t=start,
-            m=m_pre[start].copy(),
-            P=p_pre[start],
-            sum_outer=s_pre[start] * start,
+            m=path.m_pre[start].copy(),
+            P=path.p_pre[start],
+            sum_outer=path.s_pre[start] * start,
         )
         expected = []
         for row in y[start:]:
             expected.append(lbf(row, state, target))
             state.step(row)
-        out = _accel.lbf_path(y, m_pre, p_pre, s_pre, delta, mu, l_target,
-                              logdet, start)
-        assert np.all(np.isnan(out[:start]))
-        np.testing.assert_allclose(out[start:], expected, atol=1e-10)
+        out = _accel.lbf_path(y, path, target, start)
+        np.testing.assert_allclose(out, expected, atol=1e-10)
 
 
 B = _accel._BLOCK

@@ -66,6 +66,16 @@ class TestTargetSpec:
         with pytest.raises(NotPositiveDefinite):
             TargetSpec(mu=[0.0, 0.0], V=[[1.0, 2.0], [2.0, 1.0]])
 
+    def test_holds_read_only_copies(self):
+        # an edited V would keep its stale cached factor and score wrongly
+        mu, v = np.zeros(2), np.eye(2)
+        target = TargetSpec(mu=mu, V=v)
+        for a in (target.mu, target.V, target.chol):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] += 1.0
+        mu[0] = v[0, 0] = 2.0  # the caller's arrays stay its own
+        assert target.mu[0] == 0.0 and target.V[0, 0] == 1.0
+
 
 class TestLbf:
     def test_hand_case(self):
@@ -124,8 +134,9 @@ class TestLbf:
         )
 
     def test_refuses_cold_state(self):
-        with pytest.raises(CovarianceNotReady):
+        with pytest.raises(CovarianceNotReady) as err:
             lbf([0.0], init(DwrConfig(dim=1, delta=0.9)), TargetSpec([0.0], [[1.0]]))
+        assert err.value.t == 0
 
     @pytest.mark.parametrize("bad", [1e-3, np.nan])
     def test_refuses_asymmetric_or_non_finite_state(self, bad):
@@ -205,9 +216,10 @@ class TestLbfSeries:
     def test_asymmetric_state_is_refused_and_left_unchanged(self):
         state = scalar_state(0.9, 0.1, [[2.0, 0.501], [0.5, 1.0]], m=[0.0, 0.0], t=4)
         before = state.copy()
-        with pytest.raises(CovarianceNotReady, match="at t=4"):
+        with pytest.raises(CovarianceNotReady, match="at t=4") as err:
             lbf_series(make_rng(8).standard_normal((5, 2)), state,
                        TargetSpec([0.0, 0.0], np.eye(2)))
+        assert err.value.t == state.t
         assert state.t == before.t
         np.testing.assert_array_equal(state.sum_outer, before.sum_outer)
 

@@ -511,6 +511,20 @@ class TestFitCommand:
         ])
         assert code == cli.EXIT_OK
 
+    def test_target_variance_near_the_largest_float(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_stream(data, 60, seed=86)
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"mu": [0.0, 0.0],
+                                      "v": {"dim": 2, "data": [1e308, 0.0, 0.0, 1.0]}}))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["fit", str(data), "--out", str(tmp_path / "m.json"),
+                             "--target-file", str(target), "--reps", "200"])
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("doc", [
         {"mu": [0.0, 0.0], "v": {"dim": 2, "data": [1.0, 2.0, 2.0, 1.0]}},
         {"mu": [0.0, 0.0, 0.0], "v": {"dim": 2, "data": [1.0, 0.0, 0.0, 1.0]}},
@@ -863,6 +877,14 @@ def _lbf_offset_off_the_ar_mean(doc):
     doc["lbf_offset"] += 0.1
 
 
+def _fit_off_the_grid(doc):
+    doc["fit"]["msse"][0] += 0.1
+
+
+def _grid_without_delta(doc):
+    doc["grid"] = [g for g in doc["grid"] if g["delta"] != doc["delta"]]
+
+
 def _tripled_sigma_z(doc):
     doc["chart"]["sigma_z"] *= 3.0
 
@@ -946,7 +968,7 @@ class TestModelValidation:
         _another_prior_scale, _difference_as_text, _recenter_as_number,
         _fractional_n_phase1, _n_phase1_as_text, _warmup_as_bool, _negative_warmup,
         _huge_warmup, _warmup_at_n_phase1, _cut_phase1_z, _s_opt_dim_as_text, _fractional_target_dim,
-        _huge_s_opt_variance,
+        _huge_s_opt_variance, _fit_off_the_grid, _grid_without_delta,
     ], ids=lambda f: f.__name__.strip("_"))
     def test_inconsistent_model_exits_schema(self, fit_artifacts, tmp_path, capsys,
                                              mutate, tracking):

@@ -183,6 +183,7 @@ class TestRunFilter:
         np.testing.assert_allclose(path.m_pre, m_pre, atol=1e-12)
         np.testing.assert_allclose(path.p_pre, p_pre, atol=1e-12)
         np.testing.assert_allclose(path.s_post, s_post, atol=1e-12)
+        np.testing.assert_array_equal(path.s_pre[0], np.zeros((2, 2)))
         np.testing.assert_allclose(path.s_pre[1:], s_post[:-1], atol=1e-12)
         np.testing.assert_allclose(path.final.m, (m_pre[-1] * 0 + path.final.m))
         assert path.final.t == 40
@@ -248,7 +249,12 @@ class TestRunFilter:
         data = make_rng(15).standard_normal((120, 2))
         state = run_filter(config, data[:50]).final
         before = state.copy()
-        e, m_pre, p_pre, s_post, final = filter_path(data[50:], state)
+        path = filter_path(data[50:], state)
+        e, m_pre, p_pre, s_post, final = (path.errors, path.m_pre, path.p_pre,
+                                          path.s_post, path.final)
+        # one covariance array: s_pre starts at the start's S, then is s_post
+        np.testing.assert_array_equal(path.s_pre[0], state.S)
+        assert np.shares_memory(path.s_pre, path.s_post)
         shadow = state.copy()
         for k, row in enumerate(data[50:]):
             np.testing.assert_allclose(m_pre[k], shadow.m, rtol=0, atol=1e-12)

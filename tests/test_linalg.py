@@ -65,6 +65,12 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite):
             cholesky([[np.nan, 0.0], [0.0, 1.0]])
 
+    def test_entry_near_the_largest_float(self):
+        # symmetrized as (m + m')/2, the 1e308 would overflow to inf
+        m = np.diag([1e308, 1.0])
+        np.testing.assert_allclose(cholesky(m), np.diag([1e154, 1.0]))
+        np.testing.assert_allclose(sym_inv_sqrt(m), np.diag([1e-154, 1.0]))
+
     @settings(max_examples=50, deadline=None)
     @given(spd_strategy)
     def test_factor_reconstructs(self, m):

@@ -95,11 +95,6 @@ class TestEstimateTarget:
         np.testing.assert_allclose(target.V, np.cov(data, rowvar=False, ddof=1))
         np.testing.assert_allclose(target.mu, data.mean(axis=0))
 
-    def test_zero_mean_flag(self):
-        data = make_rng(55).standard_normal((40, 2)) + 5.0
-        target = estimate_target(data, zero_mean=True)
-        np.testing.assert_array_equal(target.mu, [0.0, 0.0])
-
     def test_constant_data_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             estimate_target(np.ones((20, 2)))
@@ -153,6 +148,22 @@ class TestPhase1(object):
         data[:, 0] = 0.5 * np.arange(60)  # a linear trend differences to 0.5
         with pytest.raises(DegenerateFit, match="column 0 is constant"):
             phase1(data, apply_difference=True, calib_reps=200)
+
+    def test_differenced_target_has_zero_mean(self):
+        data = make_rng(55).standard_normal((80, 2)) + 5.0
+        given = phase1(data, target=TargetSpec([5.0, -3.0], SIGMA), deltas=(0.9,),
+                       apply_difference=True, calib_reps=200)
+        zero = phase1(data, target=TargetSpec([0.0, 0.0], SIGMA), deltas=(0.9,),
+                      apply_difference=True, calib_reps=200)
+        np.testing.assert_array_equal(given.target.mu, [0.0, 0.0])
+        assert given.to_dict() == zero.to_dict()
+
+    def test_model_arrays_are_read_only(self, fitted):
+        # an in-place edit would bypass the checks the model was built with
+        model, _, _ = fitted
+        for a in (model.m_opt, model.s_opt, model.phase1_z):
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] += 1.0
 
     def test_target_dim_checked(self, fitted):
         _, data, _ = fitted
