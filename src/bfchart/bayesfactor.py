@@ -23,7 +23,12 @@ import numpy as np
 
 from . import _accel
 from .dwr import FilterState, filter_path
-from .exceptions import CovarianceNotReady, DimensionMismatch, NotPositiveDefinite
+from .exceptions import (
+    CovarianceNotReady,
+    DimensionMismatch,
+    InvalidConfig,
+    NotPositiveDefinite,
+)
 from .linalg import as_spd, chol_log_det, cholesky
 
 
@@ -44,6 +49,8 @@ class TargetSpec:
             raise DimensionMismatch(
                 f"target mean shape {mu.shape} does not match V dim {v.shape[0]}"
             )
+        if not np.isfinite(mu).all():
+            raise InvalidConfig(f"target mean has a non-finite entry: {mu.tolist()}")
         chol = cholesky(v)
         for name, a in (("mu", mu), ("V", v), ("chol", chol)):
             a.flags.writeable = False

@@ -148,10 +148,11 @@ def write_data(path: str, data: np.ndarray, names: list[str] | None = None) -> N
         data = data[:, None]
     if names is None:
         names = [f"y{i + 1}" for i in range(data.shape[1])]
-    row = "%d" + ",%r" * data.shape[1] + "\n"
+    pieces = [""] + [","] * data.shape[1] + ["\n"]
+    columns = (np.arange(1, len(data) + 1), *data.T)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(["t", *names]) + "\n")
-        fh.writelines(format_rows(row, "", (np.arange(1, len(data) + 1), *data.T)))
+        fh.writelines(format_rows(pieces, "", columns, repr))
 
 
 class _Rows:
@@ -164,13 +165,11 @@ class _Rows:
         if isinstance(columns, dict):
             keys = sorted(columns)
             self.columns = [np.asarray(columns[k]) for k in keys]
-            fields = ",\n".join(
-                f"      {json.dumps(k).replace('%', '%%')}: %s" for k in keys
-            )
-            self.item = "    {\n" + fields + "\n    }"
+            fields = [f"      {json.dumps(k)}: " for k in keys]
+            self.pieces = ["    {\n" + fields[0], *(",\n" + f for f in fields[1:]), "\n    }"]
         else:
             self.columns = [np.asarray(columns)]
-            self.item = "    %s"
+            self.pieces = ["    ", ""]
 
     def write(self, fh) -> None:
         """Write the array as a value of the top-level object."""
@@ -178,19 +177,8 @@ class _Rows:
             fh.write("[]")
             return
         fh.write("[\n")
-        fh.writelines(format_rows(self.item, ",\n", self.columns, _json_cells))
+        fh.writelines(format_rows(self.pieces, ",\n", self.columns, json.dumps))
         fh.write("\n  ]")
-
-
-def _json_cells(values: np.ndarray) -> list:
-    """Values whose ``%s`` is their ``json`` text: true/false for bools,
-    NaN/Infinity/-Infinity for non-finite floats, repr for other numbers."""
-    if values.dtype == bool:
-        return np.where(values, "true", "false").tolist()
-    cells = values.tolist()
-    if values.dtype.kind == "f" and not np.isfinite(values).all():
-        return [json.dumps(v) for v in cells]
-    return cells
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -273,6 +261,8 @@ def cmd_fit(args) -> int:
         calib_reps=args.reps,
     )
     doc = model.to_dict()
+    # the same text as to_dict's list, written without json's encoder
+    doc["phase1_z"] = _Rows(model.phase1_z)
     doc["metadata"] = {
         "bfchart_version": __version__,
         "seed": args.seed,

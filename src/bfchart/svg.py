@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._rows import CHUNK_ROWS, format_rows
+from ._rows import CHUNK_ROWS, fixed2_cells, join_rows
 
 _W, _H = 900, 420
 _MARGIN = 50
@@ -73,26 +73,24 @@ def render_chart_svg(
             f'stroke="gray" stroke-width="1"/>'
         )
     if len(z):
-        # formatted a chunk at a time: lists of all the coordinates would
-        # raise the peak memory of a long chart.  A marker copies the text of
-        # its polyline point, so a chart with many points out of the limits
-        # costs little more than one with few.
+        # formatted a chunk at a time: the text of all the coordinates at
+        # once would raise the peak memory of a long chart.  A marker reuses
+        # the cells of its polyline point, so a chart with many points out of
+        # the limits costs little more than one with few.
         xs, ys = px(np.arange(len(z))), py(z)
         out = (z > ucl) | (z < lcl)
         points, markers = [], []
         for start in range(0, len(z), CHUNK_ROWS):
             chunk = slice(start, start + CHUNK_ROWS)
-            piece = "".join(format_rows("%.2f,%.2f", " ", (xs[chunk], ys[chunk])))
-            points.append(piece)
-            hits = np.flatnonzero(out[chunk]).tolist()
-            if hits:
-                # each "x,y" of the polyline becomes the middle of a marker
-                head, mid, tail = _MARKER
-                pairs = piece.split(" ")
-                middles = (tail + "\n" + head).join([pairs[i] for i in hits])
-                markers.append(head + middles.replace(",", mid) + tail)
+            cells = fixed2_cells(xs[chunk]), fixed2_cells(ys[chunk])
+            points.append(join_rows(("", ",", ""), cells, " "))
+            hits = np.flatnonzero(out[chunk])
+            if hits.size:
+                marker = join_rows(_MARKER, [c[hits] for c in cells], "\n")
+                markers.append(marker[:-1])
+        points[-1] = points[-1][:-1]
         lines.append(
-            f'<polyline points="{" ".join(points)}" fill="none" stroke="steelblue" '
+            f'<polyline points="{"".join(points)}" fill="none" stroke="steelblue" '
             f'stroke-width="1.5"/>'
         )
         lines += markers

@@ -199,6 +199,7 @@ class FittedModel:
             "grid": [
                 {"delta": g.delta, **_report_dict(g.report)} for g in self.grid
             ],
+            # ``fit`` writes this value with the equal text of cli._Rows
             "phase1_z": self.phase1_z.tolist(),
         }
 
@@ -360,28 +361,36 @@ def phase1(
         # a differenced series is monitored for its dispersion only
         target = TargetSpec(mu=np.zeros(p), V=target.V)
 
-    candidates = []
-    for delta in deltas:
-        config = DwrConfig(dim=p, delta=float(delta))
+    # every candidate's report is kept, and only the best path so far
+    grid, best = [], None
+    for delta in map(float, deltas):
+        config = DwrConfig(dim=p, delta=delta)
         path = run_filter(config, y)
         w = path.warmup
-        if w is None or n - w < 10:
-            continue
-        # the first scored points right after S turns positive definite are
-        # numerically wild; give the estimate a short settling period
-        w = max(w, 10)
-        scale = config.delta + path.p_pre[w:, None, None]
-        covs = scale * path.s_pre[w:] / config.delta
-        report = fit_report(path.errors[w:], covs, y[w:])
-        candidates.append((report.msse_score, float(delta), path, w, report))
-    if not candidates:
+        if w is not None and n - w >= 10:
+            # the first scored points right after S turns positive definite
+            # are numerically wild; give the estimate a short settling period
+            w = max(w, 10)
+            scale = delta + path.p_pre[w:, None, None]
+            report = fit_report(path.errors[w:], scale * path.s_pre[w:] / delta, y[w:])
+            grid.append(GridEntry(delta, report))
+            if best is None or (report.msse_score, delta) < best[0]:
+                best = (report.msse_score, delta), path, w
+        del path
+    if best is None:
         raise DegenerateFit(
             "no discount factor candidate produced a positive definite "
             "covariance estimate"
         )
-    _, delta_opt, path, warmup, _ = min(candidates, key=lambda c: (c[0], c[1]))
+    (_, delta_opt), path, warmup = best
 
-    lbf_vals = _accel.lbf_path(y, path, target, warmup)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lbf_vals = _accel.lbf_path(y, path, target, warmup)
+    bad = np.flatnonzero(~np.isfinite(lbf_vals))
+    if bad.size:
+        # a row of the input, as phase2 names it
+        row = warmup + int(bad[0]) + int(apply_difference)
+        raise DegenerateFit(f"log Bayes factor of row {row} is not finite under the target")
     ar = fit_ar1(lbf_vals)
     statistic = lbf_vals - ar.mean
 
@@ -401,9 +410,7 @@ def phase1(
         difference=apply_difference,
         n_phase1=n,
         warmup=warmup,
-        grid=tuple(
-            GridEntry(d, r) for _, d, _, _, r in sorted(candidates, key=lambda c: c[1])
-        ),
+        grid=tuple(sorted(grid, key=lambda entry: entry.delta)),
         phase1_z=phase1_z,
     )
 

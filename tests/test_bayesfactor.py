@@ -13,6 +13,7 @@ from bfchart.dwr import DwrConfig, FilterState, init
 from bfchart.exceptions import (
     CovarianceNotReady,
     DimensionMismatch,
+    InvalidConfig,
     NotPositiveDefinite,
 )
 from bfchart.linalg import make_rng
@@ -65,6 +66,11 @@ class TestTargetSpec:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             TargetSpec(mu=[0.0, 0.0], V=[[1.0, 2.0], [2.0, 1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_mean(self, bad):
+        with pytest.raises(InvalidConfig, match="non-finite"):
+            TargetSpec(mu=[0.0, bad], V=np.eye(2))
 
     def test_holds_read_only_copies(self):
         # an edited V would keep its stale cached factor and score wrongly

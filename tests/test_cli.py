@@ -357,6 +357,67 @@ class TestReportWriterMatchesJsonDump:
             assert out.read_bytes() == json_dump_bytes(tmp_path / "want.json", doc)
 
 
+def plain_rows(result):
+    """The report's per-row arrays as the lists they stand for."""
+    return {
+        "points": [
+            {"t": t, "x": x, "z": z, "out_of_control": flag}
+            for t, (x, z, flag) in enumerate(zip(
+                result.x.tolist(), result.z.tolist(), result.out_of_control.tolist()))
+        ],
+        "signals": np.flatnonzero(result.out_of_control).tolist(),
+        "lbf": result.lbf.tolist(),
+    }
+
+
+class TestCommandOutputsMatchPerValueWriters:
+    """Every file that simulate, fit and monitor write equals what a
+    per-value writer gives for the same content: the text kernel's wiring
+    into each command, not only the kernel."""
+
+    def test_simulate_fit_monitor(self, tmp_path, capsys):
+        from test_svg import reference_svg
+
+        from bfchart import simulate, workflow
+
+        scenarios = simulate.reference_scenarios()
+        data = {}
+        for name, scenario, n, seed in (("fit", "in_control", 300, 21),
+                                        ("new", "mean_shift", CHUNK_ROWS + 904, 22)):
+            path = tmp_path / f"{name}.csv"
+            assert cli.main(["simulate", "--scenario", scenario, "-n", str(n),
+                             "--seed", str(seed), "--out", str(path)]) == cli.EXIT_OK
+            data[name] = simulate.gen_iid(scenarios[scenario], n, make_rng(seed))
+            write_data_loop(str(tmp_path / "want.csv"), data[name])
+            assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+        model_path = tmp_path / "model.json"
+        assert cli.main(["fit", str(tmp_path / "fit.csv"), "--estimate-target",
+                         "--reps", "300", "--seed", "3",
+                         "--out", str(model_path)]) == cli.EXIT_OK
+        model_doc = json.loads(model_path.read_text())
+        fitted = workflow.phase1(data["fit"], calib_reps=300, seed=3)
+        model_doc["phase1_z"] = fitted.phase1_z.tolist()
+        assert model_path.read_bytes() == json_dump_bytes(tmp_path / "want.json", model_doc)
+
+        for tracking in (False, True):
+            report, plot = tmp_path / "report.json", tmp_path / "chart.svg"
+            args = ["monitor", str(tmp_path / "new.csv"), "--model", str(model_path),
+                    "--out", str(report)]
+            args += ["--tracking"] if tracking else ["--plot", str(plot)]
+            assert cli.main(args) == cli.EXIT_SIGNAL
+            result = workflow.phase2(fitted, data["new"], tracking=tracking)
+            report_doc = dict(json.loads(report.read_text()), **plain_rows(result))
+            assert report.read_bytes() == json_dump_bytes(tmp_path / "want.json", report_doc)
+        chart = fitted.chart
+        result = workflow.phase2(fitted, data["new"])
+        assert plot.read_text(encoding="utf-8") == reference_svg(
+            np.concatenate([fitted.phase1_z, result.z]), chart.mu_z, chart.ucl,
+            chart.lcl, separator=len(fitted.phase1_z),
+        )
+        capsys.readouterr()
+
+
 class TestSimulateCommand:
     def test_scenario_row_count(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -545,6 +606,36 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {target}: malformed target document: ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_finite_target_mean_exits_schema(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_stream(data, 60, seed=86)
+        target = tmp_path / "target.json"
+        target.write_text('{"mu": [Infinity, 0], "v": {"dim": 2, "data": [1, 0, 0, 1]}}')
+        out = tmp_path / "m.json"
+        code = cli.main(["fit", str(data), "--out", str(out),
+                         "--target-file", str(target), "--reps", "200"])
+        assert code == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err == (f"error: {target}: malformed target document: "
+                       "target mean has a non-finite entry: [inf, 0.0]\n")
+        assert not out.exists()
+
+    def test_target_whose_log_bayes_factor_overflows_exits_degenerate(
+            self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_stream(data, 60, seed=86)
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"mu": [1e300, 0.0],
+                                      "v": {"dim": 2, "data": [1e-300, 0.0, 0.0, 1.0]}}))
+        out = tmp_path / "m.json"
+        code = cli.main(["fit", str(data), "--out", str(out),
+                         "--target-file", str(target), "--reps", "200"])
+        assert code == cli.EXIT_DEGENERATE
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: log Bayes factor of row \d+ is not finite "
+                            r"under the target\n", err)
         assert not out.exists()
 
     def test_target_file_that_is_not_utf8_exits_schema(self, tmp_path, capsys):

@@ -1,0 +1,201 @@
+"""The numpy text kernel against the per-value text it stands for.
+
+Every cell function must give, byte for byte, what formatting each value
+alone gives: ``repr`` of a float, ``json.dumps`` of a float or bool,
+``format(v, ".2f")`` and ``str`` of an int.  The kernel hands the values it
+cannot decide to exactly those references, so a separate guard checks that
+it decides nearly all ordinary values itself.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bfchart import _rows
+from bfchart._rows import (
+    CHUNK_ROWS,
+    fixed2_cells,
+    cells,
+    float_cells,
+    format_rows,
+    int_cells,
+    join_rows,
+)
+
+
+def fixed2(v):
+    return format(v, ".2f")
+
+
+def lines(cells):
+    """The text of each cell, one a line."""
+    return join_rows(["", ""], [cells], "\n")
+
+
+def reference_lines(values, reference):
+    return "".join(reference(v) + "\n" for v in values.tolist())
+
+
+def assert_same_text(values, cells_of, reference):
+    values = np.asarray(values)
+    got = lines(cells_of(values))
+    want = reference_lines(values, reference)
+    if got != want:
+        pairs = zip(want.split("\n"), got.split("\n"))
+        bad = [(w, g) for w, g in pairs if w != g]
+        raise AssertionError(f"{len(bad)} of {len(values)} differ, first: {bad[:5]}")
+
+
+FLOAT_KERNELS = [
+    pytest.param(float_cells, repr, id="repr"),
+    pytest.param(lambda x: float_cells(x, json.dumps), json.dumps, id="json"),
+    pytest.param(fixed2_cells, fixed2, id=".2f"),
+]
+
+
+def neighbours(values):
+    """Each value and its one-ulp neighbours on both sides, both signs."""
+    v = np.asarray(values, dtype=float)
+    near = np.concatenate([v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)])
+    return np.concatenate([near, -near])
+
+
+def edge_values():
+    powers_of_2 = 2.0 ** np.arange(-1074, 1024)
+    powers_of_10 = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    # k/8 is exact, so k/8 with an odd k ends in 5 at the third decimal:
+    # an exact tie for ".2f"
+    ties = np.arange(1, 4000, 2) / 8.0
+    layout = [1e-4, 1e-5, 9.999999999999999e-05, 1e16, 9999999999999998.0,
+              1e17, 0.1, 0.2, 0.3, 1 / 3, 2 / 3, 2.675, 1.005]
+    special = [0.0, 5e-324, 1.7976931348623157e308, np.nan, np.inf, -np.inf]
+    return np.concatenate([
+        neighbours(powers_of_2), neighbours(powers_of_10), neighbours(ties),
+        neighbours(layout), special, [-v for v in special],
+    ])
+
+
+def bit_patterns(n, seed, max_exponent=2046):
+    """Finite doubles with a uniform biased exponent up to ``max_exponent``
+    (every binade, subnormals included, at the default), a uniform
+    significand and a random sign."""
+    rng = np.random.default_rng(seed)
+    exponent = rng.integers(0, max_exponent + 1, n, dtype=np.uint64)
+    significand = rng.integers(0, 2**52, n, dtype=np.uint64)
+    sign = rng.integers(0, 2, n, dtype=np.uint64)
+    bits = (sign << np.uint64(63)) | (exponent << np.uint64(52)) | significand
+    return bits.view(np.float64)
+
+
+class TestFloatText:
+    @pytest.mark.parametrize("cells_of,reference", FLOAT_KERNELS)
+    def test_edge_values(self, cells_of, reference):
+        assert_same_text(edge_values(), cells_of, reference)
+
+    @pytest.mark.parametrize("cells_of,reference", FLOAT_KERNELS)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=40))
+    def test_hypothesis_floats(self, cells_of, reference, values):
+        assert_same_text(np.array(values, dtype=float), cells_of, reference)
+
+    def test_a_million_bit_patterns_over_every_binade(self):
+        # finite values, whose json text is their repr
+        for seed in range(16):
+            assert_same_text(bit_patterns(65536, seed), float_cells, repr)
+
+    def test_a_million_bit_patterns_below_2_to_the_60_as_fixed2(self):
+        # 1023 + 60: larger values have only zeros after the point, and their
+        # text grows to hundreds of digits
+        for seed in range(16):
+            assert_same_text(bit_patterns(65536, 100 + seed, 1023 + 60), fixed2_cells, fixed2)
+
+    @pytest.mark.parametrize("cells_of,reference", FLOAT_KERNELS)
+    def test_strided_input(self, cells_of, reference):
+        data = np.random.default_rng(7).standard_normal((500, 3))
+        assert_same_text(data[:, 1], cells_of, reference)
+
+
+def reference_calls(monkeypatch, values, cells_of):
+    """How many values the kernel handed to its reference."""
+    calls = []
+
+    def counted(reference):
+        def call(v):
+            calls.append(v)
+            return reference(v)
+        return call
+
+    monkeypatch.setattr(_rows, "_fixed2_reference", counted(fixed2))
+    if cells_of is fixed2_cells:
+        assert_same_text(values, fixed2_cells, fixed2)
+    else:
+        assert_same_text(values, lambda x: float_cells(x, counted(repr)), repr)
+    return len(calls)
+
+
+class TestFallbackIsRare:
+    """A slide of ordinary values onto the per-value path fails here."""
+
+    SAMPLES = {
+        "normal": lambda rng, n: rng.standard_normal(n),
+        "log_uniform": lambda rng, n: 10.0 ** rng.uniform(-5.0, 15.0, n),
+        "svg_coordinates": lambda rng, n: rng.uniform(50.0, 850.0, n),
+    }
+
+    @pytest.mark.parametrize("name", ["normal", "log_uniform"])
+    def test_repr(self, monkeypatch, name):
+        values = self.SAMPLES[name](np.random.default_rng(11), 100_000)
+        assert reference_calls(monkeypatch, values, float_cells) < 100
+
+    @pytest.mark.parametrize("name", ["normal", "svg_coordinates"])
+    def test_fixed2(self, monkeypatch, name):
+        values = self.SAMPLES[name](np.random.default_rng(12), 100_000)
+        assert reference_calls(monkeypatch, values, fixed2_cells) < 100
+
+
+class TestIntAndBoolText:
+    def test_ints(self):
+        rng = np.random.default_rng(13)
+        values = np.concatenate([
+            rng.integers(-(2**63), 2**63 - 1, 10_000, endpoint=True),
+            rng.integers(-10**6, 10**6, 10_000),
+            [0, 1, -1, 9, 10, 99, 100, 9999, 10**4, 10**17, 10**18 - 1, 10**18,
+             -(10**18), 2**63 - 1, -(2**63)],
+        ]).astype(np.int64)
+        assert_same_text(values, int_cells, str)
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_small_ranges(self, n):
+        assert_same_text(np.arange(n), int_cells, str)
+
+    def test_bools(self):
+        values = np.array([True, False, False, True])
+        assert_same_text(values, lambda v: cells(v, json.dumps), json.dumps)
+
+    def test_cells_pick_by_dtype(self):
+        ints = np.array([3, -12])
+        assert lines(cells(ints, json.dumps)) == lines(cells(ints, repr)) == "3\n-12\n"
+        floats = np.array([np.nan, -np.inf, 0.5])
+        assert lines(cells(floats, json.dumps)) == "NaN\n-Infinity\n0.5\n"
+        assert lines(cells(floats, repr)) == "nan\n-inf\n0.5\n"
+
+
+class TestRows:
+    @pytest.mark.parametrize("n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    def test_format_rows_joins_rows_and_chunks(self, n):
+        rng = np.random.default_rng(14)
+        t, x, flag = np.arange(n), rng.standard_normal(n), rng.random(n) < 0.5
+        pieces = ["<", "|", "|", ">"]
+        text = "".join(format_rows(pieces, ";\n", (t, x, flag), json.dumps))
+        want = ";\n".join(
+            f"<{a}|{json.dumps(b)}|{json.dumps(c)}>"
+            for a, b, c in zip(t.tolist(), x.tolist(), flag.tolist())
+        )
+        assert text == want
+
+    def test_pieces_may_be_empty_or_not_ascii(self):
+        cells = [int_cells(np.array([1, 22])), float_cells(np.array([0.25, -3.5]))]
+        assert join_rows(["", "é", ""], cells, "") == "1é0.2522é-3.5"

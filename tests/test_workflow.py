@@ -1,11 +1,13 @@
 """Two-phase workflow: fitting, serialization, frozen monitoring."""
 
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bfchart import workflow
 from bfchart.bayesfactor import TargetSpec
 from bfchart.chart import asymptotic_sigma_z2
 from bfchart.dwr import DwrConfig, steady_state_scale
@@ -29,6 +31,7 @@ from bfchart.workflow import (
     estimate_target,
     phase1,
     phase2,
+    run_filter,
 )
 
 SIGMA = np.array([[1.0, 2.0], [2.0, 5.0]])
@@ -177,6 +180,33 @@ class TestPhase1(object):
         data[7, 1] = bad
         with pytest.raises(InvalidConfig, match="row 7, column 1"):
             phase1(data, calib_reps=200)
+
+    @pytest.mark.parametrize("difference,scale,row", [(False, 1.0, 10), (True, 1e5, 11)])
+    def test_log_bayes_factor_that_overflows_is_degenerate(self, difference, scale, row):
+        # a differenced series is scored against a zero mean, so there the
+        # data are large instead; the row named is the input's
+        data = make_rng(0).standard_normal((300, 2)) * scale
+        target = TargetSpec([1e300, 0.0], np.diag([1e-300, 1.0]))
+        with pytest.raises(DegenerateFit, match=f"log Bayes factor of row {row} is not finite"):
+            phase1(data, target=target, deltas=(0.9,), calib_reps=200,
+                   apply_difference=difference)
+
+    def test_holds_at_most_two_filter_paths(self, monkeypatch):
+        # the best path so far and the one being scored; the rest are freed
+        paths, most = [], []
+
+        def counted(config, y):
+            most.append(sum(ref() is not None for ref in paths))
+            path = run_filter(config, y)
+            paths.append(weakref.ref(path))
+            return path
+
+        monkeypatch.setattr(workflow, "run_filter", counted)
+        data = make_rng(3).standard_normal((200, 2))
+        model = phase1(data, calib_reps=200)
+        assert len(most) == len(DELTA_GRID) and max(most) <= 1
+        fresh = phase1(data, calib_reps=200, deltas=(model.delta,))
+        assert fresh.to_dict()["m_opt"] == model.to_dict()["m_opt"]
 
     def test_recenter_zeroes_phase1_ewma(self):
         config = DwrConfig(dim=2, delta=0.9)
