@@ -4,23 +4,40 @@ One polyline for the EWMA trajectory, a solid center line, dotted control
 limits, and an optional vertical separator between the fitting and
 monitoring segments.  Kept dependency-free on purpose; the output is a
 static display, not an interactive plot.
+
+Of the points in each pixel column the polyline keeps the first, last,
+lowest and highest (M4: Jugel, Jerzak, Hackenbroich & Markl 2014, the same
+line as the full series at that width) and every non-finite one; a marker
+sits on each kept point out of the limits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._rows import CHUNK_ROWS, fixed2_cells, join_rows
-
 _W, _H = 900, 420
 _MARGIN = 50
-#: the text around the "x" and "y" of a marker for an out-of-limit point
-_MARKER = ('<circle cx="', '" cy="', '" r="3.5" fill="firebrick"/>')
 
 
 def _scale(values, lo, hi, out_lo, out_hi):
     span = hi - lo if hi > lo else 1.0
     return out_lo + (np.asarray(values, dtype=float) - lo) * (out_hi - out_lo) / span
+
+
+def _m4_vertices(z: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Indices, in time order, of the first, last, lowest and highest point
+    of each run of equal ``columns`` (which do not decrease), and of every
+    non-finite point; of tied points the earliest."""
+    first = np.diff(columns, prepend=columns[0] - 1) != 0
+    run = np.cumsum(first) - 1
+    finite = np.isfinite(z)
+    keep = first | np.append(first[1:], True) | ~finite
+    starts = np.flatnonzero(first)
+    for extreme, fill in ((np.minimum, np.inf), (np.maximum, -np.inf)):
+        values = np.where(finite, z, fill)
+        hits = np.flatnonzero(values == extreme.reduceat(values, starts)[run])
+        keep[hits[np.diff(run[hits], prepend=-1) != 0]] = True
+    return np.flatnonzero(keep)
 
 
 def render_chart_svg(
@@ -73,26 +90,19 @@ def render_chart_svg(
             f'stroke="gray" stroke-width="1"/>'
         )
     if len(z):
-        # formatted a chunk at a time: the text of all the coordinates at
-        # once would raise the peak memory of a long chart.  A marker reuses
-        # the cells of its polyline point, so a chart with many points out of
-        # the limits costs little more than one with few.
-        xs, ys = px(np.arange(len(z))), py(z)
-        out = (z > ucl) | (z < lcl)
-        points, markers = [], []
-        for start in range(0, len(z), CHUNK_ROWS):
-            chunk = slice(start, start + CHUNK_ROWS)
-            cells = fixed2_cells(xs[chunk]), fixed2_cells(ys[chunk])
-            points.append(join_rows(("", ",", ""), cells, " "))
-            hits = np.flatnonzero(out[chunk])
-            if hits.size:
-                marker = join_rows(_MARKER, [c[hits] for c in cells], "\n")
-                markers.append(marker[:-1])
-        points[-1] = points[-1][:-1]
+        xs = px(np.arange(len(z)))
+        t = _m4_vertices(z, np.floor(xs).astype(np.int64))
+        # x, y of each kept point in turn; one % call formats them all, as
+        # format(v, ".2f") formats each
+        xy = np.column_stack([xs[t], py(z[t])])
+        points = "%.2f,%.2f " * len(t) % tuple(xy.ravel().tolist())
         lines.append(
-            f'<polyline points="{"".join(points)}" fill="none" stroke="steelblue" '
+            f'<polyline points="{points[:-1]}" fill="none" stroke="steelblue" '
             f'stroke-width="1.5"/>'
         )
-        lines += markers
+        out = xy[(z[t] > ucl) | (z[t] < lcl)]
+        if len(out):
+            marker = '<circle cx="%.2f" cy="%.2f" r="3.5" fill="firebrick"/>\n'
+            lines.append((marker * len(out) % tuple(out.ravel().tolist()))[:-1])
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -386,11 +386,20 @@ def phase1(
 
     with np.errstate(over="ignore", invalid="ignore"):
         lbf_vals = _accel.lbf_path(y, path, target, warmup)
-    bad = np.flatnonzero(~np.isfinite(lbf_vals))
+        # the AR(1) fit sums the squares of the series, and its residuals'
+        # sum of squares is at most that
+        squares = np.cumsum(np.square(lbf_vals))
+    bad = np.flatnonzero(~np.isfinite(squares))
     if bad.size:
+        i = int(bad[0])
         # a row of the input, as phase2 names it
-        row = warmup + int(bad[0]) + int(apply_difference)
-        raise DegenerateFit(f"log Bayes factor of row {row} is not finite under the target")
+        row = warmup + i + int(apply_difference)
+        if not math.isfinite(lbf_vals[i]):
+            raise DegenerateFit(f"log Bayes factor of row {row} is not finite under the target")
+        raise DegenerateFit(
+            f"log Bayes factor of row {row} is {lbf_vals[i]:.6g} under the target, "
+            "too large to fit the AR(1) of the Phase I statistic"
+        )
     ar = fit_ar1(lbf_vals)
     statistic = lbf_vals - ar.mean
 

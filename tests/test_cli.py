@@ -373,10 +373,11 @@ def plain_rows(result):
 class TestCommandOutputsMatchPerValueWriters:
     """Every file that simulate, fit and monitor write equals what a
     per-value writer gives for the same content: the text kernel's wiring
-    into each command, not only the kernel."""
+    into each command, not only the kernel.  The chart draws the M4 points
+    of the full series, each with its per-point text."""
 
     def test_simulate_fit_monitor(self, tmp_path, capsys):
-        from test_svg import reference_svg
+        from test_svg import assert_draws_m4
 
         from bfchart import simulate, workflow
 
@@ -411,7 +412,8 @@ class TestCommandOutputsMatchPerValueWriters:
             assert report.read_bytes() == json_dump_bytes(tmp_path / "want.json", report_doc)
         chart = fitted.chart
         result = workflow.phase2(fitted, data["new"])
-        assert plot.read_text(encoding="utf-8") == reference_svg(
+        assert_draws_m4(
+            plot.read_text(encoding="utf-8"),
             np.concatenate([fitted.phase1_z, result.z]), chart.mu_z, chart.ucl,
             chart.lcl, separator=len(fitted.phase1_z),
         )
@@ -636,6 +638,31 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: log Bayes factor of row \d+ is not finite "
                             r"under the target\n", err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("difference,row", [(False, 10), (True, 11)])
+    def test_target_whose_log_bayes_factor_is_too_large_exits_degenerate(
+            self, tmp_path, capsys, difference, row):
+        # finite, but its square overflows in the AR(1) fit; the row named
+        # is the input's
+        data = tmp_path / "d.csv"
+        assert cli.main(["simulate", "-n", "300", "--seed", "1",
+                         "--out", str(data)]) == cli.EXIT_OK
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"mu": [0, 0],
+                                      "v": {"dim": 2, "data": [1e-300, 0, 0, 1]}}))
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["fit", str(data), "--out", str(out), "--target-file",
+                             str(target), "--reps", "200"]
+                            + ["--difference"] * difference)
+        assert code == cli.EXIT_DEGENERATE
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: log Bayes factor of row {row} is \S+ under the "
+                            r"target, too large to fit the AR\(1\) of the Phase I "
+                            r"statistic\n", err)
         assert not out.exists()
 
     def test_target_file_that_is_not_utf8_exits_schema(self, tmp_path, capsys):
@@ -1169,6 +1196,9 @@ def _leaf_paths(value, path=()):
 FUZZ_CHANGES = [None, True, False, "1", "x", [], {}, [1.0], float("nan"),
                 float("inf"), -float("inf"), 1e308, -1e308, 10**400, -10**400,
                 -5, 0, 1, 2.5, 1e-320, "shorter", "longer"]
+#: changes of one field of a target file: those of a model field, and a
+#: variance so small that the log Bayes factor is finite but its square is not
+FUZZ_TARGET_CHANGES = FUZZ_CHANGES + [1e-300]
 #: replacement text for one CSV cell
 FUZZ_CELLS = ["nan", "inf", "-inf", "1e308", "-1e308", "1e300", "1e-320", "0",
               "-5", "x", "", "1,2"]
@@ -1259,3 +1289,16 @@ class TestFailLoudFuzz:
             calls = [["fit", str(stream), "--out", str(root / "refit.json"),
                       "--estimate-target", "--delta-grid", "0.9", "--reps", "200"]]
         _run_commands(calls, capsys)
+
+    def test_every_target_change_exits_with_a_documented_code(self, fuzz_inputs, capsys):
+        root, _, _, _ = fuzz_inputs
+        target = root / "target.json"
+        good = {"mu": [0.0, 0.0], "v": {"dim": 2, "data": [1.0, 0.0, 0.0, 1.0]}}
+        fit = ["fit", str(root / "train.csv"), "--out", str(root / "refit.json"),
+               "--target-file", str(target), "--delta-grid", "0.9", "--reps", "200"]
+        for path in _leaf_paths(good):
+            for change in FUZZ_TARGET_CHANGES:
+                doc = json.loads(json.dumps(good))
+                _mutate_field(doc, path, change)
+                target.write_text(json.dumps(doc))
+                _run_commands([fit], capsys)

@@ -1,10 +1,10 @@
 """The numpy text kernel against the per-value text it stands for.
 
 Every cell function must give, byte for byte, what formatting each value
-alone gives: ``repr`` of a float, ``json.dumps`` of a float or bool,
-``format(v, ".2f")`` and ``str`` of an int.  The kernel hands the values it
-cannot decide to exactly those references, so a separate guard checks that
-it decides nearly all ordinary values itself.
+alone gives: ``repr`` of a float, ``json.dumps`` of a float or bool, and
+``str`` of an int.  The kernel hands the values it cannot decide to exactly
+those references, so a separate guard checks that it decides nearly all
+ordinary values itself.
 """
 
 import json
@@ -14,20 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfchart import _rows
 from bfchart._rows import (
     CHUNK_ROWS,
-    fixed2_cells,
     cells,
     float_cells,
     format_rows,
     int_cells,
     join_rows,
 )
-
-
-def fixed2(v):
-    return format(v, ".2f")
 
 
 def lines(cells):
@@ -52,7 +46,6 @@ def assert_same_text(values, cells_of, reference):
 FLOAT_KERNELS = [
     pytest.param(float_cells, repr, id="repr"),
     pytest.param(lambda x: float_cells(x, json.dumps), json.dumps, id="json"),
-    pytest.param(fixed2_cells, fixed2, id=".2f"),
 ]
 
 
@@ -66,8 +59,7 @@ def neighbours(values):
 def edge_values():
     powers_of_2 = 2.0 ** np.arange(-1074, 1024)
     powers_of_10 = np.array([float(f"1e{e}") for e in range(-323, 309)])
-    # k/8 is exact, so k/8 with an odd k ends in 5 at the third decimal:
-    # an exact tie for ".2f"
+    # k/8 is exact, and with an odd k its decimal ends in 5
     ties = np.arange(1, 4000, 2) / 8.0
     layout = [1e-4, 1e-5, 9.999999999999999e-05, 1e16, 9999999999999998.0,
               1e17, 0.1, 0.2, 0.3, 1 / 3, 2 / 3, 2.675, 1.005]
@@ -78,12 +70,11 @@ def edge_values():
     ])
 
 
-def bit_patterns(n, seed, max_exponent=2046):
-    """Finite doubles with a uniform biased exponent up to ``max_exponent``
-    (every binade, subnormals included, at the default), a uniform
-    significand and a random sign."""
+def bit_patterns(n, seed):
+    """Finite doubles with a uniform biased exponent (every binade,
+    subnormals included), a uniform significand and a random sign."""
     rng = np.random.default_rng(seed)
-    exponent = rng.integers(0, max_exponent + 1, n, dtype=np.uint64)
+    exponent = rng.integers(0, 2047, n, dtype=np.uint64)
     significand = rng.integers(0, 2**52, n, dtype=np.uint64)
     sign = rng.integers(0, 2, n, dtype=np.uint64)
     bits = (sign << np.uint64(63)) | (exponent << np.uint64(52)) | significand
@@ -106,20 +97,14 @@ class TestFloatText:
         for seed in range(16):
             assert_same_text(bit_patterns(65536, seed), float_cells, repr)
 
-    def test_a_million_bit_patterns_below_2_to_the_60_as_fixed2(self):
-        # 1023 + 60: larger values have only zeros after the point, and their
-        # text grows to hundreds of digits
-        for seed in range(16):
-            assert_same_text(bit_patterns(65536, 100 + seed, 1023 + 60), fixed2_cells, fixed2)
-
     @pytest.mark.parametrize("cells_of,reference", FLOAT_KERNELS)
     def test_strided_input(self, cells_of, reference):
         data = np.random.default_rng(7).standard_normal((500, 3))
         assert_same_text(data[:, 1], cells_of, reference)
 
 
-def reference_calls(monkeypatch, values, cells_of):
-    """How many values the kernel handed to its reference."""
+def reference_calls(values):
+    """How many values the float kernel handed to its reference."""
     calls = []
 
     def counted(reference):
@@ -128,11 +113,7 @@ def reference_calls(monkeypatch, values, cells_of):
             return reference(v)
         return call
 
-    monkeypatch.setattr(_rows, "_fixed2_reference", counted(fixed2))
-    if cells_of is fixed2_cells:
-        assert_same_text(values, fixed2_cells, fixed2)
-    else:
-        assert_same_text(values, lambda x: float_cells(x, counted(repr)), repr)
+    assert_same_text(values, lambda x: float_cells(x, counted(repr)), repr)
     return len(calls)
 
 
@@ -142,18 +123,12 @@ class TestFallbackIsRare:
     SAMPLES = {
         "normal": lambda rng, n: rng.standard_normal(n),
         "log_uniform": lambda rng, n: 10.0 ** rng.uniform(-5.0, 15.0, n),
-        "svg_coordinates": lambda rng, n: rng.uniform(50.0, 850.0, n),
     }
 
     @pytest.mark.parametrize("name", ["normal", "log_uniform"])
-    def test_repr(self, monkeypatch, name):
+    def test_repr(self, name):
         values = self.SAMPLES[name](np.random.default_rng(11), 100_000)
-        assert reference_calls(monkeypatch, values, float_cells) < 100
-
-    @pytest.mark.parametrize("name", ["normal", "svg_coordinates"])
-    def test_fixed2(self, monkeypatch, name):
-        values = self.SAMPLES[name](np.random.default_rng(12), 100_000)
-        assert reference_calls(monkeypatch, values, fixed2_cells) < 100
+        assert reference_calls(values) < 100
 
 
 class TestIntAndBoolText:

@@ -1,4 +1,15 @@
-"""SVG chart rendering: array-scaled coordinates equal the per-point formula."""
+"""SVG chart rendering against the per-point formula.
+
+A chart of at most two points a pixel column draws every point, byte for
+byte as the per-point reference writes it.  A longer one draws, in each
+pixel column, the column's first, last, lowest and highest point (M4),
+each with its per-point text, and a marker on each drawn point out of the
+limits; ``assert_draws_m4`` checks that against the full series.
+"""
+
+import itertools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -14,10 +25,8 @@ def scale_one(value, lo, hi, out_lo, out_hi):
                   * (out_hi - out_lo) / span)[0])
 
 
-def reference_svg(z, center, ucl, lcl, separator=None, title="modified EWMA chart"):
-    """The chart document built one point at a time."""
-    w, h, margin = 900, 420, 50
-    z = np.asarray(z, dtype=float)
+def pixel_scales(z, ucl, lcl, w=900, h=420, margin=50):
+    """The per-point x and y pixel formulas of a chart of ``z``."""
     n = max(len(z), 2)
     y_lo = min(float(z.min(initial=lcl)), lcl)
     y_hi = max(float(z.max(initial=ucl)), ucl)
@@ -30,6 +39,17 @@ def reference_svg(z, center, ucl, lcl, separator=None, title="modified EWMA char
     def py(v):
         return scale_one(v, y_lo, y_hi, h - margin, margin)
 
+    return px, py
+
+
+def reference_svg(z, center, ucl, lcl, separator=None, title="modified EWMA chart",
+                  draw_points=True):
+    """The chart document built one point at a time, every point drawn
+    (or none, without ``draw_points``)."""
+    w, h, margin = 900, 420, 50
+    z = np.asarray(z, dtype=float)
+    n = max(len(z), 2)
+    px, py = pixel_scales(z, ucl, lcl)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',
@@ -58,7 +78,7 @@ def reference_svg(z, center, ucl, lcl, separator=None, title="modified EWMA char
             f'<line x1="{x:.2f}" y1="{margin}" x2="{x:.2f}" y2="{h - margin}" '
             f'stroke="gray" stroke-width="1"/>'
         )
-    if len(z):
+    if len(z) and draw_points:
         points = " ".join(f"{px(t):.2f},{py(v):.2f}" for t, v in enumerate(z))
         lines.append(
             f'<polyline points="{points}" fill="none" stroke="steelblue" '
@@ -72,6 +92,54 @@ def reference_svg(z, center, ucl, lcl, separator=None, title="modified EWMA char
                 )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+def drawn(document):
+    """The (x, y) text of each polyline vertex and of each marker."""
+    points = re.search(r'<polyline points="([^"]*)"', document)
+    vertices = [tuple(p.split(",")) for p in points.group(1).split(" ")] if points else []
+    markers = re.findall(r'<circle cx="([^"]*)" cy="([^"]*)" r="3.5"', document)
+    return vertices, markers
+
+
+def assert_draws_m4(document, z, center, ucl, lcl, separator=None):
+    """Everything but the points is the reference's; in each pixel column
+    (the floor of the per-point x) the drawn points are its first, last,
+    lowest and highest (the earliest of ties), with every non-finite point,
+    in time order and each with its per-point text; markers sit on exactly
+    the drawn points out of the limits."""
+    z = np.asarray(z, dtype=float)
+    assert [line for line in document.split("\n")
+            if not line.startswith(("<polyline", "<circle"))] == reference_svg(
+        z, center, ucl, lcl, separator=separator, draw_points=False).split("\n")
+    px, py = pixel_scales(z, ucl, lcl)
+    xs = [px(t) for t in range(len(z))]
+    text = [(f"{x:.2f}", f"{py(v):.2f}") for x, v in zip(xs, z.tolist())]
+    column = [math.floor(x) for x in xs]
+    time_of = {x: t for t, (x, _) in enumerate(text)}
+    assert len(time_of) == len(z)  # each x text names one point
+    vertices, markers = drawn(document)
+    kept = [time_of[x] for x, _ in vertices]
+    assert kept == sorted(set(kept))
+    assert vertices == [text[t] for t in kept]
+    marked = [t for t in kept if z[t] > ucl or z[t] < lcl]
+    assert markers == [text[t] for t in marked]
+    shown_in = {c: list(ts) for c, ts in itertools.groupby(kept, key=column.__getitem__)}
+    for c, group in itertools.groupby(range(len(z)), key=column.__getitem__):
+        points, shown = list(group), shown_in[c]
+        finite = [t for t in points if np.isfinite(z[t])]
+        want = {points[0], points[-1]} | (set(points) - set(finite))
+        if finite:
+            # the lowest and highest point, the earliest of ties
+            for extreme in (min, max):
+                best = extreme(z[finite])
+                want.add(next(t for t in finite if z[t] == best))
+        assert set(shown) == want
+        # a column with a point beyond a limit draws one beyond it, and so
+        # (by the markers' check above) has a marker there
+        for beyond in (z > ucl, z < lcl):
+            if beyond[points].any():
+                assert any(beyond[t] for t in shown)
 
 
 def test_matches_per_point_formula_with_out_of_limit_points():
@@ -92,9 +160,9 @@ def test_degenerate_inputs_match_per_point_formula():
 def test_polyline_across_chunk_boundaries(n):
     z = np.cumsum(np.random.default_rng(n).standard_normal(n)) * 0.05
     z[-1] = -0.0
-    assert render_chart_svg(z, 0.0, 1.0, -1.0, separator=n // 2) == reference_svg(
-        z, 0.0, 1.0, -1.0, separator=n // 2
-    )
+    document = render_chart_svg(z, 0.0, 1.0, -1.0, separator=n // 2)
+    assert_draws_m4(document, z, 0.0, 1.0, -1.0, separator=n // 2)
+    assert len(drawn(document)[0]) < n
 
 
 @pytest.mark.parametrize("n", [CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 7])
@@ -104,13 +172,29 @@ def test_markers_across_chunk_boundaries(n):
     z[edges] = [2.5, -3.0, 1.5, -1.25][:len(edges)]
     document = render_chart_svg(z, 0.0, 1.0, -1.0, separator=7)
     assert document.count("<circle") == len(edges)
-    assert document == reference_svg(z, 0.0, 1.0, -1.0, separator=7)
+    assert_draws_m4(document, z, 0.0, 1.0, -1.0, separator=7)
 
 
 def test_every_point_out_of_limits_and_non_finite_tail():
     n = CHUNK_ROWS + 3
     z = np.where(np.arange(n) % 2, 5.0, -5.0) * np.linspace(1.0, 2.0, n)
-    assert render_chart_svg(z, 0.0, 1.0, -1.0).count("<circle") == n
-    assert render_chart_svg(z, 0.0, 1.0, -1.0) == reference_svg(z, 0.0, 1.0, -1.0)
+    document = render_chart_svg(z, 0.0, 1.0, -1.0)
+    assert document.count("<circle") == len(drawn(document)[0])
+    assert_draws_m4(document, z, 0.0, 1.0, -1.0)
     z[-5:] = np.nan
-    assert render_chart_svg(z, 0.0, 1.0, -1.0) == reference_svg(z, 0.0, 1.0, -1.0)
+    z[n // 2] = np.inf
+    assert_draws_m4(render_chart_svg(z, 0.0, 1.0, -1.0), z, 0.0, 1.0, -1.0)
+
+
+def test_ties_keep_the_earliest_point():
+    z = np.round(np.cumsum(np.random.default_rng(6).standard_normal(6000)) * 0.05, 1)
+    assert_draws_m4(render_chart_svg(z, 0.0, 1.0, -1.0), z, 0.0, 1.0, -1.0)
+
+
+def test_a_chart_of_1e5_points_stays_small():
+    z = np.cumsum(np.random.default_rng(5).standard_normal(100_490)) * 0.05
+    document = render_chart_svg(z, 0.0, 1.0, -1.0, separator=490)
+    vertices, markers = drawn(document)
+    assert len(vertices) <= 4 * 801
+    assert 0 < len(markers) <= len(vertices)
+    assert len(document.encode()) < 300_000

@@ -191,6 +191,16 @@ class TestPhase1(object):
             phase1(data, target=target, deltas=(0.9,), calib_reps=200,
                    apply_difference=difference)
 
+    @pytest.mark.parametrize("difference,row", [(False, 10), (True, 11)])
+    def test_log_bayes_factor_too_large_for_the_ar1_fit_is_degenerate(self, difference, row):
+        # finite values whose squares overflow the AR(1) fit's sums
+        data = make_rng(0).standard_normal((300, 2))
+        target = TargetSpec([0.0, 0.0], np.diag([1e-300, 1.0]))
+        with pytest.raises(DegenerateFit, match=f"log Bayes factor of row {row} is "
+                           r"\S+ under the target, too large to fit the AR\(1\)"):
+            phase1(data, target=target, deltas=(0.9,), calib_reps=200,
+                   apply_difference=difference)
+
     def test_holds_at_most_two_filter_paths(self, monkeypatch):
         # the best path so far and the one being scored; the rest are freed
         paths, most = [], []
