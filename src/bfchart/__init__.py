@@ -6,7 +6,7 @@ is monitored with a modified EWMA chart whose limits are calibrated by
 Monte Carlo to a target in-control average run length.
 """
 
-from .bayesfactor import TargetSpec, lbf, lbf_series
+from .bayesfactor import TargetSpec, lbf_series
 from .chart import (
     Ar1Model,
     CalibrationResult,

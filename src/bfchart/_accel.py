@@ -13,10 +13,11 @@
   run-length recursions; ``cascade`` gives the latter's coefficients to
   calibration too.
 
-The scalar forms (``dwr.FilterState.step``, one ``bayesfactor.lbf`` per
-observation) and plain loops in the tests are the references these kernels
-are checked against; the tests also check ``recurrence`` against
-``lfilter``.  The package needs numpy only.
+The scalar filter step ``dwr.FilterState.step``, ``bayesfactor.lbf_terms``
+on one observation at a time and plain loops in the tests are the
+references these kernels are checked against; the tests also check
+``recurrence`` against ``lfilter`` and ``_lbf`` against scipy's density
+ratio.  The package needs numpy only.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ For target N(mu, V) and a filter with pre-update quantities (m, P, S):
 A value of 0 means the predictive and target densities assign the same
 likelihood to y; the chart monitors this statistic over time.  Only the log
 form is computed: the plain ratio would overflow for large quadratic forms.
-All four callers (``lbf``, ``lbf_terms``, ``lbf_series`` and Phase I's
+All three callers (``lbf_terms``, ``lbf_series`` and Phase I's
 ``_accel.lbf_path``) evaluate it with the one array kernel ``_accel._lbf``,
 which takes the ``TargetSpec``.  ``lbf_series`` scores the pre-update
 quantities of the ``dwr.FilterPath`` it runs.
@@ -80,17 +80,6 @@ def lbf_terms(
     if obs.shape[-1:] != (p,):
         raise DimensionMismatch(f"observation shape {obs.shape} does not match dim {p}")
     return _accel._lbf(obs, m, p_scale, s, delta, target)
-
-
-def lbf(y, state: FilterState, target: TargetSpec) -> float:
-    """Log Bayes factor of y against the state's pre-update quantities."""
-    obs = np.asarray(y, dtype=float)
-    if obs.shape != (target.dim,):
-        raise DimensionMismatch(
-            f"observation shape {obs.shape} does not match dim {target.dim}"
-        )
-    s = _state_cov(state)
-    return float(_accel._lbf(obs, state.m, state.P, s, state.delta, target, t0=state.t))
 
 
 def _state_cov(state: FilterState) -> np.ndarray:

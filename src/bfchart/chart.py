@@ -214,18 +214,14 @@ class _RunMaxima:
     the first record), and the horizon H adds H - (time of the last record)
     at the current maximum.  A replication's run length at c, counted as H
     while no value beyond its horizon exceeds c, is then the total weight of
-    its events at heights <= c.  Calibration never asks for c below
-    ``floor``, so the weight of events at or below it is kept as one count
-    per replication instead of as events.
+    its events at heights <= c.
     """
 
-    def __init__(self, lam: float, phi: float, reps: int, seed: int, floor: float):
+    def __init__(self, lam: float, phi: float, reps: int, seed: int):
         unit = Ar1Model(0.0, phi, 1.0)
         sigma_z = math.sqrt(asymptotic_sigma_z2(lam, unit))
         # the AR(1)+EWMA cascade of the noise, in units of sigma_z
         self.coef = (lam / sigma_z, _accel.cascade(lam, phi))
-        self.reps = reps
-        self.floor = floor
         self.rngs = [make_rng(seed, block) for block in range(-(-reps // _CALIB_BLOCK))]
         # the AR(1) starts from its stationary law x_{-1} and the EWMA at the
         # chart center, which is the recurrence state (lam phi x_{-1} / sigma_z, 0)
@@ -238,10 +234,9 @@ class _RunMaxima:
         self.peak = np.full(reps, -np.inf)
         self.last = np.zeros(reps, dtype=np.int64)
         self.horizon = np.zeros(reps, dtype=np.int64)
-        self.base = np.zeros(reps, dtype=np.int64)
         self.steps = 0
-        # record events above the floor, appended per chunk; weights and
-        # owners fit in int32 because run lengths stay below RUN_LENGTH_CAP
+        # record events, appended per chunk; weights and owners fit in
+        # int32 because run lengths stay below RUN_LENGTH_CAP
         self.heights: list[np.ndarray] = []
         self.weights: list[np.ndarray] = []
         self.owners: list[np.ndarray] = []
@@ -283,15 +278,9 @@ class _RunMaxima:
             first = np.ones(row.size, dtype=bool)
             first[1:] = row[1:] != row[:-1]
             before = np.where(first, self.last[rows[row]], np.roll(time, 1))
-            weight = time - before
-            low = below <= self.floor
-            self.base[rows] += np.bincount(
-                row[low], weights=weight[low], minlength=rows.size
-            ).astype(np.int64)
-            high = ~low
-            self.heights.append(below[high])
-            self.weights.append(weight[high].astype(np.int32))
-            self.owners.append(rows[row[high]].astype(np.int32))
+            self.heights.append(below)
+            self.weights.append((time - before).astype(np.int32))
+            self.owners.append(rows[row].astype(np.int32))
             final = np.append(first[1:], True)
             self.last[rows[row[final]]] = time[final]
         self.peak[rows] = running[:, -1]
@@ -300,24 +289,14 @@ class _RunMaxima:
 
     def events(self, top: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Events at heights <= ``top`` sorted by height: (heights, weights,
-        owning replication), with each replication's folded weight as one
-        event at the floor.  Stored records above ``top`` are dropped."""
-        heights = np.concatenate(self.heights)
-        keep = heights <= top
-        self.heights = [heights[keep]]
-        self.weights = [np.concatenate(self.weights)[keep]]
-        self.owners = [np.concatenate(self.owners)[keep]]
+        owning replication)."""
         tails = np.flatnonzero(self.peak <= top)
-        heights = np.concatenate([
-            self.heights[0], self.peak[tails], np.full(self.reps, self.floor)
-        ])
-        weights = np.concatenate([
-            self.weights[0], self.horizon[tails] - self.last[tails], self.base
-        ], dtype=np.int32)
-        owners = np.concatenate(
-            [self.owners[0], tails, np.arange(self.reps)], dtype=np.int32
-        )
-        order = np.argsort(heights)
+        heights = np.concatenate([*self.heights, self.peak[tails]])
+        weights = np.concatenate([*self.weights, self.horizon[tails] - self.last[tails]],
+                                 dtype=np.int32)
+        owners = np.concatenate([*self.owners, tails], dtype=np.int32)
+        keep = np.flatnonzero(heights <= top)
+        order = keep[np.argsort(heights[keep])]
         return heights[order], weights[order], owners[order]
 
 
@@ -368,7 +347,7 @@ def calibrate_c(
     cap = min(RUN_LENGTH_CAP, max(10_000, int(100 * target_arl)))
     goal = target_arl * reps
 
-    runs = _RunMaxima(lam, phi, reps, seed, lo)
+    runs = _RunMaxima(lam, phi, reps, seed)
     rows = np.arange(reps)
     limit = min(_FIRST_HORIZON, cap)
     bound = stop = guess = hi

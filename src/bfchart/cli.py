@@ -141,13 +141,13 @@ def _parse_rows(path: str, reader, width: int, skip_t: int) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def write_data(path: str, data: np.ndarray, names: list[str] | None = None) -> None:
-    """Write a CSV data file with a ``t`` column and 17-significant-digit floats."""
+def write_data(path: str, data: np.ndarray) -> None:
+    """Write a CSV data file with a ``t`` column and columns ``y1``, ``y2``, ...
+    of 17-significant-digit floats."""
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
         data = data[:, None]
-    if names is None:
-        names = [f"y{i + 1}" for i in range(data.shape[1])]
+    names = [f"y{i + 1}" for i in range(data.shape[1])]
     pieces = [""] + [","] * data.shape[1] + ["\n"]
     columns = (np.arange(1, len(data) + 1), *data.T)
     with open(path, "w", newline="", encoding="utf-8") as fh:

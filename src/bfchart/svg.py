@@ -50,8 +50,9 @@ def render_chart_svg(
     """Return the SVG document for an EWMA series with its limits."""
     z = np.asarray(z, dtype=float)
     n = max(len(z), 2)
-    y_lo = min(float(z.min(initial=lcl)), lcl)
-    y_hi = max(float(z.max(initial=ucl)), ucl)
+    finite = z[np.isfinite(z)]
+    y_lo = float(finite.min(initial=lcl))
+    y_hi = float(finite.max(initial=ucl))
     pad = 0.08 * (y_hi - y_lo or 1.0)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -16,7 +16,7 @@ the center to the realized Phase I EWMA mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,7 +113,7 @@ class FittedModel:
     n_phase1: int
     warmup: int
     grid: tuple[GridEntry, ...]
-    phase1_z: np.ndarray = field(default_factory=lambda: np.empty(0))
+    phase1_z: np.ndarray
 
     def __post_init__(self):
         """Reject inconsistent components with SchemaMismatch.

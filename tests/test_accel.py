@@ -230,7 +230,7 @@ class TestLbfPath:
             _accel.lbf_path(y, path, target, 10)
 
     def test_matches_sequential_scorer(self):
-        from bfchart.bayesfactor import lbf
+        from bfchart.bayesfactor import lbf_terms
 
         y, path, target, start = lbf_inputs(seed=74)
         state = FilterState(
@@ -242,7 +242,7 @@ class TestLbfPath:
         )
         expected = []
         for row in y[start:]:
-            expected.append(lbf(row, state, target))
+            expected.append(lbf_terms(row, state.m, state.P, state.S, state.delta, target))
             state.step(row)
         out = _accel.lbf_path(y, path, target, start)
         np.testing.assert_allclose(out, expected, atol=1e-10)

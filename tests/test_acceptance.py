@@ -10,7 +10,7 @@ import numpy as np
 from scipy.stats import multivariate_normal, norm
 
 from bfchart import cli
-from bfchart.bayesfactor import TargetSpec, lbf
+from bfchart.bayesfactor import TargetSpec, lbf_terms
 from bfchart.chart import (
     Ar1Model,
     asymptotic_sigma_z2,
@@ -153,7 +153,8 @@ def test_criterion_06_lbf_identity_and_oracle(capsys):
         p_scale = rng.uniform(0.05, 1.5)
         state = FilterState(delta=delta, t=4, m=mu.copy(), P=p_scale,
                             sum_outer=4 * delta * v / (delta + p_scale))
-        value = lbf(rng.standard_normal(p), state, TargetSpec(mu, v))
+        value = lbf_terms(rng.standard_normal(p), state.m, state.P, state.S, state.delta,
+                          TargetSpec(mu, v))
         worst_identity = max(worst_identity, abs(value))
     worst_oracle = 0.0
     for _ in range(1000):
@@ -167,7 +168,7 @@ def test_criterion_06_lbf_identity_and_oracle(capsys):
                             sum_outer=s * 9)
         target = TargetSpec(rng.standard_normal(p), v)
         y = rng.standard_normal(p) * 3.0
-        value = lbf(y, state, target)
+        value = lbf_terms(y, state.m, state.P, state.S, state.delta, target)
         pred_cov = (state.delta + state.P) * state.S / state.delta
         expected = (
             multivariate_normal.logpdf(y, mean=state.m, cov=pred_cov)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
-from bfchart.bayesfactor import TargetSpec, lbf, lbf_series
+from bfchart.bayesfactor import TargetSpec, lbf_series, lbf_terms
 from bfchart.dwr import DwrConfig, FilterState, init
 from bfchart.exceptions import (
     CovarianceNotReady,
@@ -84,10 +84,13 @@ class TestTargetSpec:
 
 
 class TestLbf:
+    """One observation scored against a state's pre-update quantities with
+    ``lbf_terms``; the state checks are ``lbf_series``'s."""
+
     def test_hand_case(self):
         state = scalar_state(delta=0.9, p_scale=0.1, s=1.0)
         target = TargetSpec(mu=[0.0], V=[[1.0]])
-        value = lbf([1.0], state, target)
+        value = lbf_terms([1.0], state.m, state.P, state.S, state.delta, target)
         assert value == pytest.approx(0.5 * math.log(0.9) + 0.05, abs=1e-12)
         assert value == pytest.approx(-0.0026803, abs=1e-7)
 
@@ -108,7 +111,7 @@ class TestLbf:
             )
             target = TargetSpec(mu=mu, V=v)
             y = rng.standard_normal(p)
-            assert abs(lbf(y, state, target)) < 1e-10
+            assert abs(lbf_terms(y, state.m, state.P, state.S, state.delta, target)) < 1e-10
 
     def test_matches_density_ratio_oracle(self):
         rng = make_rng(3)
@@ -116,7 +119,7 @@ class TestLbf:
             p = int(rng.integers(1, 5))
             state, target = random_state_and_target(rng, p)
             y = rng.standard_normal(p) * 3.0
-            value = lbf(y, state, target)
+            value = lbf_terms(y, state.m, state.P, state.S, state.delta, target)
             expected = oracle_lbf(y, state, target)
             assert value == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
@@ -135,13 +138,14 @@ class TestLbf:
         permuted_target = TargetSpec(
             mu=target.mu[perm], V=target.V[np.ix_(perm, perm)]
         )
-        assert lbf(y[perm], permuted_state, permuted_target) == pytest.approx(
-            lbf(y, state, target), abs=1e-10
+        assert lbf_terms(y[perm], permuted_state.m, permuted_state.P, permuted_state.S,
+                         permuted_state.delta, permuted_target) == pytest.approx(
+            lbf_terms(y, state.m, state.P, state.S, state.delta, target), abs=1e-10
         )
 
     def test_refuses_cold_state(self):
         with pytest.raises(CovarianceNotReady) as err:
-            lbf([0.0], init(DwrConfig(dim=1, delta=0.9)), TargetSpec([0.0], [[1.0]]))
+            lbf_series([[0.0]], init(DwrConfig(dim=1, delta=0.9)), TargetSpec([0.0], [[1.0]]))
         assert err.value.t == 0
 
     @pytest.mark.parametrize("bad", [1e-3, np.nan])
@@ -150,12 +154,12 @@ class TestLbf:
         # would score silently
         state = scalar_state(0.9, 0.1, [[2.0, 0.5 + bad], [0.5, 1.0]], m=[0.0, 0.0])
         with pytest.raises(CovarianceNotReady, match="at t=5"):
-            lbf([0.1, 0.2], state, TargetSpec([0.0, 0.0], np.eye(2)))
+            lbf_series([[0.1, 0.2]], state, TargetSpec([0.0, 0.0], np.eye(2)))
 
     def test_rejects_observation_mismatch(self):
         state = scalar_state(0.9, 0.1, 1.0)
         with pytest.raises(DimensionMismatch):
-            lbf([0.0, 0.0], state, TargetSpec([0.0], [[1.0]]))
+            lbf_series([[0.0, 0.0]], state, TargetSpec([0.0], [[1.0]]))
 
 
 class TestLbfSeries:
@@ -181,7 +185,7 @@ class TestLbfSeries:
         expected = []
         shadow = state.copy()
         for row in data:
-            expected.append(lbf(row, shadow, target))
+            expected.append(lbf_terms(row, shadow.m, shadow.P, shadow.S, shadow.delta, target))
             shadow.step(row)
         np.testing.assert_allclose(lbf_series(data, state, target), expected)
 

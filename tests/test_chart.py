@@ -303,6 +303,18 @@ class TestCalibrateC:
         result = calibrate_c(0.05, 0.1, 370.4, reps=500, seed=7)
         assert result.simulated_steps == sum(seen) > 0
 
+    def test_events_is_a_query(self):
+        # asking for the events up to a lower height first leaves the stored
+        # records whole: the events up to a higher one are a fresh copy's
+        first, second = (chart._RunMaxima(0.1, 0.3, 200, 4) for _ in range(2))
+        for runs in (first, second):
+            runs.extend(np.arange(200), 512, 6.0)
+        first.events(1.0)
+        want = second.events(3.0)
+        assert (want[0] > 1.0).any()
+        for got, expected in zip(first.events(3.0), want):
+            np.testing.assert_array_equal(got, expected)
+
 
 def cascade_loop(x0: float, noise: np.ndarray, ar: Ar1Model, lam: float) -> np.ndarray:
     """|z_t| / sigma_z for the AR(1) x_t = phi x_{t-1} + sigma nu_t from

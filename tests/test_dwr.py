@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfchart.bayesfactor import TargetSpec, lbf
+from bfchart.bayesfactor import TargetSpec, lbf_series, lbf_terms
 from bfchart.dwr import (
     DEFAULT_PRIOR_SCALE,
     DwrConfig,
@@ -99,7 +99,8 @@ class TestForecastErrorDensity:
         )
         # variance 1 / 0.9 against a N(0, 1) target: at y = 1 the log ratio
         # is log(0.9) / 2 - 0.9 / 2 + 1 / 2
-        value = lbf([1.0], state, TargetSpec([0.0], [[1.0]]))
+        value = lbf_terms([1.0], state.m, state.P, state.S, state.delta,
+                          TargetSpec([0.0], [[1.0]]))
         assert value == pytest.approx(0.5 * math.log(0.9) + 0.05, abs=1e-12)
 
     def test_steady_state_closed_form(self):
@@ -111,18 +112,19 @@ class TestForecastErrorDensity:
         # the density equals a N(0, (1 + P) Sigma) target, so every y scores 0
         target = TargetSpec(np.zeros(2), (1.0 + p_lim) * sigma)
         for y in ([0.0, 0.0], [1.5, -2.0], [-3.0, 4.0]):
-            assert lbf(y, state, target) == pytest.approx(0.0, abs=1e-12)
+            value = lbf_terms(y, state.m, state.P, state.S, state.delta, target)
+            assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_refuses_before_first_observation(self):
         with pytest.raises(CovarianceNotReady):
-            lbf([0.0, 0.0], init(DwrConfig(dim=2, delta=0.9)),
-                TargetSpec(np.zeros(2), np.eye(2)))
+            lbf_series([[0.0, 0.0]], init(DwrConfig(dim=2, delta=0.9)),
+                       TargetSpec(np.zeros(2), np.eye(2)))
 
     def test_refuses_singular_estimate(self):
         state = init(DwrConfig(dim=2, delta=0.9))
         state.step([0.0, 0.0])  # zero error leaves the estimate all zero
         with pytest.raises(CovarianceNotReady):
-            lbf([0.0, 0.0], state, TargetSpec(np.zeros(2), np.eye(2)))
+            lbf_series([[0.0, 0.0]], state, TargetSpec(np.zeros(2), np.eye(2)))
 
 
 class TestSteadyStateScale:

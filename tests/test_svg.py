@@ -26,10 +26,12 @@ def scale_one(value, lo, hi, out_lo, out_hi):
 
 
 def pixel_scales(z, ucl, lcl, w=900, h=420, margin=50):
-    """The per-point x and y pixel formulas of a chart of ``z``."""
+    """The per-point x and y pixel formulas of a chart of ``z``; the y range
+    spans the limits and the finite points."""
     n = max(len(z), 2)
-    y_lo = min(float(z.min(initial=lcl)), lcl)
-    y_hi = max(float(z.max(initial=ucl)), ucl)
+    finite = [v for v in np.asarray(z, dtype=float).tolist() if math.isfinite(v)]
+    y_lo = min([lcl, *finite])
+    y_hi = max([ucl, *finite])
     pad = 0.08 * (y_hi - y_lo or 1.0)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
@@ -184,6 +186,17 @@ def test_every_point_out_of_limits_and_non_finite_tail():
     z[-5:] = np.nan
     z[n // 2] = np.inf
     assert_draws_m4(render_chart_svg(z, 0.0, 1.0, -1.0), z, 0.0, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_point_leaves_the_scale_to_the_finite_ones(bad):
+    z = np.r_[np.linspace(-2.0, 2.0, 10), bad]
+    document = render_chart_svg(z, 0.0, 1.0, -1.0)
+    assert document == reference_svg(z, 0.0, 1.0, -1.0)
+    # the center and limit lines sit where they sit without the point
+    lines = [line for line in document.split("\n") if line.startswith("<line")]
+    assert lines == [line for line in render_chart_svg(z[:-1], 0.0, 1.0, -1.0).split("\n")
+                     if line.startswith("<line")]
 
 
 def test_ties_keep_the_earliest_point():
