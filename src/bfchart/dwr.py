@@ -122,15 +122,25 @@ def steady_state_scale(delta: float) -> float:
 
 
 def scale_sequence(delta: float, p0: float = DEFAULT_PRIOR_SCALE, n: int = 200) -> np.ndarray:
-    """The data-free trajectory P_1..P_n of the scale recursion from P_0 = p0."""
+    """The data-free trajectory P_1..P_n of the scale recursion from P_0 = p0.
+
+    Once P_t equals P_{t-2}, the sequence repeats with period 1 or 2 (the
+    limit, or a two-cycle one ulp wide), so the rest is filled in without
+    running the recursion.
+    """
     delta = _check_delta(delta)
     if p0 <= 0.0:
         raise InvalidConfig(f"prior scale must be > 0, got {p0}")
     out = np.empty(n)
-    scale = float(p0)
+    older, old = math.nan, float(p0)
     for t in range(n):
-        scale = 1.0 / (delta + scale)
+        scale = 1.0 / (delta + old)
         out[t] = scale
+        if scale == older:
+            out[t + 1::2] = old
+            out[t + 2::2] = scale
+            break
+        older, old = old, scale
     return out
 
 

@@ -15,7 +15,10 @@ the center to the realized Phase I EWMA mean.
 
 from __future__ import annotations
 
+import collections
+import contextvars
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +60,11 @@ MIN_PHASE1 = 30
 
 #: consecutive same-side EWMA points that trigger a concentration warning
 RUN_WARNING = 8
+
+#: input size n * p * p from which Phase I scores its discount factor
+#: candidates on threads; below it the threads' contention for the GIL costs
+#: more than overlapping their batched eigh saves (BENCH_grid_threads.json)
+_THREADED_GRID_ENTRIES = 16000
 
 
 def _require_finite(y: np.ndarray) -> None:
@@ -332,8 +340,15 @@ def phase1(
     """Fit, diagnose and calibrate on historical data; returns the frozen model.
 
     For each discount factor candidate the filter is run over the data and
-    the candidate minimizing the mean |MSSE - 1| across coordinates wins.
+    the candidate minimizing the mean |MSSE - 1| across coordinates wins; a
+    repeated candidate raises InvalidConfig.  From ``_THREADED_GRID_ENTRIES``
+    values of n * p * p the candidates are scored on up to min(CPUs,
+    candidates) threads; the model does not depend on the thread count.
     """
+    deltas = tuple(map(float, deltas))
+    for i, delta in enumerate(deltas):
+        if delta in deltas[:i]:
+            raise InvalidConfig(f"discount factor {delta} is repeated in the grid")
     y = np.asarray(data, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
@@ -361,22 +376,33 @@ def phase1(
         # a differenced series is monitored for its dispersion only
         target = TargetSpec(mu=np.zeros(p), V=target.V)
 
+    def score(delta):
+        """The grid entry, filter path and warm-up of one candidate; None when
+        its covariance estimate does not turn positive definite in time."""
+        path = run_filter(DwrConfig(dim=p, delta=delta), y)
+        w = path.warmup
+        if w is None or n - w < 10:
+            return None
+        # the first scored points right after S turns positive definite
+        # are numerically wild; give the estimate a short settling period
+        w = max(w, 10)
+        scale = delta + path.p_pre[w:, None, None]
+        report = fit_report(path.errors[w:], scale * path.s_pre[w:] / delta, y[w:])
+        return GridEntry(delta, report), path, w
+
+    workers = min(len(deltas), _usable_cpus()) if n * p * p >= _THREADED_GRID_ENTRIES else 1
     # every candidate's report is kept, and only the best path so far
     grid, best = [], None
-    for delta in map(float, deltas):
-        config = DwrConfig(dim=p, delta=delta)
-        path = run_filter(config, y)
-        w = path.warmup
-        if w is not None and n - w >= 10:
-            # the first scored points right after S turns positive definite
-            # are numerically wild; give the estimate a short settling period
-            w = max(w, 10)
-            scale = delta + path.p_pre[w:, None, None]
-            report = fit_report(path.errors[w:], scale * path.s_pre[w:] / delta, y[w:])
-            grid.append(GridEntry(delta, report))
-            if best is None or (report.msse_score, delta) < best[0]:
-                best = (report.msse_score, delta), path, w
-        del path
+    for scored in map(score, deltas) if workers < 2 else _threaded_map(score, deltas, workers):
+        if scored is not None:
+            entry, path, w = scored
+            grid.append(entry)
+            key = (entry.report.msse_score, entry.delta)
+            if best is None or key < best[0]:
+                best = key, path, w
+            del path
+        # drop this candidate's path before the next one is scored
+        del scored
     if best is None:
         raise DegenerateFit(
             "no discount factor candidate produced a positive definite "
@@ -422,6 +448,34 @@ def phase1(
         grid=tuple(sorted(grid, key=lambda entry: entry.delta)),
         phase1_z=phase1_z,
     )
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _threaded_map(func, items, workers: int):
+    """Yield func(item) for each item in order, computed on ``workers`` threads.
+
+    At most ``workers`` calls run ahead of the consumer, so no more results
+    are held than that.  Each call runs in a copy of the caller's context,
+    where numpy 2 keeps ``np.errstate``.  The first call to fail in order
+    raises its error, after the threads have stopped.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        pending = collections.deque()
+        for item in items:
+            pending.append(pool.submit(contextvars.copy_context().run, func, item))
+            if len(pending) == workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def phase2(model: FittedModel, data, tracking: bool = False) -> MonitorResult:

@@ -555,6 +555,31 @@ class TestFitCommand:
         assert code == cli.EXIT_OK
         assert again.read_bytes() == model_path.read_bytes()
 
+    def test_refuses_a_repeated_candidate(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_stream(data, 60, seed=82)
+        out = tmp_path / "m.json"
+        code = cli.main(["fit", str(data), "--out", str(out), "--estimate-target",
+                         "--delta-grid", "0.5,0.5", "--reps", "200"])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err == "error: discount factor 0.5 is repeated in the grid\n"
+        assert not out.exists()
+
+    def test_threads_do_not_change_the_output(self, tmp_path, capsys, monkeypatch):
+        # an input above the size from which candidates are scored on threads
+        data = tmp_path / "d.csv"
+        write_stream(data, -(-cli.workflow._THREADED_GRID_ENTRIES // 4), seed=87)
+        outputs = []
+        for count in (1, 2):
+            monkeypatch.setattr(cli.workflow, "_usable_cpus", lambda: count)
+            out = tmp_path / f"m{count}.json"
+            code = cli.main(["fit", str(data), "--out", str(out), "--estimate-target",
+                             "--reps", "200", "--seed", "3"])
+            assert code == cli.EXIT_OK
+            text = capsys.readouterr().out.replace(str(out), "MODEL")
+            outputs.append((out.read_bytes(), text))
+        assert outputs[0] == outputs[1]
+
     def test_target_file_input(self, tmp_path):
         data = tmp_path / "d.csv"
         write_stream(data, 120, seed=83)

@@ -164,6 +164,19 @@ class TestScaleSequence:
         with pytest.raises(InvalidConfig):
             scale_sequence(0.5, p0=-1.0)
 
+    @pytest.mark.parametrize("delta", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 0.37])
+    @pytest.mark.parametrize("p0", [1e-3, 1.0, 100.0])
+    def test_repeating_tail_is_the_recursion(self, delta, p0):
+        # the sequence stops early once it repeats; every value is the loop's
+        n = 10**5
+        full = np.empty(n)
+        scale = p0
+        for t in range(n):
+            scale = 1.0 / (delta + scale)
+            full[t] = scale
+        for size in (0, 1, 2, 3, 4, 5, 50, 361, 362, 999, n):
+            assert scale_sequence(delta, p0, size).tobytes() == full[:size].tobytes()
+
 
 class TestRunFilter:
     def _oracle(self, config, data):

@@ -1,5 +1,7 @@
 """Two-phase workflow: fitting, serialization, frozen monitoring."""
 
+import threading
+import time
 import warnings
 import weakref
 from dataclasses import replace
@@ -225,6 +227,121 @@ class TestPhase1(object):
         assert model.recenter
         centered = model.phase1_z - model.chart.mu_z
         assert abs(float(centered.mean())) < 1e-10
+
+
+def test_refuses_a_repeated_candidate():
+    data = make_rng(3).standard_normal((100, 2))
+    with pytest.raises(InvalidConfig, match="discount factor 0.5 is repeated"):
+        phase1(data, deltas=(0.3, 0.5, 0.4, 0.5), calib_reps=200)
+
+
+@pytest.fixture(scope="module")
+def large():
+    """A local-level history just large enough for threaded scoring."""
+    n = -(-workflow._THREADED_GRID_ENTRIES // 4)
+    return gen_local_level(DwrConfig(dim=2, delta=0.3), SIGMA, n, make_rng(62))
+
+
+def cpus(monkeypatch, count):
+    monkeypatch.setattr(workflow, "_usable_cpus", lambda: count)
+
+
+@pytest.fixture
+def filter_threads(monkeypatch):
+    """The thread of each run_filter call phase1 makes."""
+    threads = []
+
+    def recorded(config, y):
+        threads.append(threading.current_thread())
+        return run_filter(config, y)
+
+    monkeypatch.setattr(workflow, "run_filter", recorded)
+    return threads
+
+
+class TestThreadedGrid:
+    """Above the gate the candidates are scored on min(CPUs, candidates)
+    threads, with the same results as one thread."""
+
+    def test_threads_do_not_change_the_model(self, monkeypatch, large, filter_threads):
+        models = {}
+        for count in (1, 2):
+            cpus(monkeypatch, count)
+            filter_threads.clear()
+            models[count] = phase1(large, calib_reps=200).to_dict()
+            on_main = [t is threading.main_thread() for t in filter_threads]
+            assert len(on_main) == len(DELTA_GRID)
+            assert all(on_main) if count == 1 else not any(on_main)
+        assert models[1] == models[2]
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_raises_the_first_failure_in_grid_order(self, monkeypatch, large, count):
+        # the later candidate fails first; its error must not win
+        def failing(config, y):
+            if config.delta == 0.3:
+                time.sleep(0.05)
+                raise DegenerateFit("candidate 0.3 failed")
+            if config.delta == 0.4:
+                raise NotPositiveDefinite("candidate 0.4 failed")
+            return run_filter(config, y)
+
+        cpus(monkeypatch, count)
+        monkeypatch.setattr(workflow, "run_filter", failing)
+        before = threading.active_count()
+        with pytest.raises(DegenerateFit, match="candidate 0.3 failed"):
+            phase1(large, calib_reps=200)
+        assert threading.active_count() == before
+
+    def test_threads_end_with_phase1(self, monkeypatch, large):
+        cpus(monkeypatch, 2)
+        before = threading.active_count()
+        phase1(large, calib_reps=200, deltas=(0.5, 0.9))
+        assert threading.active_count() == before
+
+    def test_workers_see_the_callers_errstate(self, monkeypatch, large):
+        seen = []
+
+        def recorded(config, y):
+            seen.append(np.geterr())
+            return run_filter(config, y)
+
+        cpus(monkeypatch, 2)
+        monkeypatch.setattr(workflow, "run_filter", recorded)
+        with np.errstate(all="ignore"):
+            want = np.geterr()
+            phase1(large, calib_reps=200)
+        assert want != np.geterr() and seen == [want] * len(DELTA_GRID)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_holds_at_most_one_filter_path_per_worker(self, monkeypatch, large, count):
+        # the best path so far and one per other worker; the rest are freed.
+        # Here the best is in the middle of the grid, so a path kept past its
+        # scoring shows.
+        paths, most = [], []
+
+        def counted(config, y):
+            most.append(sum(ref() is not None for ref in paths))
+            path = run_filter(config, y)
+            paths.append(weakref.ref(path))
+            return path
+
+        cpus(monkeypatch, count)
+        monkeypatch.setattr(workflow, "run_filter", counted)
+        model = phase1(large, calib_reps=200)
+        assert DELTA_GRID[0] < model.delta < DELTA_GRID[-1]
+        assert len(most) == len(DELTA_GRID) and max(most) <= count
+
+    def test_one_candidate_runs_inline(self, monkeypatch, large, filter_threads):
+        cpus(monkeypatch, 2)
+        phase1(large, calib_reps=200, deltas=(0.9,))
+        assert filter_threads == [threading.main_thread()]
+
+    def test_counts_the_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(workflow.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(workflow.os, "cpu_count", lambda: None)
+        assert workflow._usable_cpus() == 1
+        monkeypatch.setattr(workflow.os, "cpu_count", lambda: 3)
+        assert workflow._usable_cpus() == 3
 
 
 class TestSerialization:
