@@ -229,9 +229,10 @@ def float_cells(x: np.ndarray, reference: Callable[[float], str] = repr) -> np.n
     x = np.ascontiguousarray(x, dtype=float)
     a = np.abs(x)
     significand = x.view(np.uint64) & np.uint64(2**52 - 1)
-    ok = (a >= _FLOAT_LO) & (a < _FLOAT_HI) & (significand != 0)
-    rows = slice(None) if ok.all() else np.flatnonzero(ok)
-    best, ndig, e10, undecided = _shortest(a[rows])
+    # a value out of range (NaN too) is scored as 1.5, in range, and left undecided
+    out = ~((a >= _FLOAT_LO) & (a < _FLOAT_HI) & (significand != 0))
+    best, ndig, e10, undecided = _shortest(np.where(out, 1.5, a))
+    undecided |= out
 
     src = np.empty((len(best), _SRC_WORDS), np.uint32)
     src[:, 0] = _HEAD_WORD
@@ -243,15 +244,11 @@ def float_cells(x: np.ndarray, reference: Callable[[float], str] = repr) -> np.n
         e10 + 4,
         20 + 2 * (np.abs(e10) >= 100) + (e10 < 0),
     )
-    layout = (np.signbit(x[rows]) * _FORMS + form) * 17 + ndig - 1
+    layout = (np.signbit(x) * _FORMS + form) * 17 + ndig - 1
     width = int(_LAYOUT_WIDTHS[layout].max(initial=1))
     index = _LAYOUTS[:, :width][layout] + np.arange(0, 4 * _SRC_WORDS * len(best), 4 * _SRC_WORDS)[:, None]
     text = np.take(src.view(np.uint8), index)
     fallback = np.flatnonzero(undecided)
-    if isinstance(rows, np.ndarray):
-        decided, text = text, np.zeros((len(x), width), np.uint8)
-        text[rows] = decided
-        fallback = np.union1d(np.flatnonzero(~ok), rows[fallback])
     return _spliced(text, fallback, x[fallback], reference)
 
 

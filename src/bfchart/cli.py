@@ -15,9 +15,11 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 
@@ -54,27 +56,26 @@ class ParseError(BfchartError):
 def read_data(path: str) -> tuple[list[str], np.ndarray]:
     """Read a CSV data file; returns (column names, n x p array).
 
-    A leading ``t`` column is accepted and dropped, and so is a UTF-8 byte
-    order mark.  Raises ParseError with row/column location for malformed
-    cells.
+    The file's bytes are read once; the header, the one-call parse and the
+    cell loop each read them as UTF-8 text.  A leading ``t`` column is
+    accepted and dropped, and so is a UTF-8 byte order mark.  Raises
+    ParseError with row/column location for malformed cells.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(f"{path}: empty file") from None
-            header = [h.strip() for h in header]
-            skip_t = 1 if header and header[0] == "t" else 0
-            names = header[skip_t:]
-            if not names:
-                raise ParseError(f"{path}: no data columns in header")
-            data = _load_body(path, fh, len(header), skip_t)
-            if data is None:
-                fh.seek(0)
-                next(reader)
-                data = _parse_rows(path, reader, len(header), skip_t)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        reader = csv.reader(_text(raw))
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        skip_t = 1 if header and header[0] == "t" else 0
+        names = header[skip_t:]
+        if not names:
+            raise ParseError(f"{path}: no data columns in header")
+        data = _load_body(raw, len(header), skip_t)
+        if data is None:
+            data = _parse_rows(path, reader, len(header), skip_t)
     except OSError as err:
         raise ParseError(f"{path}: {err.strerror or err}") from err
     except UnicodeDecodeError as err:
@@ -84,26 +85,32 @@ def read_data(path: str) -> tuple[list[str], np.ndarray]:
     return names, data
 
 
+def _text(raw: bytes) -> io.TextIOWrapper:
+    """The UTF-8 text of ``raw``, decoded a chunk at a time as it is read
+    (an ``io.StringIO`` of it all would take four bytes a character)."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+
+
 #: ASCII separators that np.loadtxt skips as blanks but float() refuses
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _load_body(path: str, fh, width: int, skip_t: int) -> np.ndarray | None:
-    """The rows after the header in one ``np.loadtxt`` call.
+def _load_body(raw: bytes, width: int, skip_t: int) -> np.ndarray | None:
+    """The rows after the header line in one ``np.loadtxt`` call.
 
     Returns None wherever the result could differ from ``_parse_rows``:
-    loadtxt refuses the input, finds no rows, a width other than the
-    header's or a non-finite value, or the file holds a character it reads
-    as a blank where float() does not.  The caller then runs the loop.
+    loadtxt refuses the input (a byte that is not UTF-8 too), finds no
+    rows, a width other than the header's or a non-finite value, or the
+    file holds a character it reads as a blank where float() does not.  The
+    caller then runs the loop.  loadtxt skips one line; a header record on
+    more lines leaves a line with a quote, which loadtxt refuses.
     """
-    with open(path, "rb") as raw:
-        text = raw.read()
-    if any(sep in text for sep in _SEPARATORS):
+    if any(sep in raw for sep in _SEPARATORS):
         return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a header-only file
-            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            rows = np.loadtxt(_text(raw), delimiter=",", comments=None, skiprows=1, ndmin=2)
     except ValueError:
         return None
     if rows.shape[0] == 0 or rows.shape[1] != width:
@@ -247,6 +254,8 @@ def cmd_fit(args) -> int:
             file=sys.stderr,
         )
         return EXIT_PARSE
+    if args.target_file is not None and args.estimate_target:
+        raise ParseError("fit takes --target-file or --estimate-target, not both")
     names, data = read_data(args.data)
     target = read_target(args.target_file) if args.target_file else None
     model = workflow.phase1(
@@ -314,14 +323,7 @@ def cmd_monitor(args) -> int:
             "source_rows": int(data.shape[0]),
             "tracking": args.tracking,
         },
-        "chart": {
-            "lam": model.chart.lam,
-            "c": model.chart.c,
-            "mu_z": model.chart.mu_z,
-            "sigma_z": model.chart.sigma_z,
-            "ucl": model.chart.ucl,
-            "lcl": model.chart.lcl,
-        },
+        "chart": {**asdict(model.chart), "ucl": model.chart.ucl, "lcl": model.chart.lcl},
         "points": _Rows({
             "t": np.arange(len(result.lbf)),
             "x": result.x,
@@ -364,16 +366,16 @@ def cmd_calibrate(args) -> int:
     if args.grid_lambda or args.grid_phi:
         lams = _parse_grid(args.grid_lambda or str(args.lam))
         phis = _parse_grid(args.grid_phi or str(args.phi))
-        lines = ["lambda,phi,c,arl,arl_se"]
+        rows = []
         for lam in lams:
             for phi in phis:
                 res = chart.calibrate_c(
                     lam, phi, args.arl, reps=args.reps, seed=args.seed
                 )
-                lines.append(
-                    f"{lam!r},{phi!r},{res.c!r},{res.arl!r},{res.arl_se!r}"
-                )
-        body = "\n".join(lines) + "\n"
+                rows.append((lam, phi, res.c, res.arl, res.arl_se))
+        pieces = [""] + [","] * 4 + ["\n"]
+        body = "lambda,phi,c,arl,arl_se\n" + "".join(
+            format_rows(pieces, "", np.array(rows).T, repr))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(body)
@@ -410,14 +412,10 @@ def cmd_simulate(args) -> int:
         summary = ["scenario,n,warmup,delta,mean,skewness"]
         for name, values in study.items():
             counts, edges = np.histogram(values, bins=40)
-            lines = ["bin_left,bin_right,count"]
-            lines += [
-                f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(counts[i])}"
-                for i in range(len(counts))
-            ]
-            hist_path = f"{out_dir}/lbf_hist_{name}.csv"
-            with open(hist_path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
+            with open(f"{out_dir}/lbf_hist_{name}.csv", "w", encoding="utf-8") as fh:
+                fh.write("bin_left,bin_right,count\n")
+                columns = (edges[:-1], edges[1:], counts)
+                fh.writelines(format_rows(["", ",", ",", "\n"], "", columns, repr))
             summary.append(
                 f"{name},{len(values)},{args.warmup},{float(args.delta)!r},"
                 f"{float(values.mean())!r},{float(skewness(values))!r}"

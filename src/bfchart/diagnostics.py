@@ -22,13 +22,19 @@ class FitReport:
     """Per-coordinate adequacy statistics over n scored observations.
 
     ``mape`` entries are NaN for coordinates where the statistic is not
-    meaningful (non-positive observations).
+    meaningful (non-positive observations).  The arrays are read-only copies.
     """
 
     msse: np.ndarray
     mae: np.ndarray
     mape: np.ndarray
     n: int
+
+    def __post_init__(self):
+        for name in ("msse", "mae", "mape"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def msse_score(self) -> float:

@@ -19,7 +19,7 @@ import collections
 import contextvars
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -147,7 +147,11 @@ class FittedModel:
             raise SchemaMismatch("model has non-finite values")
         if not 0.0 < self.delta <= 1.0:
             raise SchemaMismatch(f"discount factor {self.delta} is not in (0, 1]")
-        if not any(g.delta == self.delta for g in self.grid):
+        deltas = [g.delta for g in self.grid]
+        for i, delta in enumerate(deltas):
+            if delta in deltas[:i]:
+                raise SchemaMismatch(f"the grid repeats delta {delta}")
+        if self.delta not in deltas:
             raise SchemaMismatch(f"the grid has no entry at delta {self.delta}")
         if self.n_phase1 < 1:
             raise SchemaMismatch(f"n_phase1 must be >= 1, got {self.n_phase1}")
@@ -174,7 +178,6 @@ class FittedModel:
         return next(g.report for g in self.grid if g.delta == self.delta)
 
     def to_dict(self) -> dict:
-        p = self.m_opt.shape[0]
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "bfchart-model",
@@ -187,22 +190,10 @@ class FittedModel:
             "warmup": self.warmup,
             "prior_scale": dwr.DEFAULT_PRIOR_SCALE,
             "m_opt": self.m_opt.tolist(),
-            "s_opt": {"dim": p, "data": self.s_opt.reshape(-1).tolist()},
-            "target": {
-                "mu": self.target.mu.tolist(),
-                "v": {"dim": p, "data": self.target.V.reshape(-1).tolist()},
-            },
-            "ar": {
-                "intercept": self.ar.intercept,
-                "phi": self.ar.phi,
-                "sigma2": self.ar.sigma2,
-            },
-            "chart": {
-                "lam": self.chart.lam,
-                "c": self.chart.c,
-                "mu_z": self.chart.mu_z,
-                "sigma_z": self.chart.sigma_z,
-            },
+            "s_opt": _mat_doc(self.s_opt),
+            "target": target_to_dict(self.target),
+            "ar": asdict(self.ar),
+            "chart": asdict(self.chart),
             "fit": _report_dict(self.fit),
             "grid": [
                 {"delta": g.delta, **_report_dict(g.report)} for g in self.grid
@@ -220,16 +211,13 @@ class FittedModel:
                 f"unsupported schema version {doc.get('schema_version')!r}"
             )
         try:
-            target = target_from_dict(doc["target"])
-            ar = Ar1Model(**doc["ar"])
-            chart = ChartConfig(**doc["chart"])
             model = FittedModel(
                 delta=float(doc["delta"]),
-                m_opt=np.array(doc["m_opt"], dtype=float),
+                m_opt=doc["m_opt"],
                 s_opt=_mat_from(doc["s_opt"]),
-                target=target,
-                ar=ar,
-                chart=chart,
+                target=target_from_dict(doc["target"]),
+                ar=Ar1Model(**doc["ar"]),
+                chart=ChartConfig(**doc["chart"]),
                 recenter=_json_value(doc, "recenter", bool),
                 difference=_json_value(doc, "difference", bool),
                 n_phase1=_json_value(doc, "n_phase1", int),
@@ -237,7 +225,7 @@ class FittedModel:
                 grid=tuple(
                     GridEntry(float(g["delta"]), _report_from(g)) for g in doc["grid"]
                 ),
-                phase1_z=np.array(doc["phase1_z"], dtype=float),
+                phase1_z=doc["phase1_z"],
             )
             prior_scale = float(doc["prior_scale"])
             p_star = float(doc["p_star"])
@@ -274,6 +262,11 @@ def target_from_dict(doc: dict) -> TargetSpec:
     return TargetSpec(mu=np.array(doc["mu"], dtype=float), V=_mat_from(doc["v"]))
 
 
+def target_to_dict(target: TargetSpec) -> dict:
+    """The document ``target_from_dict`` reads ``target`` from."""
+    return {"mu": target.mu.tolist(), "v": _mat_doc(target.V)}
+
+
 def _json_value(doc: dict, key: str, kind: type):
     """doc[key], which must be of type ``kind`` exactly: a bool is no int here."""
     if type(doc[key]) is not kind:
@@ -292,13 +285,16 @@ def _report_dict(report: FitReport) -> dict:
 
 def _report_from(doc: dict) -> FitReport:
     return FitReport(
-        msse=np.array(doc["msse"], dtype=float),
-        mae=np.array(doc["mae"], dtype=float),
-        mape=np.array(
-            [math.nan if v is None else float(v) for v in doc["mape"]], dtype=float
-        ),
+        msse=doc["msse"],
+        mae=doc["mae"],
+        mape=[math.nan if v is None else float(v) for v in doc["mape"]],
         n=int(doc["n"]),
     )
+
+
+def _mat_doc(a: np.ndarray) -> dict:
+    """The document ``_mat_from`` reads a square matrix from."""
+    return {"dim": a.shape[0], "data": a.reshape(-1).tolist()}
 
 
 def _mat_from(doc: dict) -> np.ndarray:

@@ -262,6 +262,33 @@ class TestReadDataMatchesCellLoop:
         assert names == ["y1", "y2", "y3"]
         assert back.tobytes() == data.tobytes()
 
+    @pytest.mark.parametrize("one_call", [True, False], ids=["one_call", "cell_loop"])
+    def test_file_is_opened_once(self, tmp_path, monkeypatch, one_call):
+        path = tmp_path / "data.csv"
+        if one_call:
+            cli.write_data(str(path), make_rng(95).standard_normal((CHUNK_ROWS + 3, 2)))
+        else:
+            path.write_bytes(READ_CASES["quoted_cell"])
+        opened, loops = [], []
+        real_open, real_loop = open, cli._parse_rows
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == str(path):
+                opened.append(args)
+            return real_open(file, *args, **kwargs)
+
+        def counting_loop(*args):
+            loops.append(args)
+            return real_loop(*args)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        monkeypatch.setattr(cli, "_parse_rows", counting_loop)
+        names, data = cli.read_data(str(path))
+        monkeypatch.undo()
+        assert len(opened) == 1
+        assert len(loops) == (0 if one_call else 1)
+        assert same_outcome((names, data), read_data_loop(str(path)))
+
 
 #: values whose text json and repr must agree on
 EXTREME_FLOATS = [-0.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308, 0.1]
@@ -477,6 +504,20 @@ class TestSimulateCommand:
         assert summary[0] == "scenario,n,warmup,delta,mean,skewness"
         assert len(summary) == 5
 
+    def test_lbf_histograms_match_per_value_text(self, tmp_path):
+        from bfchart import simulate
+
+        code = cli.main(["simulate", "--scenario", "all", "--lbf", "-n", "120",
+                         "--warmup", "100", "--seed", "5", "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        study = simulate.scenario_lbf_study(n=120, warmup=100, delta=0.9, seed=5)
+        for name, values in study.items():
+            counts, edges = np.histogram(values, bins=40)
+            want = "bin_left,bin_right,count\n" + "".join(
+                f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(counts[i])}\n"
+                for i in range(len(counts)))
+            assert (tmp_path / f"lbf_hist_{name}.csv").read_bytes() == want.encode()
+
 
 class TestCalibrateCommand:
     def test_shewhart_point(self, capsys):
@@ -516,6 +557,19 @@ class TestCalibrateCommand:
         cli.main(["calibrate", "--lambda", "1.0", "--reps", "100", "--seed", "0"])
         assert "wide ARL standard error" in capsys.readouterr().err
 
+    def test_grid_rows_match_per_value_text(self, capsys):
+        from bfchart import chart
+
+        code = cli.main(["calibrate", "--lambda", "1.0", "--grid-lambda", "0.5,1.0",
+                         "--grid-phi", "0.0,0.3", "--reps", "1000", "--seed", "2"])
+        assert code == cli.EXIT_OK
+        want = ["lambda,phi,c,arl,arl_se"]
+        for lam in (0.5, 1.0):
+            for phi in (0.0, 0.3):
+                res = chart.calibrate_c(lam, phi, 370.4, reps=1000, seed=2)
+                want.append(f"{lam!r},{phi!r},{res.c!r},{res.arl!r},{res.arl_se!r}")
+        assert capsys.readouterr().out == "\n".join(want) + "\n"
+
     def test_grid_mode_csv(self, tmp_path):
         out = tmp_path / "grid.csv"
         code = cli.main(["calibrate", "--lambda", "1.0",
@@ -554,6 +608,23 @@ class TestFitCommand:
         ])
         assert code == cli.EXIT_OK
         assert again.read_bytes() == model_path.read_bytes()
+
+    def test_refuses_both_target_choices(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_stream(data, 60, seed=82)
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"mu": [0.0, 0.0],
+                                      "v": {"dim": 2, "data": [1.0, 0.0, 0.0, 1.0]}}))
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        code = cli.main(["fit", str(data), "--out", str(out), "--target-file", str(target),
+                         "--estimate-target", "--reps", "200"])
+        assert code == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: fit takes --target-file or --estimate-target, not both\n")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_refuses_a_repeated_candidate(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
@@ -1027,6 +1098,10 @@ def _grid_without_delta(doc):
     doc["grid"] = [g for g in doc["grid"] if g["delta"] != doc["delta"]]
 
 
+def _repeated_grid_delta(doc):
+    doc["grid"].append(dict(doc["grid"][0]))
+
+
 def _tripled_sigma_z(doc):
     doc["chart"]["sigma_z"] *= 3.0
 
@@ -1110,7 +1185,7 @@ class TestModelValidation:
         _another_prior_scale, _difference_as_text, _recenter_as_number,
         _fractional_n_phase1, _n_phase1_as_text, _warmup_as_bool, _negative_warmup,
         _huge_warmup, _warmup_at_n_phase1, _cut_phase1_z, _s_opt_dim_as_text, _fractional_target_dim,
-        _huge_s_opt_variance, _fit_off_the_grid, _grid_without_delta,
+        _huge_s_opt_variance, _fit_off_the_grid, _grid_without_delta, _repeated_grid_delta,
     ], ids=lambda f: f.__name__.strip("_"))
     def test_inconsistent_model_exits_schema(self, fit_artifacts, tmp_path, capsys,
                                              mutate, tracking):

@@ -102,6 +102,21 @@ class TestFloatText:
         data = np.random.default_rng(7).standard_normal((500, 3))
         assert_same_text(data[:, 1], cells_of, reference)
 
+    def test_values_out_of_range_go_to_the_reference(self):
+        # zero, non-finite, |x| outside [1e-6, 1e17) and powers of two, among
+        # values the kernel decides itself
+        out = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 9e-7, 1e17, 1e300, 0.25, -2.0]
+        inside = [1.5, -3.75, 12.5, 0.3]
+        values = np.array([v for pair in zip(out, inside * 3) for v in pair])
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return json.dumps(v)
+
+        assert lines(float_cells(values, counted)) == reference_lines(values, json.dumps)
+        assert np.array(calls).tobytes() == np.array(out).tobytes()
+
 
 def reference_calls(values):
     """How many values the float kernel handed to its reference."""

@@ -166,7 +166,8 @@ class TestPhase1(object):
     def test_model_arrays_are_read_only(self, fitted):
         # an in-place edit would bypass the checks the model was built with
         model, _, _ = fitted
-        for a in (model.m_opt, model.s_opt, model.phase1_z):
+        reports = [a for g in model.grid for a in (g.report.msse, g.report.mae, g.report.mape)]
+        for a in (model.m_opt, model.s_opt, model.phase1_z, *reports):
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] += 1.0
 
@@ -392,6 +393,25 @@ class TestSerialization:
         doc["s_opt"]["data"] = [1.0, 2.0, 3.0]
         with pytest.raises(SchemaMismatch):
             FittedModel.from_dict(doc)
+
+    def test_target_document_round_trip(self, fitted):
+        model, _, _ = fitted
+        doc = workflow.target_to_dict(model.target)
+        assert doc == model.to_dict()["target"]
+        back = workflow.target_from_dict(doc)
+        assert back.mu.tobytes() == model.target.mu.tobytes()
+        assert back.V.tobytes() == model.target.V.tobytes()
+
+    @pytest.mark.parametrize("which", [0, -1])
+    def test_repeated_grid_delta_rejected(self, fitted, which):
+        model, _, _ = fitted
+        doc = model.to_dict()
+        doc["grid"].insert(which, dict(doc["grid"][which]))
+        repeated = doc["grid"][which]["delta"]
+        with pytest.raises(SchemaMismatch, match=f"the grid repeats delta {repeated}"):
+            FittedModel.from_dict(doc)
+        with pytest.raises(SchemaMismatch, match=f"the grid repeats delta {repeated}"):
+            replace(model, grid=model.grid + (model.grid[which],))
 
 
 def ewma_loop(x, lam, z0):
