@@ -15,7 +15,10 @@ is a monotone step function of c; ``calibrate_c`` simulates all
 replications as one batch, extends only the runs the answer still depends
 on, and solves ARL(c) = target exactly on that step function.  Replications
 draw from one RNG stream per fixed-size block derived from (seed, block),
-so calibration is deterministic under a fixed seed.  ``estimate_arl`` is the
+so calibration is deterministic under a fixed seed.  Where the process may
+use two CPUs, each block's noise is drawn a buffer ahead on one worker
+thread, since numpy fills the buffer with the GIL released; the values, and
+so the result, are the same as drawn inline.  ``estimate_arl`` is the
 independent per-replication estimate at a fixed c, with one stream per
 (seed, replication).
 """
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
+from . import _accel, _threads
 from .exceptions import BracketFailure, InvalidConfig, NonStationary, TooShort
 from .linalg import make_rng
 
@@ -204,6 +207,46 @@ class CalibrationResult:
     simulated_steps: int
 
 
+class _NormalStream:
+    """The standard normal values of one generator, handed out in order.
+
+    Given a ``worker``, values are drawn _CHUNK_ELEMENTS at a time on it,
+    and from the first ``take`` on the next buffer is drawn while the caller
+    uses this one; at most one draw is in flight.  Without one, ``take``
+    draws its values inline.  A C-order draw of any shape is the same
+    stream as flat draws, so the values do not depend on how they are taken.
+    """
+
+    def __init__(self, rng: np.random.Generator, worker):
+        self.rng, self.worker = rng, worker
+        self.buffer = np.empty(0)
+        self.used = 0
+        self.pending = None
+
+    def prefetch(self) -> None:
+        """Start drawing the next buffer unless a draw is in flight."""
+        if self.worker is not None and self.pending is None:
+            # allocated here, so that its memory goes back to this thread's heap
+            out = np.empty(_CHUNK_ELEMENTS)
+            self.pending = self.worker.submit(self.rng.standard_normal, out=out)
+
+    def take(self, n: int) -> np.ndarray:
+        """The next ``n`` values."""
+        if self.worker is None:
+            return self.rng.standard_normal(n)
+        parts = []
+        while n > self.buffer.size - self.used:
+            if self.used < self.buffer.size:
+                parts.append(self.buffer[self.used:])
+                n -= self.buffer.size - self.used
+            self.prefetch()
+            self.buffer, self.used, self.pending = self.pending.result(), 0, None
+            self.prefetch()
+        parts.append(self.buffer[self.used:self.used + n])
+        self.used += n
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 class _RunMaxima:
     """Batched simulation of |z_t - mu_z| / sigma_z for seeded replications
     of an AR(1) with unit innovation variance.
@@ -217,18 +260,19 @@ class _RunMaxima:
     its events at heights <= c.
     """
 
-    def __init__(self, lam: float, phi: float, reps: int, seed: int):
+    def __init__(self, lam: float, phi: float, reps: int, seed: int, worker=None):
         unit = Ar1Model(0.0, phi, 1.0)
         sigma_z = math.sqrt(asymptotic_sigma_z2(lam, unit))
         # the AR(1)+EWMA cascade of the noise, in units of sigma_z
         self.coef = (lam / sigma_z, _accel.cascade(lam, phi))
-        self.rngs = [make_rng(seed, block) for block in range(-(-reps // _CALIB_BLOCK))]
+        rngs = [make_rng(seed, block) for block in range(-(-reps // _CALIB_BLOCK))]
         # the AR(1) starts from its stationary law x_{-1} and the EWMA at the
         # chart center, which is the recurrence state (lam phi x_{-1} / sigma_z, 0)
         start = np.concatenate([
             rng.standard_normal(min(_CALIB_BLOCK, reps - block * _CALIB_BLOCK))
-            for block, rng in enumerate(self.rngs)
+            for block, rng in enumerate(rngs)
         ])
+        self.streams = [_NormalStream(rng, worker) for rng in rngs]
         self.state = np.zeros((reps, 2))
         self.state[:, 0] = lam * phi * math.sqrt(unit.variance) / sigma_z * start
         self.peak = np.full(reps, -np.inf)
@@ -245,7 +289,7 @@ class _RunMaxima:
         """Simulate the ``rows`` whose running maximum does not exceed ``stop``
         until each reaches ``limit`` steps or its running maximum exceeds
         ``stop``, in chunks of at most _CHUNK_ELEMENTS values."""
-        for block, rng in enumerate(self.rngs):
+        for block, stream in enumerate(self.streams):
             lo = np.searchsorted(rows, block * _CALIB_BLOCK)
             hi = np.searchsorted(rows, (block + 1) * _CALIB_BLOCK)
             active = rows[lo:hi]
@@ -255,7 +299,11 @@ class _RunMaxima:
                     break
                 remaining = int((limit - self.horizon[active]).min())
                 steps = min(remaining, max(1, _CHUNK_ELEMENTS // active.size))
-                self._advance(active, rng.standard_normal((active.size, steps)))
+                noise = stream.take(active.size * steps).reshape(active.size, steps)
+                # the next block's first buffer is drawn while this one runs
+                if block + 1 < len(self.streams):
+                    self.streams[block + 1].prefetch()
+                self._advance(active, noise)
 
     def _deviations(self, rows: np.ndarray, noise: np.ndarray) -> np.ndarray:
         """|z - mu_z| / sigma_z of ``rows`` over the next noise.shape[1] steps."""
@@ -333,9 +381,15 @@ def calibrate_c(
     It returns the smallest record height (or the bracket's lower end) at
     which the ARL reaches the target, with the ARL and its standard error at
     that c.  ``evaluations`` counts the simulation rounds and
-    ``simulated_steps`` the noise values drawn.  Raises NonStationary for
-    |phi| >= 1, and BracketFailure when the ARL at the bracket's lower end
-    already exceeds the target or the ARL at its upper end falls short of it.
+    ``simulated_steps`` the noise values simulated.  Raises NonStationary
+    for |phi| >= 1, and BracketFailure when the ARL at the bracket's lower
+    end already exceeds the target or the ARL at its upper end falls short
+    of it.
+    When this process may use two CPUs and the first round draws at least
+    2 x _CHUNK_ELEMENTS values, one worker thread draws each block's noise
+    _CHUNK_ELEMENTS values at a time, a buffer ahead of the simulation; the
+    replications get the same noise as drawn inline, so the result does not
+    depend on the thread, which is joined before this returns or raises.
     """
     if not 1.0 < target_arl < math.inf:
         raise InvalidConfig(f"target ARL must be finite and exceed 1, got {target_arl}")
@@ -347,35 +401,37 @@ def calibrate_c(
     cap = min(RUN_LENGTH_CAP, max(10_000, int(100 * target_arl)))
     goal = target_arl * reps
 
-    runs = _RunMaxima(lam, phi, reps, seed)
-    rows = np.arange(reps)
-    limit = min(_FIRST_HORIZON, cap)
-    bound = stop = guess = hi
-    rounds = 0
-    while rows.size:
-        runs.extend(rows, limit, stop)
-        rounds += 1
-        heights, weights, owners = runs.events(bound)
-        totals = np.cumsum(weights, dtype=np.int64)
-        # totals[i] bounds reps * ARL(heights[i]) from below, counting a run
-        # with no value above heights[i] at its horizon; it is exact up to
-        # the smallest peak of a run that has not reached the cap
-        first = np.searchsorted(totals, goal)
-        reached = heights[first] if first < totals.size else math.inf
-        bound = min(max(reached, lo), hi)
-        if rounds == 1:
-            # a share exp(-limit / ARL) of geometric run lengths outlast limit
-            share = math.exp(-limit / (_GUESS_MARGIN * target_arl))
-            k = int(share * (reps - 1))
-            guess = float(np.partition(runs.peak, k)[k])
-        unfinished = runs.horizon < cap
-        rows = np.flatnonzero(unfinished & (runs.peak <= min(bound, guess)))
-        if not rows.size and guess < bound:
-            # the totals are exact up to the guess, and the answer lies above it
-            guess = hi
-            rows = np.flatnonzero(unfinished & (runs.peak <= bound))
-        stop = min(bound, guess)
-        limit = min(2 * limit, cap)
+    # a worker pays for itself once the first round draws two buffers
+    with _threads.worker(reps * _FIRST_HORIZON >= 2 * _CHUNK_ELEMENTS) as worker:
+        runs = _RunMaxima(lam, phi, reps, seed, worker)
+        rows = np.arange(reps)
+        limit = min(_FIRST_HORIZON, cap)
+        bound = stop = guess = hi
+        rounds = 0
+        while rows.size:
+            runs.extend(rows, limit, stop)
+            rounds += 1
+            heights, weights, owners = runs.events(bound)
+            totals = np.cumsum(weights, dtype=np.int64)
+            # totals[i] bounds reps * ARL(heights[i]) from below, counting a run
+            # with no value above heights[i] at its horizon; it is exact up to
+            # the smallest peak of a run that has not reached the cap
+            first = np.searchsorted(totals, goal)
+            reached = heights[first] if first < totals.size else math.inf
+            bound = min(max(reached, lo), hi)
+            if rounds == 1:
+                # a share exp(-limit / ARL) of geometric run lengths outlast limit
+                share = math.exp(-limit / (_GUESS_MARGIN * target_arl))
+                k = int(share * (reps - 1))
+                guess = float(np.partition(runs.peak, k)[k])
+            unfinished = runs.horizon < cap
+            rows = np.flatnonzero(unfinished & (runs.peak <= min(bound, guess)))
+            if not rows.size and guess < bound:
+                # the totals are exact up to the guess, and the answer lies above it
+                guess = hi
+                rows = np.flatnonzero(unfinished & (runs.peak <= bound))
+            stop = min(bound, guess)
+            limit = min(2 * limit, cap)
 
     def total_at(c: float) -> int:
         return int(totals[np.searchsorted(heights, c, side="right") - 1])

@@ -120,9 +120,11 @@ def _load_body(raw: bytes, width: int, skip_t: int) -> np.ndarray | None:
 
 
 def _parse_rows(path: str, reader, width: int, skip_t: int) -> np.ndarray:
-    """The rows after the header, one cell at a time; names the bad cell."""
+    """The rows after the header, one cell at a time; names the bad cell
+    and the line its record ends on."""
     rows = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = reader.line_num
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != width:
@@ -257,7 +259,7 @@ def cmd_fit(args) -> int:
     if args.target_file is not None and args.estimate_target:
         raise ParseError("fit takes --target-file or --estimate-target, not both")
     names, data = read_data(args.data)
-    target = read_target(args.target_file) if args.target_file else None
+    target = None if args.target_file is None else read_target(args.target_file)
     model = workflow.phase1(
         data,
         target=target,

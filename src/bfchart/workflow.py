@@ -15,15 +15,12 @@ the center to the realized Phase I EWMA mean.
 
 from __future__ import annotations
 
-import collections
-import contextvars
 import math
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import _accel, bayesfactor, dwr
+from . import _accel, _threads, bayesfactor, dwr
 from .bayesfactor import TargetSpec
 from .chart import (
     Ar1Model,
@@ -386,10 +383,13 @@ def phase1(
         report = fit_report(path.errors[w:], scale * path.s_pre[w:] / delta, y[w:])
         return GridEntry(delta, report), path, w
 
-    workers = min(len(deltas), _usable_cpus()) if n * p * p >= _THREADED_GRID_ENTRIES else 1
+    workers = 1
+    if n * p * p >= _THREADED_GRID_ENTRIES:
+        workers = min(len(deltas), _threads.usable_cpus())
+    scores = map(score, deltas) if workers < 2 else _threads.threaded_map(score, deltas, workers)
     # every candidate's report is kept, and only the best path so far
     grid, best = [], None
-    for scored in map(score, deltas) if workers < 2 else _threaded_map(score, deltas, workers):
+    for scored in scores:
         if scored is not None:
             entry, path, w = scored
             grid.append(entry)
@@ -444,34 +444,6 @@ def phase1(
         grid=tuple(sorted(grid, key=lambda entry: entry.delta)),
         phase1_z=phase1_z,
     )
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _threaded_map(func, items, workers: int):
-    """Yield func(item) for each item in order, computed on ``workers`` threads.
-
-    At most ``workers`` calls run ahead of the consumer, so no more results
-    are held than that.  Each call runs in a copy of the caller's context,
-    where numpy 2 keeps ``np.errstate``.  The first call to fail in order
-    raises its error, after the threads have stopped.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool:
-        pending = collections.deque()
-        for item in items:
-            pending.append(pool.submit(contextvars.copy_context().run, func, item))
-            if len(pending) == workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
 
 
 def phase2(model: FittedModel, data, tracking: bool = False) -> MonitorResult:

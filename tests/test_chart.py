@@ -1,12 +1,14 @@
 """Modified EWMA chart: variance formula, AR(1) fit, run lengths, calibration."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from bfchart import chart
+from bfchart import _threads, chart
 from bfchart.chart import (
     Ar1Model,
     ChartConfig,
@@ -314,6 +316,96 @@ class TestCalibrateC:
         assert (want[0] > 1.0).any()
         for got, expected in zip(first.events(3.0), want):
             np.testing.assert_array_equal(got, expected)
+
+
+class TestNoiseOnASecondCore:
+    """With two CPUs each block's noise is drawn a buffer ahead on one worker
+    thread; the replications get the same noise as drawn inline."""
+
+    @pytest.fixture(params=[1, 2], ids=["inline", "worker"])
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(_threads, "usable_cpus", lambda: request.param)
+        return request.param
+
+    @pytest.mark.parametrize("reps", [511, 512, 2500])
+    def test_blocks_consume_their_streams_in_order(self, monkeypatch, cpus, reps):
+        # 511 and 512 replications are one block and 2500 are three; the
+        # worker runs once the first round draws two buffers, from 512
+        consumed, threads = {}, set()
+        advance = chart._RunMaxima._advance
+
+        def spy(runs, rows, noise):
+            block = int(rows[0]) // chart._CALIB_BLOCK
+            assert int(rows[-1]) // chart._CALIB_BLOCK == block
+            consumed.setdefault(block, []).append(noise.ravel().copy())
+            threads.update(threading.enumerate())
+            advance(runs, rows, noise)
+
+        monkeypatch.setattr(chart._RunMaxima, "_advance", spy)
+        before = set(threading.enumerate())
+        result = calibrate_c(0.05, 0.1, 370.4, reps=reps, seed=11)
+        blocks = -(-reps // chart._CALIB_BLOCK)
+        assert sorted(consumed) == list(range(blocks))
+        total = 0
+        for block in range(blocks):
+            noise = np.concatenate(consumed[block])
+            start = min(chart._CALIB_BLOCK, reps - block * chart._CALIB_BLOCK)
+            want = make_rng(11, block).standard_normal(start + noise.size)[start:]
+            np.testing.assert_array_equal(noise, want)
+            total += noise.size
+        assert total == result.simulated_steps
+        gate = 2 * chart._CHUNK_ELEMENTS // chart._FIRST_HORIZON
+        assert (threads > before) == (cpus > 1 and reps >= gate)
+
+    @pytest.mark.parametrize("reps, want", [
+        (2500, chart.CalibrationResult(2.4609276537605136, 371.1528, 7.443185728327524,
+                                       5, 0, 1487419)),
+        (1000, chart.CalibrationResult(2.4804359785326664, 370.824, 11.01774276699541,
+                                       5, 0, 577729)),
+    ])
+    def test_results_are_pinned(self, cpus, reps, want):
+        assert calibrate_c(0.05, 0.1, 370.4, reps=reps, seed=0) == want
+
+    def test_pinned_under_fast_thread_switching(self, monkeypatch):
+        # the interpreter switches threads every microsecond, so the worker's
+        # draws interleave with the simulation as finely as they can
+        monkeypatch.setattr(_threads, "usable_cpus", lambda: 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = calibrate_c(0.05, 0.1, 370.4, reps=2500, seed=0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (result.c, result.simulated_steps) == (2.4609276537605136, 1487419)
+
+    def test_no_thread_outlives_a_call(self, cpus):
+        before = threading.enumerate()
+        calibrate_c(0.05, 0.1, 370.4, reps=2500, seed=0)
+        assert threading.enumerate() == before
+
+    def test_no_thread_outlives_a_bracket_failure(self, cpus):
+        before = threading.enumerate()
+        with pytest.raises(BracketFailure):
+            calibrate_c(1.0, 0.0, 1.1, reps=2500, seed=0)
+        assert threading.enumerate() == before
+
+    def test_no_thread_outlives_an_error_in_the_search(self, monkeypatch, cpus):
+        # an error while blocks still have draws in flight
+        calls = []
+        advance = chart._RunMaxima._advance
+
+        def failing(runs, rows, noise):
+            calls.append(threading.active_count())
+            if len(calls) == 5:
+                raise MemoryError("simulated")
+            advance(runs, rows, noise)
+
+        monkeypatch.setattr(chart._RunMaxima, "_advance", failing)
+        before = threading.enumerate()
+        with pytest.raises(MemoryError, match="simulated"):
+            calibrate_c(0.05, 0.1, 370.4, reps=2500, seed=0)
+        assert threading.enumerate() == before
+        assert max(calls) == len(before) + (cpus > 1)
 
 
 def cascade_loop(x0: float, noise: np.ndarray, ar: Ar1Model, lam: float) -> np.ndarray:

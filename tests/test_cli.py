@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bfchart
-from bfchart import cli, exceptions
+from bfchart import _threads, cli, exceptions
 from bfchart._rows import CHUNK_ROWS
 from bfchart.linalg import make_rng, sample_mvn
 
@@ -39,7 +39,8 @@ def read_data_loop(path):
             if not names:
                 raise cli.ParseError(f"{path}: no data columns in header")
             rows = []
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
+                lineno = reader.line_num
                 if not row or all(not cell.strip() for cell in row):
                     continue
                 if len(row) != len(header):
@@ -211,6 +212,7 @@ READ_CASES = {
     "info_separator": b"a,b\n1\x1c,2\n",
     "extreme_values": b"a,b\n5e-324,-0.0\n1e-400,+.5\n1e+16,1.7976931348623157e308\n",
     "bad_cell": b"t,a\n1,2.0\n2,oops\n",
+    "line_break_in_header": b'"a\nb",c\n1,x\n',
 }
 
 
@@ -234,6 +236,18 @@ class TestReadDataMatchesCellLoop:
                              "--estimate-target"])
             assert code == cli.EXIT_PARSE
             assert capsys.readouterr().err == f"error: {want}\n"
+
+    @pytest.mark.parametrize("content, line", [
+        (b'"a\nb",c\n1,x\n', 3),
+        (b'"a\r\nb",c\r\n1,2\r\n\r\n3,x\r\n', 5),
+        (b'a,b\n1,"2\n"\n3,x\n', 4),
+    ], ids=["header", "header_crlf", "record"])
+    def test_names_the_physical_line(self, tmp_path, content, line):
+        # a quoted line break makes a record span two lines of the file
+        path = tmp_path / "data.csv"
+        path.write_bytes(content)
+        assert outcome(cli.read_data, str(path)) == (
+            f"{path}:{line}: column 2: 'x' is not a number")
 
     def test_missing_file(self, tmp_path):
         path = str(tmp_path / "absent.csv")
@@ -609,6 +623,20 @@ class TestFitCommand:
         assert code == cli.EXIT_OK
         assert again.read_bytes() == model_path.read_bytes()
 
+    def test_empty_target_file_is_a_missing_file(self, tmp_path, capsys):
+        # an empty path names no file; it does not mean "estimate the target"
+        data = tmp_path / "d.csv"
+        write_stream(data, 60, seed=82)
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        code = cli.main(["fit", str(data), "--out", str(out), "--target-file", "",
+                         "--reps", "200"])
+        assert code == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == "error: : No such file or directory\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_refuses_both_target_choices(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         write_stream(data, 60, seed=82)
@@ -642,7 +670,7 @@ class TestFitCommand:
         write_stream(data, -(-cli.workflow._THREADED_GRID_ENTRIES // 4), seed=87)
         outputs = []
         for count in (1, 2):
-            monkeypatch.setattr(cli.workflow, "_usable_cpus", lambda: count)
+            monkeypatch.setattr(_threads, "usable_cpus", lambda: count)
             out = tmp_path / f"m{count}.json"
             code = cli.main(["fit", str(data), "--out", str(out), "--estimate-target",
                              "--reps", "200", "--seed", "3"])

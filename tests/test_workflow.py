@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bfchart import workflow
+from bfchart import _threads, workflow
 from bfchart.bayesfactor import TargetSpec
 from bfchart.chart import asymptotic_sigma_z2
 from bfchart.dwr import DwrConfig, steady_state_scale
@@ -244,7 +244,7 @@ def large():
 
 
 def cpus(monkeypatch, count):
-    monkeypatch.setattr(workflow, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(_threads, "usable_cpus", lambda: count)
 
 
 @pytest.fixture
@@ -338,11 +338,11 @@ class TestThreadedGrid:
         assert filter_threads == [threading.main_thread()]
 
     def test_counts_the_cpus_without_affinity(self, monkeypatch):
-        monkeypatch.delattr(workflow.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(workflow.os, "cpu_count", lambda: None)
-        assert workflow._usable_cpus() == 1
-        monkeypatch.setattr(workflow.os, "cpu_count", lambda: 3)
-        assert workflow._usable_cpus() == 3
+        monkeypatch.delattr(_threads.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(_threads.os, "cpu_count", lambda: None)
+        assert _threads.usable_cpus() == 1
+        monkeypatch.setattr(_threads.os, "cpu_count", lambda: 3)
+        assert _threads.usable_cpus() == 3
 
 
 class TestSerialization:
