@@ -29,7 +29,7 @@ from .exceptions import (
     InvalidConfig,
     NotPositiveDefinite,
 )
-from .linalg import as_spd, chol_log_det, cholesky
+from .linalg import as_rows, as_spd, chol_log_det, cholesky
 
 
 @dataclass(frozen=True)
@@ -108,16 +108,15 @@ def lbf_series(data, state: FilterState, target: TargetSpec) -> np.ndarray:
     steps.  The filter runs as one resumed ``dwr.filter_path`` call and
     the scores as one batched LBF of its pre-update quantities, so the
     state is left unchanged when a covariance is not positive definite.
+    Other than empty, ``data`` is read by ``linalg.as_rows`` at the target's dim.
     """
     arr = np.asarray(data, dtype=float)
     if arr.size == 0:
         return np.empty(0)
-    y = arr.reshape(len(arr), -1)
-    if y.shape[1] != target.dim or state.m.shape != (target.dim,):
-        raise DimensionMismatch(
-            f"observations of dim {y.shape[1]} and a state of shape "
-            f"{state.m.shape} do not match target dim {target.dim}"
-        )
+    p = target.dim
+    if state.m.shape != (p,):
+        raise DimensionMismatch(f"state of shape {state.m.shape} does not match dim {p}")
+    y = as_rows(arr, p)
     _state_cov(state)
     path = filter_path(y, state)
     out = _accel._lbf(y, path.m_pre, path.p_pre, path.s_pre, state.delta, target,

@@ -34,7 +34,7 @@ from .exceptions import (
     DegenerateFit,
     SchemaMismatch,
 )
-from .linalg import make_rng
+from .linalg import as_rows, make_rng
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -51,6 +51,12 @@ class ParseError(BfchartError):
 # ---------------------------------------------------------------------------
 # CSV and JSON I/O
 # ---------------------------------------------------------------------------
+
+
+def _os_message(err: OSError, path) -> str:
+    """``path: reason`` for a file that could not be used; ``''`` is an empty path."""
+    where = "" if path is None else f"{path!r}: " if path == "" else f"{path}: "
+    return f"{where}{err.strerror or err}"
 
 
 def read_data(path: str) -> tuple[list[str], np.ndarray]:
@@ -77,7 +83,7 @@ def read_data(path: str) -> tuple[list[str], np.ndarray]:
         if data is None:
             data = _parse_rows(path, reader, len(header), skip_t)
     except OSError as err:
-        raise ParseError(f"{path}: {err.strerror or err}") from err
+        raise ParseError(_os_message(err, path)) from err
     except UnicodeDecodeError as err:
         raise ParseError(
             f"{path}: not UTF-8 text (byte 0x{err.object[err.start]:02x})"
@@ -151,11 +157,9 @@ def _parse_rows(path: str, reader, width: int, skip_t: int) -> np.ndarray:
 
 
 def write_data(path: str, data: np.ndarray) -> None:
-    """Write a CSV data file with a ``t`` column and columns ``y1``, ``y2``, ...
-    of 17-significant-digit floats."""
-    data = np.asarray(data, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
+    """Write ``data``, read by ``linalg.as_rows``, as a CSV data file with a
+    ``t`` column and columns ``y1``, ``y2``, ... of shortest round-trip floats."""
+    data = as_rows(data)
     names = [f"y{i + 1}" for i in range(data.shape[1])]
     pieces = [""] + [","] * data.shape[1] + ["\n"]
     columns = (np.arange(1, len(data) + 1), *data.T)
@@ -216,7 +220,7 @@ def _read_json(path: str) -> tuple[object, bytes]:
             raw = fh.read()
         return json.loads(raw.decode("utf-8")), raw
     except OSError as err:
-        raise ParseError(f"{path}: {err.strerror or err}") from err
+        raise ParseError(_os_message(err, path)) from err
     except UnicodeDecodeError as err:
         bad = err.object[err.start]
         raise SchemaMismatch(f"{path}: not UTF-8 text (byte 0x{bad:02x})") from None
@@ -542,8 +546,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return next(_EXIT_CODES[cls] for cls in type(err).__mro__ if cls in _EXIT_CODES)
     except OSError as err:
-        where = "" if err.filename is None else f"{err.filename}: "
-        print(f"error: {where}{err.strerror or err}", file=sys.stderr)
+        print(f"error: {_os_message(err, err.filename)}", file=sys.stderr)
         return EXIT_PARSE
 
 

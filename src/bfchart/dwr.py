@@ -33,6 +33,7 @@ import numpy as np
 
 from ._accel import recurrence
 from .exceptions import DimensionMismatch, InvalidConfig
+from .linalg import as_rows
 
 #: prior scale of a fresh filter; small so the first observation dominates
 #: the zero prior mean
@@ -235,12 +236,6 @@ class FilterPath:
 
 
 def run_filter(config: DwrConfig, data) -> FilterPath:
-    """Run a fresh filter (see ``init``) over ``data`` (n x dim) in one pass."""
-    y = np.ascontiguousarray(data, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    if y.ndim != 2 or y.shape[1] != config.dim:
-        raise DimensionMismatch(
-            f"data of shape {y.shape} does not match dim {config.dim}"
-        )
+    """Run a fresh filter (see ``init``) over ``as_rows(data, config.dim)`` in one pass."""
+    y = np.ascontiguousarray(as_rows(data, config.dim))
     return filter_path(y, init(config))

@@ -1,21 +1,40 @@
-"""Small dense SPD-matrix kernels and reproducible multivariate normal sampling.
+"""Observation rows, small dense SPD-matrix kernels and reproducible sampling.
 
-Every covariance handled by the package is a small (p x p, p typically 2-10)
-symmetric positive definite matrix.  Log determinants and quadratic forms
-are taken from a Cholesky factor (``chol_log_det``, ``chol_sq``), never
-from an explicit inverse.  Inputs are symmetrized as m/2 + m'/2 before
-factorisation to absorb I/O rounding; asymmetry beyond an absolute 1e-10
-is rejected.
+Every library entry point reads observations through ``as_rows``, the one
+rule for them.  Every covariance handled by the package is a small (p x p,
+p typically 2-10) symmetric positive definite matrix.  Log determinants and
+quadratic forms are taken from a Cholesky factor (``chol_log_det``,
+``chol_sq``), never from an explicit inverse.  Inputs are symmetrized as
+m/2 + m'/2 before factorisation to absorb I/O rounding; asymmetry beyond an
+absolute 1e-10 is rejected.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NotPositiveDefinite
+from .exceptions import DimensionMismatch, InvalidConfig, NotPositiveDefinite
 
 #: absolute tolerance on |m - m'| before a matrix is rejected as asymmetric
 SYM_ATOL = 1e-10
+
+
+def as_rows(data, dim: int | None = None) -> np.ndarray:
+    """``data`` as float rows (n, p); a 1-D series is one column.
+
+    Raises DimensionMismatch for any other shape, or for a width other than
+    ``dim`` when it is given, and InvalidConfig naming the 0-based row and
+    column of the first NaN or infinite value.
+    """
+    a = np.asarray(data, dtype=float)
+    y = a[:, None] if a.ndim == 1 else a
+    if y.ndim != 2 or dim is not None and y.shape[1] != dim:
+        want = "p" if dim is None else dim
+        raise DimensionMismatch(f"expected rows (n, {want}), got shape {a.shape}")
+    if not np.isfinite(y).all():
+        row, col = np.argwhere(~np.isfinite(y))[0]
+        raise InvalidConfig(f"non-finite value {y[row, col]} at row {row}, column {col}")
+    return y
 
 
 def as_spd(m) -> np.ndarray:
@@ -92,7 +111,7 @@ def sym_inv_sqrt(m) -> np.ndarray:
 def sample_mvn(mean, cov, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. draws from N(mean, cov) as mean + L z, deterministic per rng."""
     if n < 1:
-        raise DimensionMismatch(f"sample count must be >= 1, got {n}")
+        raise InvalidConfig(f"sample count must be >= 1, got {n}")
     mu = np.asarray(mean, dtype=float)
     L = cholesky(cov)
     if mu.shape != (L.shape[0],):

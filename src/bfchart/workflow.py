@@ -44,7 +44,7 @@ from .exceptions import (
     SchemaMismatch,
     TooShort,
 )
-from .linalg import as_spd, cholesky
+from .linalg import as_rows, as_spd, cholesky
 
 SCHEMA_VERSION = 1
 
@@ -64,29 +64,17 @@ RUN_WARNING = 8
 _THREADED_GRID_ENTRIES = 16000
 
 
-def _require_finite(y: np.ndarray) -> None:
-    """Reject NaN or infinite observations, naming the first one (0-based)."""
-    bad = np.argwhere(~np.isfinite(y))
-    if bad.size:
-        row, col = bad[0]
-        raise InvalidConfig(f"non-finite value {y[row, col]} at row {row}, column {col}")
-
-
 def difference(data) -> np.ndarray:
-    """First-order difference along time; output is one row shorter."""
-    y = np.asarray(data, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
+    """First-order difference of ``linalg.as_rows(data)`` in time; one row shorter."""
+    y = as_rows(data)
     if y.shape[0] < 2:
         raise TooShort(f"need at least 2 observations to difference, got {y.shape[0]}")
     return np.diff(y, axis=0)
 
 
 def estimate_target(data) -> TargetSpec:
-    """Sample mean and covariance (divisor n-1) as the target density."""
-    y = np.asarray(data, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
+    """Sample mean and covariance (divisor n-1) of ``as_rows(data)`` as the target."""
+    y = as_rows(data)
     n, p = y.shape
     if n < p + 2:
         raise TooShort(f"need at least dim + 2 = {p + 2} observations, got {n}")
@@ -332,20 +320,18 @@ def phase1(
 ) -> FittedModel:
     """Fit, diagnose and calibrate on historical data; returns the frozen model.
 
-    For each discount factor candidate the filter is run over the data and
-    the candidate minimizing the mean |MSSE - 1| across coordinates wins; a
-    repeated candidate raises InvalidConfig.  From ``_THREADED_GRID_ENTRIES``
-    values of n * p * p the candidates are scored on up to min(CPUs,
-    candidates) threads; the model does not depend on the thread count.
+    ``data`` is read by ``linalg.as_rows``.  For each discount factor
+    candidate the filter is run over the data and the candidate minimizing
+    the mean |MSSE - 1| across coordinates wins; a repeated candidate raises
+    InvalidConfig.  From ``_THREADED_GRID_ENTRIES`` values of n * p * p the
+    candidates are scored on up to min(CPUs, candidates) threads; the model
+    does not depend on the thread count.
     """
     deltas = tuple(map(float, deltas))
     for i, delta in enumerate(deltas):
         if delta in deltas[:i]:
             raise InvalidConfig(f"discount factor {delta} is repeated in the grid")
-    y = np.asarray(data, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    _require_finite(y)
+    y = as_rows(data)
     if apply_difference:
         y = difference(y)
     n, p = y.shape
@@ -454,17 +440,12 @@ def phase2(model: FittedModel, data, tracking: bool = False) -> MonitorResult:
     sequential state is the EWMA.  With ``tracking`` the posterior mean and
     covariance estimate keep updating as new data arrive.  A row too extreme
     to give a finite log Bayes factor raises NonFiniteScore naming it.
+    Other than empty, ``data`` is read by ``linalg.as_rows`` at the model's dim.
     """
     y = np.asarray(data, dtype=float)
     if y.size == 0:
         return _chart_result(model, np.empty(0))
-    if y.ndim == 1:
-        y = y[:, None]
-    if y.shape[1] != model.target.dim:
-        raise DimensionMismatch(
-            f"data dim {y.shape[1]} does not match model dim {model.target.dim}"
-        )
-    _require_finite(y)
+    y = as_rows(y, model.target.dim)
     if model.difference:
         y = difference(y)
 

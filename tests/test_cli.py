@@ -633,7 +633,7 @@ class TestFitCommand:
                          "--reps", "200"])
         assert code == cli.EXIT_PARSE
         captured = capsys.readouterr()
-        assert captured.err == "error: : No such file or directory\n"
+        assert captured.err == "error: '': No such file or directory\n"
         assert captured.out == ""
         assert not out.exists()
 

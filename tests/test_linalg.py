@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bfchart.exceptions import DimensionMismatch, NotPositiveDefinite
+from bfchart.exceptions import DimensionMismatch, InvalidConfig, NotPositiveDefinite
 from bfchart.linalg import (
+    as_rows,
     as_spd,
     chol_log_det,
     chol_sq,
@@ -176,6 +177,43 @@ class TestSymInvSqrt:
         np.testing.assert_allclose(r @ as_spd(m) @ r, np.eye(3), atol=1e-7)
 
 
+class TestAsRows:
+    def test_rows_pass_through_as_float(self):
+        y = as_rows([[1, 2], [3, 4], [5, 6]], dim=2)
+        assert y.dtype == float and y.shape == (3, 2)
+        np.testing.assert_array_equal(y, [[1, 2], [3, 4], [5, 6]])
+
+    def test_float_rows_are_not_copied(self):
+        rows = np.ones((4, 3))
+        assert as_rows(rows) is rows
+
+    def test_series_is_one_column(self):
+        np.testing.assert_array_equal(as_rows([1.0, 2.0, 3.0], dim=1), [[1.0], [2.0], [3.0]])
+
+    @pytest.mark.parametrize("shape", [(), (5, 2, 1), (1, 5, 2)])
+    def test_other_shapes_are_refused(self, shape):
+        with pytest.raises(DimensionMismatch, match=rf"got shape \({', '.join(map(str, shape))}"):
+            as_rows(np.zeros(shape))
+
+    @pytest.mark.parametrize("data", [np.zeros((5, 3)), np.zeros(5)])
+    def test_width_other_than_dim_is_refused(self, data):
+        with pytest.raises(DimensionMismatch, match=r"expected rows \(n, 2\)"):
+            as_rows(data, dim=2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_first_non_finite_value_is_named(self, value):
+        y = np.zeros((6, 3))
+        y[4, 2] = value
+        y[5, 0] = np.nan
+        with pytest.raises(InvalidConfig) as err:
+            as_rows(y)
+        assert str(err.value) == f"non-finite value {value} at row 4, column 2"
+
+    def test_series_value_is_named_in_column_0(self):
+        with pytest.raises(InvalidConfig, match="at row 1, column 0$"):
+            as_rows([0.0, np.nan])
+
+
 class TestSampleMvn:
     def test_mean_within_clt_bound(self):
         n = 10**5
@@ -195,7 +233,7 @@ class TestSampleMvn:
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_non_positive_count(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidConfig):
             sample_mvn([0.0], [[1.0]], 0, make_rng(0))
 
     def test_rejects_mean_mismatch(self):
