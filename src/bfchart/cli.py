@@ -45,7 +45,8 @@ EXIT_SIGNAL = 10
 
 
 class ParseError(BfchartError):
-    """A data or argument file could not be parsed; message carries location."""
+    """A data or argument file could not be parsed, or the arguments are
+    unusable; the message carries the location or the argument."""
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +256,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 def cmd_fit(args) -> int:
     if args.target_file is None and not args.estimate_target:
-        print(
-            "fit: either --target-file or --estimate-target is required",
-            file=sys.stderr,
-        )
-        return EXIT_PARSE
+        raise ParseError("fit: either --target-file or --estimate-target is required")
     if args.target_file is not None and args.estimate_target:
         raise ParseError("fit takes --target-file or --estimate-target, not both")
     names, data = read_data(args.data)
@@ -400,8 +397,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.lbf and (args.dwr or args.scenario != "all"):
-        print("simulate: --lbf needs --scenario all and no --dwr", file=sys.stderr)
-        return EXIT_PARSE
+        raise ParseError("simulate: --lbf needs --scenario all and no --dwr")
     if args.dwr:
         config = DwrConfig(dim=args.dim, delta=args.delta)
         data = simulate.gen_local_level(
@@ -433,12 +429,8 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
     scenarios = simulate.reference_scenarios()
     if args.scenario not in scenarios:
-        print(
-            f"simulate: unknown scenario {args.scenario!r}; choose one of "
-            f"{', '.join(simulate.SCENARIO_NAMES)} or 'all' with --lbf",
-            file=sys.stderr,
-        )
-        return EXIT_PARSE
+        raise ParseError(f"simulate: unknown scenario {args.scenario!r}; choose one of "
+                         f"{', '.join(simulate.SCENARIO_NAMES)} or 'all' with --lbf")
     data = simulate.gen_iid(scenarios[args.scenario], args.n, make_rng(args.seed))
     write_data(args.out, data)
     print(f"{args.n} rows from scenario {args.scenario} written to {args.out}")

@@ -124,11 +124,8 @@ class FittedModel:
                 f"m_opt of shape {np.shape(self.m_opt)} and s_opt of shape "
                 f"{np.shape(self.s_opt)} do not match target dim {p}"
             )
-        scalars = (self.delta, self.ar.intercept, self.ar.phi, self.ar.sigma2,
-                   self.chart.lam, self.chart.c, self.chart.mu_z, self.chart.sigma_z)
-        arrays = (self.m_opt, self.s_opt, self.target.mu, self.phase1_z)
-        if not (all(math.isfinite(v) for v in scalars)
-                and all(np.all(np.isfinite(a)) for a in arrays)):
+        # Ar1Model, ChartConfig, TargetSpec and delta's range refuse the rest
+        if not all(np.isfinite(a).all() for a in (self.m_opt, self.s_opt, self.phase1_z)):
             raise SchemaMismatch("model has non-finite values")
         if not 0.0 < self.delta <= 1.0:
             raise SchemaMismatch(f"discount factor {self.delta} is not in (0, 1]")
@@ -191,30 +188,28 @@ class FittedModel:
     def from_dict(doc: dict) -> "FittedModel":
         if not isinstance(doc, dict) or doc.get("kind") != "bfchart-model":
             raise SchemaMismatch("not a bfchart model document")
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise SchemaMismatch(
-                f"unsupported schema version {doc.get('schema_version')!r}"
-            )
+        version = doc.get("schema_version")
+        if version is None or _json_value(doc, "schema_version", int) != SCHEMA_VERSION:
+            raise SchemaMismatch(f"unsupported schema version {version!r}")
         try:
             model = FittedModel(
-                delta=float(doc["delta"]),
-                m_opt=doc["m_opt"],
+                delta=_json_value(doc, "delta", float),
+                m_opt=_json_value(doc, "m_opt", list),
                 s_opt=_mat_from(doc["s_opt"]),
                 target=target_from_dict(doc["target"]),
-                ar=Ar1Model(**doc["ar"]),
-                chart=ChartConfig(**doc["chart"]),
+                ar=Ar1Model(**{k: _json_value(doc["ar"], k, float) for k in doc["ar"]}),
+                chart=ChartConfig(**{k: _json_value(doc["chart"], k, float)
+                                     for k in doc["chart"]}),
                 recenter=_json_value(doc, "recenter", bool),
                 difference=_json_value(doc, "difference", bool),
                 n_phase1=_json_value(doc, "n_phase1", int),
                 warmup=_json_value(doc, "warmup", int),
-                grid=tuple(
-                    GridEntry(float(g["delta"]), _report_from(g)) for g in doc["grid"]
-                ),
-                phase1_z=doc["phase1_z"],
+                grid=tuple(GridEntry(_json_value(g, "delta", float), _report_from(g))
+                           for g in doc["grid"]),
+                phase1_z=_json_value(doc, "phase1_z", list),
             )
-            prior_scale = float(doc["prior_scale"])
-            p_star = float(doc["p_star"])
-            lbf_offset = float(doc["lbf_offset"])
+            prior_scale, p_star, lbf_offset = (
+                _json_value(doc, key, float) for key in ("prior_scale", "p_star", "lbf_offset"))
             fit = _report_dict(_report_from(doc["fit"]))
         except (KeyError, TypeError, ValueError, OverflowError, BfchartError) as err:
             raise SchemaMismatch(f"malformed model document: {err}") from err
@@ -244,7 +239,7 @@ class FittedModel:
 
 def target_from_dict(doc: dict) -> TargetSpec:
     """The target of a ``{"mu": [...], "v": {"dim": p, "data": [...]}}`` document."""
-    return TargetSpec(mu=np.array(doc["mu"], dtype=float), V=_mat_from(doc["v"]))
+    return TargetSpec(mu=_json_value(doc, "mu", list), V=_mat_from(doc["v"]))
 
 
 def target_to_dict(target: TargetSpec) -> dict:
@@ -252,29 +247,40 @@ def target_to_dict(target: TargetSpec) -> dict:
     return {"mu": target.mu.tolist(), "v": _mat_doc(target.V)}
 
 
-def _json_value(doc: dict, key: str, kind: type):
-    """doc[key], which must be of type ``kind`` exactly: a bool is no int here."""
-    if type(doc[key]) is not kind:
-        raise SchemaMismatch(f"{key} must be a JSON {kind.__name__}, got {doc[key]!r}")
-    return doc[key]
+def _json_value(doc: dict, key: str, kind: type, nulls: bool = False):
+    """doc[key] read as ``kind``; SchemaMismatch naming ``key`` otherwise.
+
+    ``float`` takes a number, a JSON int or float but never a bool or a
+    string, and returns a float.  ``int`` and ``bool`` take that JSON type.
+    ``list`` takes a flat list of numbers and returns a float array; with
+    ``nulls`` a ``null`` entry of the list is read as NaN.
+    """
+    value = doc[key]
+    numbers = {int, float, type(None)} if nulls else {int, float}
+    if kind is list and type(value) is list:
+        wrong = set(map(type, value)) - numbers
+        if not wrong:
+            return np.array(value, dtype=float)
+        value = next(v for v in value if type(v) in wrong)
+        raise SchemaMismatch(f"{key} must be a list of numbers, not hold {value!r}")
+    if type(value) in (numbers if kind is float else {kind}):
+        return float(value) if kind is float else value
+    name = {float: "number", list: "list of numbers"}.get(kind, kind.__name__)
+    raise SchemaMismatch(f"{key} must be a JSON {name}, got {value!r}")
 
 
 def _report_dict(report: FitReport) -> dict:
     return {
         "msse": report.msse.tolist(),
         "mae": report.mae.tolist(),
-        "mape": [None if math.isnan(v) else v for v in report.mape],
+        "mape": [None if math.isnan(v) else v for v in report.mape.tolist()],
         "n": report.n,
     }
 
 
 def _report_from(doc: dict) -> FitReport:
-    return FitReport(
-        msse=doc["msse"],
-        mae=doc["mae"],
-        mape=[math.nan if v is None else float(v) for v in doc["mape"]],
-        n=int(doc["n"]),
-    )
+    vectors = (_json_value(doc, key, list, nulls=key == "mape") for key in ("msse", "mae", "mape"))
+    return FitReport(*vectors, n=_json_value(doc, "n", int))
 
 
 def _mat_doc(a: np.ndarray) -> dict:
@@ -284,7 +290,9 @@ def _mat_doc(a: np.ndarray) -> dict:
 
 def _mat_from(doc: dict) -> np.ndarray:
     dim = _json_value(doc, "dim", int)
-    data = np.array(doc["data"], dtype=float)
+    data = _json_value(doc, "data", list)
+    if dim < 1:
+        raise SchemaMismatch(f"matrix dim must be >= 1, got {dim}")
     if data.size != dim * dim:
         raise SchemaMismatch(f"matrix payload of size {data.size} is not {dim}x{dim}")
     return data.reshape(dim, dim)

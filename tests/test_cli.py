@@ -117,6 +117,89 @@ def fit_artifacts(tmp_path_factory):
     return root, train, model
 
 
+#: the mistyped changes of a document value of each kind, by the test id
+#: pattern they make: a number or a count as true, false and its JSON text,
+#: a count also fractional and as a whole float, a flag as a number and as
+#: its JSON text
+MISTYPED = {
+    "number": {"{}_as_true": lambda v: True, "{}_as_false": lambda v: False,
+               "{}_as_text": json.dumps},
+    "count": {"{}_as_true": lambda v: True, "{}_as_false": lambda v: False,
+              "{}_as_text": json.dumps, "fractional_{}": lambda v: v + 0.5,
+              "{}_as_float": float},
+    "flag": {"{}_as_number": int, "{}_as_text": json.dumps},
+}
+
+#: every value of model.json but ``kind`` and ``metadata``: its key path, where
+#: a list's first entry stands for the list, and its kind
+MODEL_FIELDS = {
+    "schema_version": (("schema_version",), "count"),
+    "delta": (("delta",), "number"),
+    "p_star": (("p_star",), "number"),
+    "lbf_offset": (("lbf_offset",), "number"),
+    "prior_scale": (("prior_scale",), "number"),
+    "recenter": (("recenter",), "flag"),
+    "difference": (("difference",), "flag"),
+    "n_phase1": (("n_phase1",), "count"),
+    "warmup": (("warmup",), "count"),
+    "m_opt": (("m_opt", 0), "number"),
+    "s_opt_dim": (("s_opt", "dim"), "count"),
+    "s_opt_data": (("s_opt", "data", 0), "number"),
+    "target_mu": (("target", "mu", 0), "number"),
+    "target_dim": (("target", "v", "dim"), "count"),
+    "target_data": (("target", "v", "data", 0), "number"),
+    **{f"ar_{k}": (("ar", k), "number") for k in ("intercept", "phi", "sigma2")},
+    **{f"chart_{k}": (("chart", k), "number") for k in ("lam", "c", "mu_z", "sigma_z")},
+    **{f"fit_{k}": (("fit", k, 0), "number") for k in ("msse", "mae", "mape")},
+    "fit_n": (("fit", "n"), "count"),
+    "grid_delta": (("grid", 0, "delta"), "number"),
+    **{f"grid_{k}": (("grid", 0, k, 0), "number") for k in ("msse", "mae", "mape")},
+    "grid_n": (("grid", 0, "n"), "count"),
+    "phase1_z": (("phase1_z", 0), "number"),
+}
+
+#: every value of a target file, as MODEL_FIELDS lists a model's
+TARGET_FIELDS = {
+    "mu": (("mu", 0), "number"),
+    "dim": (("v", "dim"), "count"),
+    "data": (("v", "data", 0), "number"),
+}
+
+
+def _field(doc, path):
+    """The value at key path ``path`` of a document."""
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _mistyped(fields):
+    """For each field and each mistyped change of its kind, a pytest param of
+    a function that makes that change to a document."""
+    def mutator(path, change):
+        def mutate(doc):
+            _field(doc, path[:-1])[path[-1]] = change(_field(doc, path))
+        return mutate
+
+    return [pytest.param(mutator(path, change), id=pattern.format(name))
+            for name, (path, kind) in fields.items()
+            for pattern, change in MISTYPED[kind].items()]
+
+
+@pytest.fixture(scope="module")
+def positive_artifacts(tmp_path_factory):
+    """A model fitted through the CLI on positive-valued rows, 50 + N(0, SIGMA),
+    so that every value of model.json but a flag is a number (MAPE too), and
+    a stream of such rows."""
+    root = tmp_path_factory.mktemp("cli-positive")
+    train, model, stream = root / "train.csv", root / "model.json", root / "stream.csv"
+    cli.write_data(str(train), 50.0 + sample_mvn(np.zeros(2), SIGMA, 250, make_rng(80)))
+    cli.write_data(str(stream), 50.0 + sample_mvn(np.zeros(2), SIGMA, 50, make_rng(90)))
+    assert cli.main(["fit", str(train), "--out", str(model), "--estimate-target",
+                     "--delta-grid", "0.8,0.9", "--reps", "300", "--seed", "4"]) == cli.EXIT_OK
+    return model, stream
+
+
 class TestDataIO:
     def test_round_trip_is_lossless(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -482,7 +565,9 @@ class TestSimulateCommand:
         code = cli.main(["simulate", "--scenario", "nope",
                          "--out", str(tmp_path / "x.csv")])
         assert code == cli.EXIT_PARSE
-        assert "unknown scenario" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: simulate: unknown scenario 'nope'; choose one of ")
+        assert err.count("\n") == 1
 
     def test_dwr_generator(self, tmp_path):
         out = tmp_path / "dwr.csv"
@@ -499,7 +584,8 @@ class TestSimulateCommand:
         code = cli.main(["simulate", "--lbf", *flags, "-n", "50", "--out", str(out),
                          "--out-dir", str(tmp_path)])
         assert code == cli.EXIT_PARSE
-        assert "--lbf needs --scenario all" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: simulate: --lbf needs --scenario all and no --dwr\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_lbf_study_outputs(self, tmp_path):
@@ -599,9 +685,15 @@ class TestFitCommand:
     def test_requires_target_choice(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         write_stream(data, 60, seed=82)
-        code = cli.main(["fit", str(data), "--out", str(tmp_path / "m.json")])
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        code = cli.main(["fit", str(data), "--out", str(out)])
         assert code == cli.EXIT_PARSE
-        assert "--target-file or --estimate-target" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: fit: either --target-file or --estimate-target is required\n")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_model_document_shape(self, fit_artifacts):
         _, _, model_path = fit_artifacts
@@ -715,16 +807,38 @@ class TestFitCommand:
         {"mu": [0.0, 0.0], "v": {"dim": 2, "data": [1.0, 2.0, 2.0, 1.0]}},
         {"mu": [0.0, 0.0, 0.0], "v": {"dim": 2, "data": [1.0, 0.0, 0.0, 1.0]}},
         {"mu": [0.0, 0.0], "v": {"dim": 2, "data": [1.0, 0.0, 0.0]}},
+        {"mu": [], "v": {"dim": 0, "data": []}},
+        {"mu": [0.0], "v": {"dim": -1, "data": [1.0]}},
+        {"mu": [0.0, 0.0], "v": {"dim": 2, "data": [[1.0, 0.0], [0.0, 1.0]]}},
         [0.0, 0.0],
         "target",
         None,
-    ], ids=["indefinite_v", "long_mu", "cut_data", "list", "string", "null"])
+    ], ids=["indefinite_v", "long_mu", "cut_data", "zero_dim", "negative_dim",
+            "nested_data", "list", "string", "null"])
     def test_bad_target_file_exits_schema(self, tmp_path, capsys, doc):
         data = tmp_path / "d.csv"
         write_stream(data, 60, seed=86)
         target = tmp_path / "target.json"
         target.write_text(json.dumps(doc))
         out = tmp_path / "m.json"
+        code = cli.main(["fit", str(data), "--out", str(out),
+                         "--target-file", str(target), "--reps", "200"])
+        assert code == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {target}: malformed target document: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mutate", _mistyped(TARGET_FIELDS))
+    def test_mistyped_target_field_exits_schema(self, tmp_path, capsys, mutate):
+        data = tmp_path / "d.csv"
+        write_stream(data, 60, seed=86)
+        doc = {"mu": [0.0, 0.0], "v": {"dim": 2, "data": [1.0, 0.0, 0.0, 1.0]}}
+        mutate(doc)
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(doc))
+        out = tmp_path / "m.json"
+        capsys.readouterr()
         code = cli.main(["fit", str(data), "--out", str(out),
                          "--target-file", str(target), "--reps", "200"])
         assert code == cli.EXIT_SCHEMA
@@ -1146,22 +1260,6 @@ def _another_prior_scale(doc):
     doc["prior_scale"] = 1.0
 
 
-def _difference_as_text(doc):
-    doc["difference"] = "false"
-
-
-def _recenter_as_number(doc):
-    doc["recenter"] = 0
-
-
-def _fractional_n_phase1(doc):
-    doc["n_phase1"] += 0.5
-
-
-def _n_phase1_as_text(doc):
-    doc["n_phase1"] = str(doc["n_phase1"])
-
-
 def _warmup_as_bool(doc):
     # False would pass as 0: the other fields agree with a warm-up of 0
     doc["warmup"] = False
@@ -1187,14 +1285,6 @@ def _cut_phase1_z(doc):
     doc["phase1_z"] = doc["phase1_z"][:-1]
 
 
-def _s_opt_dim_as_text(doc):
-    doc["s_opt"]["dim"] = "2"
-
-
-def _fractional_target_dim(doc):
-    doc["target"]["v"]["dim"] = 2.0
-
-
 def _huge_s_opt_variance(doc):
     # finite and positive definite, but the running sum tracking resumes
     # from, s_opt * n_phase1, overflows
@@ -1202,7 +1292,7 @@ def _huge_s_opt_variance(doc):
 
 
 class TestModelValidation:
-    """Every inconsistent model file exits 4 before any scoring."""
+    """Every inconsistent or mistyped model file exits 4 before any scoring."""
 
     @pytest.mark.parametrize("tracking", [False, True])
     @pytest.mark.parametrize("mutate", [
@@ -1210,24 +1300,31 @@ class TestModelValidation:
         _negative_p_star, _p_star_of_another_delta, _indefinite_s_opt,
         _no_phase1_rows, _nan_in_m_opt, _lbf_offset_off_the_ar_mean,
         _tripled_sigma_z, _mu_z_off_zero, _recenter_without_its_center,
-        _another_prior_scale, _difference_as_text, _recenter_as_number,
-        _fractional_n_phase1, _n_phase1_as_text, _warmup_as_bool, _negative_warmup,
-        _huge_warmup, _warmup_at_n_phase1, _cut_phase1_z, _s_opt_dim_as_text, _fractional_target_dim,
-        _huge_s_opt_variance, _fit_off_the_grid, _grid_without_delta, _repeated_grid_delta,
+        _another_prior_scale, _warmup_as_bool, _negative_warmup, _huge_warmup,
+        _warmup_at_n_phase1, _cut_phase1_z, _huge_s_opt_variance, _fit_off_the_grid,
+        _grid_without_delta, _repeated_grid_delta, *_mistyped(MODEL_FIELDS),
     ], ids=lambda f: f.__name__.strip("_"))
-    def test_inconsistent_model_exits_schema(self, fit_artifacts, tmp_path, capsys,
+    def test_inconsistent_model_exits_schema(self, positive_artifacts, tmp_path, capsys,
                                              mutate, tracking):
-        _, _, model_path = fit_artifacts
+        model_path, stream = positive_artifacts
         doc = json.loads(model_path.read_text())
         mutate(doc)
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(doc))
-        stream = tmp_path / "stream.csv"
-        write_stream(stream, 50, seed=90, shift=6.0)
         args = ["monitor", str(stream), "--model", str(broken)]
+        capsys.readouterr()
         code = cli.main(args + (["--tracking"] if tracking else []))
         assert code == cli.EXIT_SCHEMA
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_fields_are_every_value_of_the_model(self, positive_artifacts):
+        doc = json.loads(positive_artifacts[0].read_text())
+        del doc["kind"], doc["metadata"]
+        kinds = {bool: "flag", int: "count", float: "number"}
+        values = {path: kinds[type(_field(doc, path))] for path in _leaf_paths(doc)
+                  if not isinstance(_field(doc, path), (dict, list))}
+        assert values == dict(MODEL_FIELDS.values())
 
     @pytest.mark.parametrize("shift", [0.0, 1e-9])
     def test_recentered_model_checks_its_center(self, tmp_path, capsys, shift):

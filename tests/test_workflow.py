@@ -1,5 +1,6 @@
 """Two-phase workflow: fitting, serialization, frozen monitoring."""
 
+import json
 import threading
 import time
 import warnings
@@ -362,12 +363,31 @@ class TestSerialization:
         assert len(clone.grid) == len(model.grid)
 
     def test_round_trip_survives_json(self, fitted):
-        import json
-
         model, _, _ = fitted
         doc = json.loads(json.dumps(model.to_dict()))
         clone = FittedModel.from_dict(doc)
         np.testing.assert_array_equal(clone.s_opt, model.s_opt)
+
+    @pytest.mark.parametrize("through_json", [False, True], ids=["direct", "json"])
+    def test_round_trip_with_numeric_mape(self, through_json):
+        # positive-valued rows, so every MAPE entry is a number, not null
+        data = 50.0 + make_rng(52).standard_normal((200, 2))
+        model = phase1(data, deltas=(0.8, 0.9), calib_reps=200)
+        assert all(np.isfinite(g.report.mape).all() for g in model.grid)
+        doc = model.to_dict()
+        if through_json:
+            doc = json.loads(json.dumps(doc))
+        assert FittedModel.from_dict(doc).to_dict() == model.to_dict()
+
+    @pytest.mark.parametrize("v, message", [
+        ({"dim": 0, "data": []}, "dim must be >= 1, got 0"),
+        ({"dim": -1, "data": [1.0]}, "dim must be >= 1, got -1"),
+        ({"dim": 2, "data": [[1.0, 0.0], [0.0, 1.0]]},
+         r"data must be a list of numbers, not hold \[1.0, 0.0\]"),
+    ], ids=["zero_dim", "negative_dim", "nested_data"])
+    def test_malformed_target_matrix_rejected(self, v, message):
+        with pytest.raises(SchemaMismatch, match=message):
+            workflow.target_from_dict({"mu": [0.0, 0.0], "v": v})
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(SchemaMismatch):
