@@ -21,6 +21,8 @@ from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import _threads
+
 #: rows formatted per matrix
 CHUNK_ROWS = 4096
 
@@ -305,9 +307,22 @@ def format_rows(
     """Yield ``sep.join(row text)`` in pieces of at most CHUNK_ROWS rows,
     where a row's text is its values' ``cells`` between the ``pieces``
     (one more piece than columns); ``reference`` writes the floats the
-    kernel leaves undecided."""
+    kernel leaves undecided.
+
+    With three chunks or more and two usable CPUs, the cells of each chunk
+    are made on a worker thread (``_threads.prefetched``) while this thread joins
+    the chunk before into text; the text does not depend on it.
+    """
     n = len(columns[0])
-    for start in range(0, n, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, n)
-        text = join_rows(pieces, [cells(c[start:stop], reference) for c in columns], sep)
-        yield text if stop < n else text[:len(text) - len(sep)]
+    starts = range(0, n, CHUNK_ROWS)
+
+    def chunk_cells(start: int) -> list[np.ndarray]:
+        return [cells(c[start:start + CHUNK_ROWS], reference) for c in columns]
+
+    # the worker overlaps a chunk's cells with the join of the chunk before,
+    # never the first chunk's, so it pays for its start from three chunks
+    made = _threads.prefetched(chunk_cells, starts, len(starts) > 2)
+    # made first, so that zip runs it to its end, which joins the worker
+    for chunk, start in zip(made, starts):
+        text = join_rows(pieces, chunk, sep)
+        yield text if start + CHUNK_ROWS < n else text[:len(text) - len(sep)]

@@ -135,6 +135,16 @@ class FittedModel:
                 raise SchemaMismatch(f"the grid repeats delta {delta}")
         if self.delta not in deltas:
             raise SchemaMismatch(f"the grid has no entry at delta {self.delta}")
+        for entry in self.grid:
+            report = entry.report
+            for name in ("msse", "mae", "mape"):
+                values = getattr(report, name)
+                if values.shape != (p,):
+                    raise SchemaMismatch(f"the grid entry at delta {entry.delta} has "
+                                         f"{name} of shape {values.shape}, not ({p},)")
+            if report.n < 1:
+                raise SchemaMismatch(f"the grid entry at delta {entry.delta} has "
+                                     f"n {report.n}, not >= 1")
         if self.n_phase1 < 1:
             raise SchemaMismatch(f"n_phase1 must be >= 1, got {self.n_phase1}")
         try:
@@ -195,22 +205,24 @@ class FittedModel:
             model = FittedModel(
                 delta=_json_value(doc, "delta", float),
                 m_opt=_json_value(doc, "m_opt", list),
-                s_opt=_mat_from(doc["s_opt"]),
-                target=target_from_dict(doc["target"]),
-                ar=Ar1Model(**{k: _json_value(doc["ar"], k, float) for k in doc["ar"]}),
-                chart=ChartConfig(**{k: _json_value(doc["chart"], k, float)
+                s_opt=_mat_from(doc["s_opt"], "s_opt."),
+                target=target_from_dict(doc["target"], "target."),
+                ar=Ar1Model(**{k: _json_value(doc["ar"], k, float, at="ar.")
+                               for k in doc["ar"]}),
+                chart=ChartConfig(**{k: _json_value(doc["chart"], k, float, at="chart.")
                                      for k in doc["chart"]}),
                 recenter=_json_value(doc, "recenter", bool),
                 difference=_json_value(doc, "difference", bool),
                 n_phase1=_json_value(doc, "n_phase1", int),
                 warmup=_json_value(doc, "warmup", int),
-                grid=tuple(GridEntry(_json_value(g, "delta", float), _report_from(g))
-                           for g in doc["grid"]),
+                grid=tuple(GridEntry(_json_value(g, "delta", float, at=f"grid[{i}]."),
+                                     _report_from(g, f"grid[{i}]."))
+                           for i, g in enumerate(doc["grid"])),
                 phase1_z=_json_value(doc, "phase1_z", list),
             )
             prior_scale, p_star, lbf_offset = (
                 _json_value(doc, key, float) for key in ("prior_scale", "p_star", "lbf_offset"))
-            fit = _report_dict(_report_from(doc["fit"]))
+            fit = _report_dict(_report_from(doc["fit"], "fit."))
         except (KeyError, TypeError, ValueError, OverflowError, BfchartError) as err:
             raise SchemaMismatch(f"malformed model document: {err}") from err
         # derived values are checked at load only: a model built in code may
@@ -237,9 +249,10 @@ class FittedModel:
         return model
 
 
-def target_from_dict(doc: dict) -> TargetSpec:
-    """The target of a ``{"mu": [...], "v": {"dim": p, "data": [...]}}`` document."""
-    return TargetSpec(mu=_json_value(doc, "mu", list), V=_mat_from(doc["v"]))
+def target_from_dict(doc: dict, at: str = "") -> TargetSpec:
+    """The target of a ``{"mu": [...], "v": {"dim": p, "data": [...]}}``
+    document, which sits at key path ``at`` of a larger one."""
+    return TargetSpec(mu=_json_value(doc, "mu", list, at=at), V=_mat_from(doc["v"], at + "v."))
 
 
 def target_to_dict(target: TargetSpec) -> dict:
@@ -247,26 +260,33 @@ def target_to_dict(target: TargetSpec) -> dict:
     return {"mu": target.mu.tolist(), "v": _mat_doc(target.V)}
 
 
-def _json_value(doc: dict, key: str, kind: type, nulls: bool = False):
-    """doc[key] read as ``kind``; SchemaMismatch naming ``key`` otherwise.
+def _json_value(doc: dict, key: str, kind: type, nulls: bool = False, at: str = ""):
+    """doc[key] read as ``kind``; otherwise SchemaMismatch naming the key's
+    full path, ``at + key``, where ``at`` is the path of ``doc`` in its
+    document (``grid[2].``, ``target.v.``), and KeyError naming it when the
+    key is missing.
 
     ``float`` takes a number, a JSON int or float but never a bool or a
     string, and returns a float.  ``int`` and ``bool`` take that JSON type.
     ``list`` takes a flat list of numbers and returns a float array; with
     ``nulls`` a ``null`` entry of the list is read as NaN.
     """
-    value = doc[key]
+    name = at + key
+    try:
+        value = doc[key]
+    except KeyError:
+        raise KeyError(name) from None
     numbers = {int, float, type(None)} if nulls else {int, float}
     if kind is list and type(value) is list:
         wrong = set(map(type, value)) - numbers
         if not wrong:
             return np.array(value, dtype=float)
         value = next(v for v in value if type(v) in wrong)
-        raise SchemaMismatch(f"{key} must be a list of numbers, not hold {value!r}")
+        raise SchemaMismatch(f"{name} must be a list of numbers, not hold {value!r}")
     if type(value) in (numbers if kind is float else {kind}):
         return float(value) if kind is float else value
-    name = {float: "number", list: "list of numbers"}.get(kind, kind.__name__)
-    raise SchemaMismatch(f"{key} must be a JSON {name}, got {value!r}")
+    wanted = {float: "number", list: "list of numbers"}.get(kind, kind.__name__)
+    raise SchemaMismatch(f"{name} must be a JSON {wanted}, got {value!r}")
 
 
 def _report_dict(report: FitReport) -> dict:
@@ -278,9 +298,10 @@ def _report_dict(report: FitReport) -> dict:
     }
 
 
-def _report_from(doc: dict) -> FitReport:
-    vectors = (_json_value(doc, key, list, nulls=key == "mape") for key in ("msse", "mae", "mape"))
-    return FitReport(*vectors, n=_json_value(doc, "n", int))
+def _report_from(doc: dict, at: str) -> FitReport:
+    vectors = (_json_value(doc, key, list, nulls=key == "mape", at=at)
+               for key in ("msse", "mae", "mape"))
+    return FitReport(*vectors, n=_json_value(doc, "n", int, at=at))
 
 
 def _mat_doc(a: np.ndarray) -> dict:
@@ -288,13 +309,13 @@ def _mat_doc(a: np.ndarray) -> dict:
     return {"dim": a.shape[0], "data": a.reshape(-1).tolist()}
 
 
-def _mat_from(doc: dict) -> np.ndarray:
-    dim = _json_value(doc, "dim", int)
-    data = _json_value(doc, "data", list)
+def _mat_from(doc: dict, at: str) -> np.ndarray:
+    dim = _json_value(doc, "dim", int, at=at)
+    data = _json_value(doc, "data", list, at=at)
     if dim < 1:
-        raise SchemaMismatch(f"matrix dim must be >= 1, got {dim}")
+        raise SchemaMismatch(f"matrix {at}dim must be >= 1, got {dim}")
     if data.size != dim * dim:
-        raise SchemaMismatch(f"matrix payload of size {data.size} is not {dim}x{dim}")
+        raise SchemaMismatch(f"matrix {at}data of size {data.size} is not {dim}x{dim}")
     return data.reshape(dim, dim)
 
 

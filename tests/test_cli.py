@@ -173,6 +173,13 @@ def _field(doc, path):
     return doc
 
 
+def _key_path(path):
+    """The name the model reader gives the value at ``path``: ``grid[0].msse``
+    for ``("grid", 0, "msse", 0)``, whose last step stands for the list."""
+    steps = path[:-1] if isinstance(path[-1], int) else path
+    return steps[0] + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in steps[1:])
+
+
 def _mistyped(fields):
     """For each field and each mistyped change of its kind, a pytest param of
     a function that makes that change to a document."""
@@ -1244,6 +1251,23 @@ def _repeated_grid_delta(doc):
     doc["grid"].append(dict(doc["grid"][0]))
 
 
+def _unselected_grid_entry(doc):
+    """A grid entry other than the selected delta's, which no output reads."""
+    return next(g for g in doc["grid"] if g["delta"] != doc["delta"])
+
+
+def _short_grid_msse(doc):
+    _unselected_grid_entry(doc)["msse"] = [1.0]
+
+
+def _empty_grid_mae(doc):
+    _unselected_grid_entry(doc)["mae"] = []
+
+
+def _negative_grid_n(doc):
+    _unselected_grid_entry(doc)["n"] = -3
+
+
 def _tripled_sigma_z(doc):
     doc["chart"]["sigma_z"] *= 3.0
 
@@ -1302,7 +1326,8 @@ class TestModelValidation:
         _tripled_sigma_z, _mu_z_off_zero, _recenter_without_its_center,
         _another_prior_scale, _warmup_as_bool, _negative_warmup, _huge_warmup,
         _warmup_at_n_phase1, _cut_phase1_z, _huge_s_opt_variance, _fit_off_the_grid,
-        _grid_without_delta, _repeated_grid_delta, *_mistyped(MODEL_FIELDS),
+        _grid_without_delta, _repeated_grid_delta, _short_grid_msse, _empty_grid_mae,
+        _negative_grid_n, *_mistyped(MODEL_FIELDS),
     ], ids=lambda f: f.__name__.strip("_"))
     def test_inconsistent_model_exits_schema(self, positive_artifacts, tmp_path, capsys,
                                              mutate, tracking):
@@ -1317,6 +1342,20 @@ class TestModelValidation:
         assert code == cli.EXIT_SCHEMA
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("name", MODEL_FIELDS)
+    def test_mistyped_value_names_its_key_path(self, positive_artifacts, tmp_path, capsys,
+                                               name):
+        model_path, stream = positive_artifacts
+        path, _ = MODEL_FIELDS[name]
+        doc = json.loads(model_path.read_text())
+        _field(doc, path[:-1])[path[-1]] = "text"
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["monitor", str(stream), "--model", str(broken)]) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f" {_key_path(path)} must be a " in err, err
 
     def test_fields_are_every_value_of_the_model(self, positive_artifacts):
         doc = json.loads(positive_artifacts[0].read_text())

@@ -8,12 +8,15 @@ ordinary values itself.
 """
 
 import json
+import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bfchart import _threads
 from bfchart._rows import (
     CHUNK_ROWS,
     cells,
@@ -189,3 +192,110 @@ class TestRows:
     def test_pieces_may_be_empty_or_not_ascii(self):
         cells = [int_cells(np.array([1, 22])), float_cells(np.array([0.25, -3.5]))]
         assert join_rows(["", "é", ""], cells, "") == "1é0.2522é-3.5"
+
+
+def reference_rows(pieces, sep, columns, reference):
+    """The text format_rows stands for, built a value at a time."""
+    text = {bool: json.dumps, int: str, float: reference}
+    rows = [
+        "".join(p + text[type(v)](v) for p, v in zip(pieces, values)) + pieces[-1]
+        for values in zip(*(c.tolist() for c in columns))
+    ]
+    return sep.join(rows)
+
+
+#: floats the kernel hands to its reference: non-finite, zero, subnormal,
+#: out of its range, or with a power-of-two significand
+REFERENCE_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e300, 0.5, -2.0, 1024.0]
+#: ints of 19 digits or more, which the int kernel hands to str
+LONG_INTS = [2**63 - 1, -(2**63), 10**18, -(10**18)]
+
+
+def chunked_columns(chunks, seed):
+    """Columns of ``chunks`` chunks and a few rows, with the values the
+    kernels leave to their references in every chunk and on each side of
+    every chunk boundary."""
+    n = chunks * CHUNK_ROWS + 5
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 6, n)
+    t = rng.integers(-10**6, 10**6, n)
+    flag = rng.random(n) < 0.5
+    edges = [k * CHUNK_ROWS + d for k in range(1, chunks + 1) for d in (-1, 0)]
+    inside = [k * CHUNK_ROWS + 100 + 7 * i for k in range(chunks) for i in range(10)]
+    for i, at in enumerate(edges + inside):
+        x[at] = REFERENCE_FLOATS[i % len(REFERENCE_FLOATS)]
+        t[at] = LONG_INTS[i % len(LONG_INTS)]
+    return t, x, flag
+
+
+@pytest.fixture(params=[1, 2], ids=["inline", "worker"])
+def cpus(request, monkeypatch):
+    monkeypatch.setattr(_threads, "usable_cpus", lambda: request.param)
+    return request.param
+
+
+class TestRowsOnAWorker:
+    """With two CPUs the cells of each chunk are made on a worker thread; the
+    text is the per-value text either way."""
+
+    @pytest.mark.parametrize("reference", [json.dumps, repr], ids=["json", "repr"])
+    def test_matches_the_per_value_text(self, cpus, reference):
+        columns = chunked_columns(3, 15)
+        pieces, sep = ["{", ", ", ": ", "}"], ";\n"
+        made_on = set()
+
+        def recorded(v):
+            made_on.add(threading.current_thread())
+            return reference(v)
+
+        before = threading.enumerate()
+        text = "".join(format_rows(pieces, sep, columns, recorded))
+        assert text == reference_rows(pieces, sep, columns, reference)
+        assert not text.endswith(sep)
+        on_main = made_on == {threading.main_thread()}
+        assert on_main == (cpus == 1)
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS, 2 * CHUNK_ROWS])
+    def test_two_chunks_or_fewer_stay_inline(self, cpus, n):
+        columns = (np.full(n, np.nan),)
+        made_on = set()
+
+        def recorded(v):
+            made_on.add(threading.current_thread())
+            return json.dumps(v)
+
+        text = "".join(format_rows(["<", ">"], ",", columns, recorded))
+        assert text == ",".join(["<NaN>"] * n)
+        assert made_on <= {threading.main_thread()}
+
+    def test_pieces_are_chunk_sized(self, cpus):
+        columns = chunked_columns(2, 16)
+        got = list(format_rows(["", ",", ",", "\n"], "", columns, repr))
+        assert len(got) == 3
+        assert [g.count("\n") for g in got] == [CHUNK_ROWS, CHUNK_ROWS, 5]
+
+    def test_error_in_a_middle_chunk(self, cpus):
+        # the reference fails on chunk 1's NaN only; chunk 0 is written first
+        x = np.ones(3 * CHUNK_ROWS)
+        x[CHUNK_ROWS + 17] = np.nan
+
+        def failing(v):
+            if math.isnan(v):
+                raise ValueError("reference failed")
+            return repr(v)
+
+        written = []
+        before = threading.enumerate()
+        with pytest.raises(ValueError, match="reference failed"):
+            written.extend(format_rows(["", "\n"], "", (x,), failing))
+        assert threading.enumerate() == before
+        assert len(written) == 1
+
+    def test_abandoned_output_ends_the_worker(self, cpus):
+        x = np.ones(3 * CHUNK_ROWS)
+        before = threading.enumerate()
+        rows = format_rows(["", "\n"], "", (x,), repr)
+        assert next(rows).count("\n") == CHUNK_ROWS
+        rows.close()
+        assert threading.enumerate() == before

@@ -1,6 +1,7 @@
 """Two-phase workflow: fitting, serialization, frozen monitoring."""
 
 import json
+import re
 import threading
 import time
 import warnings
@@ -380,14 +381,59 @@ class TestSerialization:
         assert FittedModel.from_dict(doc).to_dict() == model.to_dict()
 
     @pytest.mark.parametrize("v, message", [
-        ({"dim": 0, "data": []}, "dim must be >= 1, got 0"),
-        ({"dim": -1, "data": [1.0]}, "dim must be >= 1, got -1"),
+        ({"dim": 0, "data": []}, r"matrix v\.dim must be >= 1, got 0"),
+        ({"dim": -1, "data": [1.0]}, r"matrix v\.dim must be >= 1, got -1"),
         ({"dim": 2, "data": [[1.0, 0.0], [0.0, 1.0]]},
-         r"data must be a list of numbers, not hold \[1.0, 0.0\]"),
+         r"v\.data must be a list of numbers, not hold \[1.0, 0.0\]"),
     ], ids=["zero_dim", "negative_dim", "nested_data"])
     def test_malformed_target_matrix_rejected(self, v, message):
         with pytest.raises(SchemaMismatch, match=message):
             workflow.target_from_dict({"mu": [0.0, 0.0], "v": v})
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["s_opt"].update(dim=True), r"^s_opt\.dim must be a JSON int"),
+        (lambda doc: doc["target"]["v"].update(dim=2.0),
+         r"^target\.v\.dim must be a JSON int"),
+        (lambda doc: doc["target"].update(mu=["0"]), r"^target\.mu must be a list"),
+        (lambda doc: doc["ar"].update(phi="0.1"), r"^ar\.phi must be a JSON number"),
+        (lambda doc: doc["grid"][2].update(msse=[1.0, None]),
+         r"^grid\[2\]\.msse must be a list of numbers, not hold None"),
+        (lambda doc: doc["fit"].update(n=3.5), r"^fit\.n must be a JSON int, got 3\.5"),
+        (lambda doc: doc["grid"][1].pop("n"), r"^'grid\[1\]\.n'$"),
+    ], ids=["s_opt_dim", "target_v_dim", "target_mu", "ar_phi", "grid_msse", "fit_n",
+            "missing_grid_n"])
+    def test_messages_name_the_full_key_path(self, fitted, edit, message):
+        doc = fitted[0].to_dict()
+        edit(doc)
+        with pytest.raises(SchemaMismatch) as info:
+            FittedModel.from_dict(doc)
+        assert re.search(message, str(info.value.__cause__)), info.value
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("msse", [1.0], r"msse of shape \(1,\), not \(2,\)"),
+        ("mae", [], r"mae of shape \(0,\), not \(2,\)"),
+        ("mape", [None, 1.0, 2.0], r"mape of shape \(3,\), not \(2,\)"),
+        ("n", 0, "n 0, not >= 1"),
+        ("n", -3, "n -3, not >= 1"),
+    ], ids=["short_msse", "empty_mae", "long_mape", "zero_n", "negative_n"])
+    @pytest.mark.parametrize("selected", [False, True], ids=["other", "selected"])
+    def test_grid_entries_must_match_the_dim(self, fitted, key, value, message, selected):
+        # fit is the selected entry's report; it follows the entry, so that
+        # only the entry's own check can refuse it
+        model = fitted[0]
+        doc = model.to_dict()
+        entry = next(g for g in doc["grid"] if (g["delta"] == model.delta) == selected)
+        entry[key] = value
+        if selected:
+            doc["fit"][key] = value
+        where = f"grid entry at delta {entry['delta']} has "
+        with pytest.raises(SchemaMismatch, match=where + message):
+            FittedModel.from_dict(doc)
+        grid = tuple(
+            replace(g, report=replace(g.report, **{key: value}))
+            if g.delta == entry["delta"] else g for g in model.grid)
+        with pytest.raises(SchemaMismatch, match=message):
+            replace(model, grid=grid)
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(SchemaMismatch):
