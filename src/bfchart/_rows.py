@@ -1,4 +1,5 @@
-"""Text of long per-row outputs, built a chunk of rows at a time in numpy.
+"""Text of long per-row outputs, built a chunk of rows at a time in numpy,
+and the parse kernel that reads a data CSV's rows back.
 
 Every value of a chunk becomes a row of a fixed-width byte matrix, its
 cell, whose NUL bytes are the ones its text drops (the keep mask).  A row
@@ -13,6 +14,21 @@ ten and hands any value it cannot decide with certainty (non-finite,
 zero, outside the range of exact powers, a power-of-two significand, or
 within rounding distance of a tie or of the round-trip bound) to the
 per-value reference, whose text is spliced into its row.
+
+The parse kernel (``float_rows``) is the inverse: it gives each cell of a
+CSV body ``float()``'s value.  It takes a block of whole lines at a time,
+finds the separators, and reads the last 8, 16 or 24 bytes of every cell
+as eight-byte words.  Word-wide integer arithmetic masks off the bytes
+before the cell, classes its bytes, checks the grammar ``-?D*(.D*)?`` and
+sums the digits into a significand M with a fraction length k.  Up to
+2**53, M / 10**k is one correctly rounded division of exact doubles;
+above, a quotient one step from the answer and its exact remainder (the
+same error-free product as the text kernel's) give the nearest double.  A
+cell it cannot decide with certainty (an exponent, more than 18 digits, a
+fraction longer than 22 digits, a remainder within a margin of a tie, a
+quotient at a power of two) takes ``float()``'s value; a body it cannot
+read (a byte outside its alphabet, a ragged row, a blank line, a cell that
+``float()`` refuses) is left to the caller's cell loop.
 """
 
 from __future__ import annotations
@@ -296,6 +312,208 @@ def join_rows(pieces: Sequence[str], cells: Sequence[np.ndarray], end: str) -> s
     # index array first
     flat = text.ravel()
     return flat[flat != 0].tobytes().decode()
+
+
+# ---------------------------------------------------------------------------
+# the parse kernel: the body of a data CSV to float rows
+# ---------------------------------------------------------------------------
+
+#: bytes of a body parsed per block, cut at the first line end after it
+PARSE_BYTES = 1 << 18
+
+#: the bytes a body may hold but digits, separators, the point and the
+#: sign: a CR before a LF, and the exponent bytes, whose cells go to float()
+_RARE_BYTES = b"\reE+"
+_COMMA, _LF, _CR, _SIGN = b",\n\r-"
+#: zero bytes before a block, so that every cell ends a full window
+_PAD = 24
+_ONES = 0x0101010101010101
+
+
+def _keep_masks(words: int) -> np.ndarray:
+    """For a window of ``words`` eight-byte words, the masks that keep its
+    last n bytes, n = 0 ... 8 * words: row j holds word j's mask for each n."""
+    keep = np.arange(8 * words) >= 8 * words - np.arange(8 * words + 1)[:, None]
+    return np.ascontiguousarray((keep * np.uint8(0xFF)).view(np.uint64).T)
+
+
+_KEEP = {words: _keep_masks(words) for words in (1, 2, 3)}
+
+
+def _to_end_multipliers(words: int) -> np.ndarray:
+    """For each word of a window, the multiplier whose top byte gives, for
+    a point at lane i of that word, the lanes from it to the window's end."""
+    lanes = np.arange(1, 9) + 8 * np.arange(words - 1, -1, -1)[:, None]
+    return lanes.astype(np.uint8).view(np.uint64)
+
+
+_TO_END = {words: _to_end_multipliers(words) for words in (1, 2, 3)}
+# by the lanes t from the point to the end (0 without a point): the
+# fraction length k, 10**(k + 1) (10**18 without a point), which D is the
+# integer part times, and 10**k as an int and as a double
+_T = np.arange(8 * 3 + 1)
+_K_OF = np.maximum(_T - 1, 0)
+_TOP_OF = _POW10[np.where(_T > 0, np.minimum(_T, 18), 18)].astype(np.uint64)
+_LOW_OF = _POW10[np.minimum(_K_OF, 18)].astype(np.uint64)
+_P_OF = _P[np.minimum(_K_OF, _K_MAX)]
+
+
+def _eight_digits(v: np.ndarray) -> np.ndarray:
+    """The value of each word's eight digit lanes (0-9, the first digit in
+    the lowest byte), below 10**8: pairs of lanes, then pairs of pairs,
+    then the two quads, each in one multiply-shift."""
+    v = (v * 2561) >> 8
+    v = ((v & 0x00FF00FF00FF00FF) * 6553601) >> 16
+    return ((v & 0x0000FFFF0000FFFF) * 42949672960001) >> 32
+
+
+def _decimals(windows: np.ndarray, length: np.ndarray):
+    """The significand M, the lanes t from the point to the end, and
+    where each cell is ``D*(.D*)?`` with at least one digit, M below 10**18
+    and a fraction length k = t - 1 of at most 22 (elsewhere M and t are 0).
+
+    ``windows`` holds one row per word of the eight-byte windows that end
+    where the cells end, and ``length`` the cells' bytes after any sign.
+    Bytes are classed a word at a time: of the bytes a cell may hold, only
+    digits have bit 4 set, and only ``.`` of the others has bit 1 set and
+    bit 0 clear.  Each lane that a class marks gets bit 0, and a multiply
+    by 0x0101...01 sums a word's marks into its top byte.  The point is
+    read as a zero digit, which gives D, the integer part times 10**(k + 1)
+    plus the fraction; M drops the zero.
+    """
+    words = len(windows)
+    v = windows & np.take(_KEEP[words], np.minimum(length, 8 * words), axis=1)
+    high = v >> 4
+    digit = high & _ONES
+    point = (v >> 1) & ~(v | high) & _ONES
+    # a lane of the sum over the words is at most 3
+    marked = ((digit | point).sum(axis=0) * _ONES) >> 56
+    points = ((point * _ONES) >> 56).sum(axis=0)
+    to_end = ((point * _TO_END[words]) >> 56).sum(axis=0)
+    ok = ((marked == length.view(np.uint64)) & (points <= 1) & (marked > points)
+          & (to_end <= _K_MAX + 1))
+    part = _eight_digits(v & (digit * 0x0F))
+    d = part[-1]
+    if words > 1:
+        d = d + part[-2] * 10**8
+    if words > 2:
+        # at most 18 lanes of digits and point after any leading zeros
+        ok &= part[0] < 100
+        d = d + part[0] * 10**16
+    d = np.where(ok, d, 0)
+    to_end = np.where(ok, to_end, 0)
+    return d - 9 * (d // _TOP_OF[to_end]) * _LOW_OF[to_end], to_end, ok
+
+
+def _nearest(m: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The double nearest to ``m / 10**k`` for int64 2**53 < m < 2**62 and
+    0 <= k <= 22, and where it is undecided.
+
+    m = h + l with h = float(m), and q = fl(h / 10**k) lies within 1.5 ulps
+    of the quotient.  The remainder r = h - q * 10**k is exact (Dekker's
+    product gives q * 10**k as a sum of two doubles), so (r + l) / 10**k is
+    the quotient minus q; in ulps of q, rounded, it is the step to the
+    nearest double.  A step within a tie's margin (``_MARGIN``, far above
+    the rounding of r + l and of the division) of +-1/2, or a q at a power
+    of two, where the ulp below is half the ulp above, is undecided.
+    """
+    h = m.astype(float)
+    p = _P[k]
+    q = h / p
+    product = q * p
+    q_top, q_bottom = _split(q)
+    error = ((q_top * _P_TOP[k] - product) + q_top * _P_BOTTOM[k]
+             + q_bottom * _P_TOP[k]) + q_bottom * _P_BOTTOM[k]
+    bits = q.view(np.uint64)
+    # the power of two of q's binade, times 2**-52, is its ulp
+    ulp = (bits & np.uint64(0x7FF0000000000000)).view(float) * 2.0**-52
+    steps = (((h - product) - error) + (m - h.astype(np.int64))) / (ulp * p)
+    undecided = np.abs(np.abs(steps) - 0.5) <= _MARGIN
+    undecided |= (bits & np.uint64(2**52 - 1)) == 0
+    return q + np.rint(steps) * ulp, undecided
+
+
+def _to_double(m: np.ndarray, to_end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The double nearest to ``m / 10**k`` for the M and t of ``_decimals``,
+    and where it is undecided.  Up to 2**53, m and 10**k are exact doubles,
+    and one division rounds their quotient correctly."""
+    value = m / _P_OF[to_end]
+    undecided = np.zeros(len(m), bool)
+    big = np.flatnonzero(m > 2**53)
+    if big.size:
+        value[big], undecided[big] = _nearest(m[big].astype(np.int64), _K_OF[to_end[big]])
+    return value, undecided
+
+
+def _block_rows(data: bytes, at: int, stop: int, width: int, drop: int) -> np.ndarray | None:
+    """The float rows of the whole lines ``data[at:stop]`` of a body but
+    their first ``drop`` columns, or None."""
+    size = stop - at
+    ends_line = data[stop - 1] == _LF
+    text = np.zeros(_PAD + size + (not ends_line), np.uint8)
+    text[_PAD:_PAD + size] = np.frombuffer(data, np.uint8, size, at)
+    text[-1] = _LF  # the body's last line may have no line end
+    seps = np.flatnonzero((text == _COMMA) | (text == _LF))
+    rows = len(seps) // width
+    if len(seps) % width or not (text[seps[width - 1::width]] == _LF).all():
+        return None
+    # every byte but the rows' line ends is 0 ... 13 past the comma (a
+    # comma, sign, point, digit or slash, which a cell float() reads never
+    # holds) or a rare one; so no line is left over
+    rare = np.count_nonzero(text[_PAD:] - np.uint8(_COMMA) > 13) - rows
+    if rare and (sum(np.count_nonzero(text == b) for b in _RARE_BYTES) != rare
+                 or not (text[np.flatnonzero(text == _CR) + 1] == _LF).all()):
+        return None
+    start = np.empty_like(seps)
+    start[0] = _PAD
+    start[1:] = seps[:-1] + 1
+    start, end = start.reshape(rows, width), seps.reshape(rows, width)
+    if rare:
+        end[:, -1] -= text[end[:, -1] - 1] == _CR
+    out = np.empty((rows, width - drop))
+    # the columns are read in groups of the same window words
+    words = [min(3, max(1, -(-int(c.max()) // 8))) for c in (end - start).T]
+    for w in set(words):
+        cols = [col for col in range(width) if words[col] == w]
+        s, e = start[:, cols].T.ravel(), end[:, cols].T.ravel()
+        negative = text[s] == _SIGN
+        windows = np.ndarray((len(text) - 8 * w + 1,), f"V{8 * w}", text, strides=(1,))
+        windows = windows[e - 8 * w].view(np.uint64).reshape(-1, w).T
+        m, to_end, ok = _decimals(np.ascontiguousarray(windows), e - s - negative)
+        value, undecided = _to_double(m, to_end)
+        value.view(np.uint64)[:] ^= negative.astype(np.uint64) << 63
+        for i in np.flatnonzero(undecided | ~ok).tolist():
+            try:
+                value[i] = float(text[s[i]:e[i]].tobytes())
+            except ValueError:
+                return None
+        for col, column in zip(cols, value.reshape(len(cols), rows)):
+            if col >= drop:
+                out[:, col - drop] = column
+    return out
+
+
+def float_rows(data: bytes, width: int, start: int = 0, drop: int = 0) -> np.ndarray | None:
+    """The rows of a data CSV body, ``data[start:]``, as an n x ``width``
+    float array with ``float()``'s value of each cell, less its first
+    ``drop`` columns, which are read and checked all the same.
+
+    The kernel reads a body of lines of ``width`` cells split by commas,
+    which holds only digits, ``, . - e E +``, and line ends (a CR only
+    before a LF).  Anything else (a quote, a blank, a blank line, a row of
+    another width, or a cell that ``float()`` refuses) returns None, and
+    the caller reads the file one cell at a time.
+    """
+    blocks = []
+    at = start
+    while at < len(data):
+        stop = data.find(b"\n", at + PARSE_BYTES) + 1 or len(data)
+        rows = _block_rows(data, at, stop, width, drop)
+        if rows is None:
+            return None
+        blocks.append(rows)
+        at = stop
+    return np.concatenate(blocks) if blocks else None
 
 
 def format_rows(

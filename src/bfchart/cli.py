@@ -17,14 +17,14 @@ import csv
 import hashlib
 import io
 import json
+import mmap
 import sys
-import warnings
 from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__, chart, simulate, svg, workflow
-from ._rows import format_rows
+from ._rows import float_rows, format_rows
 from .bayesfactor import TargetSpec
 from .diagnostics import skewness
 from .dwr import DwrConfig
@@ -63,26 +63,29 @@ def _os_message(err: OSError, path) -> str:
 def read_data(path: str) -> tuple[list[str], np.ndarray]:
     """Read a CSV data file; returns (column names, n x p array).
 
-    The file's bytes are read once; the header, the one-call parse and the
-    cell loop each read them as UTF-8 text.  A leading ``t`` column is
-    accepted and dropped, and so is a UTF-8 byte order mark.  Raises
+    The file is opened once.  Its header is read as UTF-8 text through the
+    csv reader, and its body by the parse kernel (``_rows.float_rows``) on
+    a read-only memory map of the file, or, where the kernel leaves it to
+    the loop, cell by cell through the same reader.  A leading ``t`` column
+    is accepted and dropped, and so is a UTF-8 byte order mark.  Raises
     ParseError with row/column location for malformed cells.
     """
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
-        reader = csv.reader(_text(raw))
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        skip_t = 1 if header and header[0] == "t" else 0
-        names = header[skip_t:]
-        if not names:
-            raise ParseError(f"{path}: no data columns in header")
-        data = _load_body(raw, len(header), skip_t)
-        if data is None:
-            data = _parse_rows(path, reader, len(header), skip_t)
+            # decoded a chunk at a time as it is read: text of the whole
+            # file would take four bytes a character
+            reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8-sig", newline=""))
+            try:
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise ParseError(f"{path}: empty file") from None
+            skip_t = 1 if header and header[0] == "t" else 0
+            names = header[skip_t:]
+            if not names:
+                raise ParseError(f"{path}: no data columns in header")
+            data = _read_body(fh, reader.line_num, len(header), skip_t)
+            if data is None:
+                data = _parse_rows(path, reader, len(header), skip_t)
     except OSError as err:
         raise ParseError(_os_message(err, path)) from err
     except UnicodeDecodeError as err:
@@ -92,38 +95,26 @@ def read_data(path: str) -> tuple[list[str], np.ndarray]:
     return names, data
 
 
-def _text(raw: bytes) -> io.TextIOWrapper:
-    """The UTF-8 text of ``raw``, decoded a chunk at a time as it is read
-    (an ``io.StringIO`` of it all would take four bytes a character)."""
-    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+def _read_body(fh, header_lines: int, width: int, skip_t: int) -> np.ndarray | None:
+    """The rows after the header line by the parse kernel, on a memory map
+    of the file, which keeps its bytes off the heap.
 
-
-#: ASCII separators that np.loadtxt skips as blanks but float() refuses
-_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
-
-def _load_body(raw: bytes, width: int, skip_t: int) -> np.ndarray | None:
-    """The rows after the header line in one ``np.loadtxt`` call.
-
-    Returns None wherever the result could differ from ``_parse_rows``:
-    loadtxt refuses the input (a byte that is not UTF-8 too), finds no
-    rows, a width other than the header's or a non-finite value, or the
-    file holds a character it reads as a blank where float() does not.  The
-    caller then runs the loop.  loadtxt skips one line; a header record on
-    more lines leaves a line with a quote, which loadtxt refuses.
+    Returns None wherever the result could differ from ``_parse_rows``,
+    which the caller then runs: the file cannot be mapped (a pipe), the
+    header record is not the file's first line alone (a quoted line break,
+    or a CR that the csv reader ends a line at), the kernel leaves the body
+    to the loop, or a data value is not finite.
     """
-    if any(sep in raw for sep in _SEPARATORS):
-        return None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a header-only file
-            rows = np.loadtxt(_text(raw), delimiter=",", comments=None, skiprows=1, ndmin=2)
-    except ValueError:
+        raw = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError):
         return None
-    if rows.shape[0] == 0 or rows.shape[1] != width:
-        return None
-    data = rows[:, skip_t:]
-    return data if np.isfinite(data).all() else None
+    with raw:
+        line_end = raw.find(b"\n")
+        if header_lines != 1 or line_end < 0 or raw.find(b"\r", 0, max(line_end - 1, 0)) >= 0:
+            return None
+        data = float_rows(raw, width, line_end + 1, skip_t)
+    return data if data is not None and np.isfinite(data).all() else None
 
 
 def _parse_rows(path: str, reader, width: int, skip_t: int) -> np.ndarray:
@@ -233,6 +224,9 @@ def read_target(path: str) -> TargetSpec:
     """The target of a target file, parsed as a model's target is;
     SchemaMismatch naming the file when it is not a valid target."""
     doc, _ = _read_json(path)
+    if type(doc) is not dict:
+        raise SchemaMismatch(f"{path}: malformed target document: "
+                             f"a target must be a JSON object, got {doc!r}")
     try:
         return workflow.target_from_dict(doc)
     except (KeyError, TypeError, ValueError, OverflowError, BfchartError) as err:

@@ -205,24 +205,22 @@ class FittedModel:
             model = FittedModel(
                 delta=_json_value(doc, "delta", float),
                 m_opt=_json_value(doc, "m_opt", list),
-                s_opt=_mat_from(doc["s_opt"], "s_opt."),
-                target=target_from_dict(doc["target"], "target."),
-                ar=Ar1Model(**{k: _json_value(doc["ar"], k, float, at="ar.")
-                               for k in doc["ar"]}),
-                chart=ChartConfig(**{k: _json_value(doc["chart"], k, float, at="chart.")
-                                     for k in doc["chart"]}),
+                s_opt=_mat_from(_json_value(doc, "s_opt", dict), "s_opt."),
+                target=target_from_dict(_json_value(doc, "target", dict), "target."),
+                ar=Ar1Model(**_numbers(_json_value(doc, "ar", dict), "ar.")),
+                chart=ChartConfig(**_numbers(_json_value(doc, "chart", dict), "chart.")),
                 recenter=_json_value(doc, "recenter", bool),
                 difference=_json_value(doc, "difference", bool),
                 n_phase1=_json_value(doc, "n_phase1", int),
                 warmup=_json_value(doc, "warmup", int),
                 grid=tuple(GridEntry(_json_value(g, "delta", float, at=f"grid[{i}]."),
                                      _report_from(g, f"grid[{i}]."))
-                           for i, g in enumerate(doc["grid"])),
+                           for i, g in enumerate(_json_value(doc, "grid", list[dict]))),
                 phase1_z=_json_value(doc, "phase1_z", list),
             )
             prior_scale, p_star, lbf_offset = (
                 _json_value(doc, key, float) for key in ("prior_scale", "p_star", "lbf_offset"))
-            fit = _report_dict(_report_from(doc["fit"], "fit."))
+            fit = _report_dict(_report_from(_json_value(doc, "fit", dict), "fit."))
         except (KeyError, TypeError, ValueError, OverflowError, BfchartError) as err:
             raise SchemaMismatch(f"malformed model document: {err}") from err
         # derived values are checked at load only: a model built in code may
@@ -252,7 +250,8 @@ class FittedModel:
 def target_from_dict(doc: dict, at: str = "") -> TargetSpec:
     """The target of a ``{"mu": [...], "v": {"dim": p, "data": [...]}}``
     document, which sits at key path ``at`` of a larger one."""
-    return TargetSpec(mu=_json_value(doc, "mu", list, at=at), V=_mat_from(doc["v"], at + "v."))
+    return TargetSpec(mu=_json_value(doc, "mu", list, at=at),
+                      V=_mat_from(_json_value(doc, "v", dict, at=at), at + "v."))
 
 
 def target_to_dict(target: TargetSpec) -> dict:
@@ -269,7 +268,9 @@ def _json_value(doc: dict, key: str, kind: type, nulls: bool = False, at: str = 
     ``float`` takes a number, a JSON int or float but never a bool or a
     string, and returns a float.  ``int`` and ``bool`` take that JSON type.
     ``list`` takes a flat list of numbers and returns a float array; with
-    ``nulls`` a ``null`` entry of the list is read as NaN.
+    ``nulls`` a ``null`` entry of the list is read as NaN.  ``dict`` takes
+    an object, and ``list[dict]`` a list of objects, whose entries it names
+    ``at + key + [i]``; both return the value.
     """
     name = at + key
     try:
@@ -283,10 +284,21 @@ def _json_value(doc: dict, key: str, kind: type, nulls: bool = False, at: str = 
             return np.array(value, dtype=float)
         value = next(v for v in value if type(v) in wrong)
         raise SchemaMismatch(f"{name} must be a list of numbers, not hold {value!r}")
+    if kind == list[dict] and type(value) is list:
+        for i, entry in enumerate(value):
+            if type(entry) is not dict:
+                raise SchemaMismatch(f"{name}[{i}] must be a JSON object, got {entry!r}")
+        return value
     if type(value) in (numbers if kind is float else {kind}):
         return float(value) if kind is float else value
-    wanted = {float: "number", list: "list of numbers"}.get(kind, kind.__name__)
+    wanted = {float: "number", list: "list of numbers", dict: "object",
+              list[dict]: "list of objects"}.get(kind, kind.__name__)
     raise SchemaMismatch(f"{name} must be a JSON {wanted}, got {value!r}")
+
+
+def _numbers(doc: dict, at: str) -> dict:
+    """Each value of the object at key path ``at``, read as a number."""
+    return {key: _json_value(doc, key, float, at=at) for key in doc}
 
 
 def _report_dict(report: FitReport) -> dict:

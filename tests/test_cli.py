@@ -6,10 +6,17 @@ here as oracles for the array-speed I/O in ``cli``."""
 import csv
 import hashlib
 import importlib
+import importlib.util
 import json
+import os
+import pathlib
 import pkgutil
 import re
+import sys
+import threading
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bfchart
-from bfchart import _threads, cli, exceptions
+from bfchart import _rows, _threads, cli, exceptions
 from bfchart._rows import CHUNK_ROWS
 from bfchart.linalg import make_rng, sample_mvn
 
@@ -263,7 +270,11 @@ class TestDataIO:
             f"error: {path}: not UTF-8 text (byte 0xff)\n")
 
 
-#: CSV bodies on which the one-call reader must agree with the cell loop:
+#: values whose written text the parse kernel must read without the loop
+WRITTEN_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                 -1.7976931348623157e308, 1e-7, -1e-7, 1e16, -1e16, 2.0**53, 2.0**53 + 2]
+
+#: CSV bodies on which the parse kernel must agree with the cell loop:
 #: the same names and array, or the same ParseError message
 READ_CASES = {
     "plain": b"t,a,b\n1,1.5,-2\n2,3e-3,4\n",
@@ -303,6 +314,42 @@ READ_CASES = {
     "extreme_values": b"a,b\n5e-324,-0.0\n1e-400,+.5\n1e+16,1.7976931348623157e308\n",
     "bad_cell": b"t,a\n1,2.0\n2,oops\n",
     "line_break_in_header": b'"a\nb",c\n1,x\n',
+    # the parse kernel's edges
+    "signed_zeros": b"t,a,b\n1,-0,-0.0\n2,0,0.0\n",
+    "bare_points": b"a,b,c\n0.,.5,-.5\n",
+    "lone_point": b"a,b\n1,.\n",
+    "lone_sign": b"a,b\n-,1\n",
+    "sign_and_point": b"a,b\n-.,1\n",
+    "double_sign": b"a,b\n--1,1\n",
+    "two_points": b"a,b\n1.2.3,1\n",
+    "inner_sign": b"a,b\n1-2,1\n",
+    "leading_zeros": b"a,b\n007.50,-0001\n000000000000000000000000000001.5,0\n",
+    "twenty_digits": b"a,b\n12345678901234567890,-1.2345678901234567890\n",
+    "twenty_five_digits": b"a,b\n1234567890123456789012345,0.1234567890123456789012345\n",
+    "eighteen_digits": b"a,b\n123456789012345678,-12345678.9012345678\n",
+    "tie_above_2_53": b"a,b\n9007199254740993,18014398509481985\n",
+    "near_tie_above_2_53": b"a,b\n9007199254740993.0000001,-9007199254740992.9999999\n",
+    "long_fraction": b"a,b\n0.0000000000000000000001,0.00000000000000000000001\n"
+                     b".00000000000000000000001,-.0000000000000000000001\n"
+                     b".12345678901234567890123,1234567890123456789012.\n",
+    "below_powers_of_two": b"a,b\n0.99999999999999993,0.99999999999999994\n"
+                           b"9007199254740991.6,18014398509481983.3\n"
+                           b"0.49999999999999997,4503599627370495.7\n",
+    "exponents": b"a,b,c\n1e-7,1E5,+1.5\n5e-324,2.2250738585072011e-308,1e+16\n",
+    "bad_exponent": b"a,b\n1e,2\n",
+    "crlf_decimals": b"t,a,b\r\n1,-1.5,0.25\r\n2,3.75,-0.125\r\n",
+    "crlf_no_final_newline": b"a,b\r\n1.5,2\r\n3,4.25",
+    "crlf_blank_line": b"a,b\r\n1,2\r\n\r\n3,4\r\n",
+    "cr_inside_a_row": b"a,b\n1\r,2\n",
+    "cr_in_header": b"a\rb\n1\n2\n",
+    "unclosed_quote_in_header": b'"a\n1\n',
+    "short_rows_of_the_width": b"a,b,c\n1\n2,3\n",
+    "long_then_short_row": b"a,b\n1,2,3\n4\n",
+    "trailing_blank_line": b"a,b\n1,2\n\n",
+    "leading_blank_line": b"a,b\n\n1,2\n",
+    "one_column_blank_line": b"a\n1\n\n2\n",
+    "empty_first_cell": b"a,b\n,2\n",
+    "slash": b"a,b\n1/2,3\n",
 }
 
 
@@ -354,17 +401,36 @@ class TestReadDataMatchesCellLoop:
             assert same_outcome((names, data), cli.read_data(str(plain)))
 
     def test_written_files_take_the_one_call_path(self, tmp_path, monkeypatch):
+        # the parse kernel reads what write_data writes, edge values too
         path = tmp_path / "data.csv"
-        data = make_rng(91).standard_normal((CHUNK_ROWS + 3, 3))
-        cli.write_data(str(path), data)
+        normal = make_rng(91).standard_normal((CHUNK_ROWS + 3, 3))
+        edges = normal.copy()
+        edges.flat[:len(WRITTEN_EDGES)] = WRITTEN_EDGES
+        edges[-len(WRITTEN_EDGES):, 1] = WRITTEN_EDGES
 
         def no_loop(*args):
             raise AssertionError("fell back to the cell loop")
 
         monkeypatch.setattr(cli, "_parse_rows", no_loop)
-        names, back = cli.read_data(str(path))
-        assert names == ["y1", "y2", "y3"]
-        assert back.tobytes() == data.tobytes()
+        for data in (normal, edges):
+            cli.write_data(str(path), data)
+            names, back = cli.read_data(str(path))
+            assert names == ["y1", "y2", "y3"]
+            assert back.tobytes() == data.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_a_pipe_is_read_by_the_loop(self, tmp_path):
+        # a pipe cannot be memory-mapped, so the cell loop reads it
+        content = READ_CASES["crlf_decimals"]
+        plain, fifo = tmp_path / "plain.csv", tmp_path / "fifo.csv"
+        plain.write_bytes(content)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(content,), daemon=True)
+        writer.start()
+        got = outcome(cli.read_data, str(fifo))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert same_outcome(got, read_data_loop(str(plain)))
 
     @pytest.mark.parametrize("one_call", [True, False], ids=["one_call", "cell_loop"])
     def test_file_is_opened_once(self, tmp_path, monkeypatch, one_call):
@@ -392,6 +458,132 @@ class TestReadDataMatchesCellLoop:
         assert len(opened) == 1
         assert len(loops) == (0 if one_call else 1)
         assert same_outcome((names, data), read_data_loop(str(path)))
+
+
+def _midpoint_text(x, digits):
+    """The exact decimal midpoint between |x| and the next double up, to
+    ``digits`` significant digits, with the sign of x."""
+    a = abs(x)
+    mid = (Fraction(a) + Fraction(float(np.nextafter(a, np.inf)))) / 2
+    with localcontext() as context:
+        context.prec = 60
+        text = format(Decimal(mid.numerator) / Decimal(mid.denominator), f".{digits}g")
+    return ("-" if x < 0 else "") + text
+
+
+def _digit_text(negative, digits, point):
+    """A sign, the digits and a point at position ``point`` (none past the end)."""
+    if point <= len(digits):
+        digits = digits[:point] + "." + digits[point:]
+    return ("-" if negative else "") + digits
+
+
+def _sweep_cells(rng, n):
+    """Cell texts of each kind the parse kernel must read as float() does."""
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 17, n)
+    bits = rng.integers(0, 2**63, n, dtype=np.int64).view(float)
+    bits = np.where(np.isfinite(bits), bits, 0.0)
+    lengths = rng.integers(1, 26, n)
+    strings = ["".join(map(str, rng.integers(0, 10, size))) for size in lengths]
+    cells = [repr(v) for v in bits.tolist()]
+    cells += ["%.17g" % v for v in x.tolist()]
+    cells += ["%.15g" % v for v in x.tolist()]
+    cells += [f"%.{k}f" % v for v, k in zip(x.tolist(), rng.integers(0, 25, n).tolist())]
+    cells += [_digit_text(neg, s, p) for neg, s, p in
+              zip((rng.random(n) < 0.5).tolist(), strings,
+                  rng.integers(0, 27, n).tolist())]
+    cells += [_midpoint_text(v, d) for v, d in
+              zip(x[:n // 4].tolist(), rng.integers(16, 40, n // 4).tolist())]
+    # decimals between a power of two and the double below it, where the
+    # ulp changes
+    for e in range(-30, 62):
+        top = Fraction(2) ** e
+        below = Fraction(float(np.nextafter(float(top), 0.0)))
+        for t in (0.3, 0.45, 0.55, 0.7):
+            x_t = below + (top - below) * Fraction(t)
+            with localcontext() as context:
+                context.prec = 60
+                exact = Decimal(x_t.numerator) / Decimal(x_t.denominator)
+            cells += [format(exact, f".{d}f" if e > 0 else f".{d}g") for d in (17, 19)]
+    return cells
+
+
+#: cell texts for the parse kernel's property: shortest, %.17g, %.15g and
+#: %.kf floats, digit strings with a sign and a point, and decimal midpoints
+#: between adjacent doubles to 30 digits and more
+KERNEL_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e20, 1e20).map(lambda v: "%.17g" % v),
+    st.floats(-1e20, 1e20).map(lambda v: "%.15g" % v),
+    st.builds(lambda v, k: f"%.{k}f" % v, st.floats(-1e17, 1e17), st.integers(0, 25)),
+    st.builds(_digit_text, st.booleans(), st.text("0123456789", min_size=1, max_size=25),
+              st.integers(0, 26)),
+    st.builds(_midpoint_text, st.floats(1e-300, 1e300), st.integers(30, 40)),
+)
+
+
+class TestParseKernel:
+    """``cli.read_data`` through the parse kernel against the cell loop,
+    bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(KERNEL_CELLS, KERNEL_CELLS), min_size=1, max_size=6))
+    def test_property_against_the_cell_loop(self, tmp_path, rows):
+        path = tmp_path / "data.csv"
+        path.write_text("t,a,b\n" + "".join(f"{i},{a},{b}\n" for i, (a, b) in enumerate(rows)))
+        assert same_outcome(outcome(cli.read_data, str(path)),
+                            outcome(read_data_loop, str(path)))
+
+    def test_sweep_against_the_cell_loop(self, tmp_path):
+        cells = _sweep_cells(np.random.default_rng(97), 2000)
+        half = len(cells) // 2
+        path = tmp_path / "data.csv"
+        path.write_text("a,b\n" + "".join(f"{a},{b}\n" for a, b in zip(cells, cells[half:])))
+        want = read_data_loop(str(path))
+        assert same_outcome(cli.read_data(str(path)), want)
+        # and the written text of random finite bit patterns
+        bits = np.random.default_rng(98).integers(0, 2**63, (3000, 2), dtype=np.int64)
+        bits[::2] ^= np.int64(-2**63)
+        data = np.where(np.isfinite(bits.view(float)), bits.view(float), 0.0)
+        cli.write_data(str(path), data)
+        assert cli.read_data(str(path))[1].tobytes() == data.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 40])
+    def test_blocks_of_a_body_agree(self, tmp_path, monkeypatch, block):
+        # a body read a few lines a block: every block boundary, and a bad
+        # cell in a later block than the first
+        monkeypatch.setattr(_rows, "PARSE_BYTES", block)
+        path = tmp_path / "data.csv"
+        for content in READ_CASES.values():
+            path.write_bytes(content)
+            assert same_outcome(outcome(cli.read_data, str(path)),
+                                outcome(read_data_loop, str(path)))
+
+    def test_every_written_file_takes_the_kernel(self, tmp_path, monkeypatch):
+        # the files write_data, simulate and calibrate write, and perfbench's
+        # inputs; the --lbf study's summary holds scenario names, not data
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", pathlib.Path(__file__).parents[1] / "perfbench/workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        for name, workload in workloads.WORKLOADS.items():
+            (tmp_path / name).mkdir()
+            workloads.generate_inputs(workload, 1, workloads.Paths(str(tmp_path / name)))
+        for argv in (["--scenario", "mean_shift", "-n", "300"], ["--dwr", "--dim", "3", "-n", "300"]):
+            assert cli.main(["simulate", *argv, "--out", str(tmp_path / f"sim{len(argv)}.csv")]) == 0
+        assert cli.main(["simulate", "--scenario", "all", "--lbf", "-n", "40", "--warmup", "20",
+                         "--out-dir", str(tmp_path)]) == 0
+        assert cli.main(["calibrate", "--lambda", "0.1", "--grid-phi", "0,0.2", "--reps", "100",
+                         "--out", str(tmp_path / "grid.csv")]) == 0
+        loops = []
+        monkeypatch.setattr(cli, "_parse_rows", lambda path, *args: loops.append(path))
+        paths = [p for p in sorted(tmp_path.rglob("*.csv")) if p.name != "lbf_summary.csv"]
+        assert len(paths) == 8 + 4 + 4 + 2 + 4 + 1
+        for path in paths:
+            cli.read_data(str(path))
+        assert loops == []
 
 
 #: values whose text json and repr must agree on
@@ -835,6 +1027,22 @@ class TestFitCommand:
         assert err.startswith(f"error: {target}: malformed target document: ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "a target must be a JSON object, got []"),
+        ({"mu": [0.0, 0.0], "v": 3}, "v must be a JSON object, got 3"),
+    ], ids=["list", "v_as_number"])
+    def test_mistyped_target_block_names_its_key_path(self, tmp_path, capsys, doc, message):
+        data = tmp_path / "d.csv"
+        write_stream(data, 60, seed=86)
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = cli.main(["fit", str(data), "--out", str(tmp_path / "m.json"),
+                         "--target-file", str(target), "--reps", "200"])
+        assert code == cli.EXIT_SCHEMA
+        assert capsys.readouterr().err == (
+            f"error: {target}: malformed target document: {message}\n")
 
     @pytest.mark.parametrize("mutate", _mistyped(TARGET_FIELDS))
     def test_mistyped_target_field_exits_schema(self, tmp_path, capsys, mutate):
@@ -1315,6 +1523,31 @@ def _huge_s_opt_variance(doc):
     doc["s_opt"]["data"][0] = 1e308
 
 
+#: each block of model.json that is an object or a list of objects, set to
+#: a value of another JSON type: its key path, the value and the kind named
+MISTYPED_BLOCKS = {
+    "s_opt_as_number": (("s_opt",), 5, "object"),
+    "ar_as_list": (("ar",), [1], "object"),
+    "grid_as_number": (("grid",), 3, "list of objects"),
+    "grid_entry_as_number": (("grid", 1), 5, "object"),
+    "chart_as_number": (("chart",), 2, "object"),
+    "target_as_list": (("target",), [], "object"),
+    "target_v_as_list": (("target", "v"), [1], "object"),
+    "fit_as_text": (("fit",), "x", "object"),
+}
+
+
+def _mistyped_blocks():
+    """A pytest param of a mutator for each of MISTYPED_BLOCKS."""
+    def mutator(path, value):
+        def mutate(doc):
+            _field(doc, path[:-1])[path[-1]] = value
+        return mutate
+
+    return [pytest.param(mutator(path, value), id=name)
+            for name, (path, value, _) in MISTYPED_BLOCKS.items()]
+
+
 class TestModelValidation:
     """Every inconsistent or mistyped model file exits 4 before any scoring."""
 
@@ -1327,7 +1560,7 @@ class TestModelValidation:
         _another_prior_scale, _warmup_as_bool, _negative_warmup, _huge_warmup,
         _warmup_at_n_phase1, _cut_phase1_z, _huge_s_opt_variance, _fit_off_the_grid,
         _grid_without_delta, _repeated_grid_delta, _short_grid_msse, _empty_grid_mae,
-        _negative_grid_n, *_mistyped(MODEL_FIELDS),
+        _negative_grid_n, *_mistyped(MODEL_FIELDS), *_mistyped_blocks(),
     ], ids=lambda f: f.__name__.strip("_"))
     def test_inconsistent_model_exits_schema(self, positive_artifacts, tmp_path, capsys,
                                              mutate, tracking):
@@ -1356,6 +1589,21 @@ class TestModelValidation:
         assert cli.main(["monitor", str(stream), "--model", str(broken)]) == cli.EXIT_SCHEMA
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f" {_key_path(path)} must be a " in err, err
+
+    @pytest.mark.parametrize("name", MISTYPED_BLOCKS)
+    def test_mistyped_block_names_its_key_path(self, positive_artifacts, tmp_path, capsys,
+                                               name):
+        model_path, stream = positive_artifacts
+        path, value, kind = MISTYPED_BLOCKS[name]
+        doc = json.loads(model_path.read_text())
+        _field(doc, path[:-1])[path[-1]] = value
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["monitor", str(stream), "--model", str(broken)]) == cli.EXIT_SCHEMA
+        where = path[0] + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in path[1:])
+        assert capsys.readouterr().err == (
+            f"error: malformed model document: {where} must be a JSON {kind}, got {value!r}\n")
 
     def test_fields_are_every_value_of_the_model(self, positive_artifacts):
         doc = json.loads(positive_artifacts[0].read_text())

@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfchart import _threads
+from bfchart import _rows, _threads
 from bfchart._rows import (
     CHUNK_ROWS,
     cells,
     float_cells,
+    float_rows,
     format_rows,
     int_cells,
     join_rows,
@@ -299,3 +300,56 @@ class TestRowsOnAWorker:
         assert next(rows).count("\n") == CHUNK_ROWS
         rows.close()
         assert threading.enumerate() == before
+
+
+class TestParseKernel:
+    """``float_rows`` reads the text the text kernel writes back to the
+    same bits, and decides nearly all of it without ``float()``."""
+
+    def test_written_bit_patterns_read_back(self):
+        rng = np.random.default_rng(31)
+        bits = rng.integers(0, 2**63, (20_000, 2), dtype=np.int64)
+        bits[::2] ^= np.int64(-2**63)
+        x = np.where(np.isfinite(bits.view(float)), bits.view(float), 0.0)
+        body = join_rows(["", ",", ""], [float_cells(x[:, 0]), float_cells(x[:, 1])], "\n")
+        assert float_rows(body.encode(), 2).tobytes() == x.tobytes()
+
+    def test_positional_text_needs_no_fallback(self, monkeypatch):
+        # every repr between 1e-4 and 1e16 is positional, with at most 17
+        # digits; the kernel decides each one itself
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal(50_000) * 10.0 ** rng.integers(-3, 16, 50_000)
+        x = x[(np.abs(x) >= 1e-4) & (np.abs(x) < 1e16)]
+        decided = []
+        decimals, to_double = _rows._decimals, _rows._to_double
+
+        def read(*args):
+            m, to_end, ok = decimals(*args)
+            decided.append(ok.all())
+            return m, to_end, ok
+
+        def convert(*args):
+            value, undecided = to_double(*args)
+            decided.append(not undecided.any())
+            return value, undecided
+
+        monkeypatch.setattr(_rows, "_decimals", read)
+        monkeypatch.setattr(_rows, "_to_double", convert)
+        body = lines(float_cells(x)).encode()
+        for text in (body, body.replace(b"\n", b"\r\n")):
+            assert float_rows(text, 1).ravel().tobytes() == x.tobytes()
+        assert decided and all(decided)
+
+    @pytest.mark.parametrize("body, width", [
+        (b"", 1), (b"1,2", 1), (b"1\n2,3\n", 2), (b"1,2\n\n", 2), (b' 1\n', 1),
+        (b"1\r2\n", 1), (b'"1"\n', 1), (b"1e400\n", 1), (b"-\n", 1),
+    ], ids=["empty", "width", "ragged", "blank_line", "blank", "lone_cr", "quote",
+            "overflow", "sign"])
+    def test_leaves_to_the_loop(self, body, width):
+        rows = float_rows(body, width)
+        assert rows is None or not np.isfinite(rows).all()
+
+    def test_drops_leading_columns_after_reading_them(self):
+        assert float_rows(b"1,2.5\n2,-3\n", 2, 0, 1).tolist() == [[2.5], [-3.0]]
+        assert float_rows(b"x,2.5\n", 2, 0, 1) is None
+        assert float_rows(b"head\n1,2.5\n", 2, 5).tolist() == [[1.0, 2.5]]

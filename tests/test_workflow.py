@@ -400,8 +400,17 @@ class TestSerialization:
          r"^grid\[2\]\.msse must be a list of numbers, not hold None"),
         (lambda doc: doc["fit"].update(n=3.5), r"^fit\.n must be a JSON int, got 3\.5"),
         (lambda doc: doc["grid"][1].pop("n"), r"^'grid\[1\]\.n'$"),
+        (lambda doc: doc.update(s_opt=5), r"^s_opt must be a JSON object, got 5$"),
+        (lambda doc: doc.update(ar=[1]), r"^ar must be a JSON object, got \[1\]$"),
+        (lambda doc: doc.update(grid=3), r"^grid must be a JSON list of objects, got 3$"),
+        (lambda doc: doc["grid"].__setitem__(1, 5), r"^grid\[1\] must be a JSON object, got 5$"),
+        (lambda doc: doc.update(chart=2), r"^chart must be a JSON object, got 2$"),
+        (lambda doc: doc.update(target=[]), r"^target must be a JSON object, got \[\]$"),
+        (lambda doc: doc["target"].update(v=[1]), r"^target\.v must be a JSON object"),
+        (lambda doc: doc.update(fit="x"), r"^fit must be a JSON object, got 'x'$"),
     ], ids=["s_opt_dim", "target_v_dim", "target_mu", "ar_phi", "grid_msse", "fit_n",
-            "missing_grid_n"])
+            "missing_grid_n", "s_opt_block", "ar_block", "grid_block", "grid_entry",
+            "chart_block", "target_block", "target_v_block", "fit_block"])
     def test_messages_name_the_full_key_path(self, fitted, edit, message):
         doc = fitted[0].to_dict()
         edit(doc)
