@@ -528,7 +528,7 @@ def format_rows(
     kernel leaves undecided.
 
     With three chunks or more and two usable CPUs, the cells of each chunk
-    are made on a worker thread (``_threads.prefetched``) while this thread joins
+    are made on a second thread (``_threads.ahead``) while this thread joins
     the chunk before into text; the text does not depend on it.
     """
     n = len(columns[0])
@@ -537,10 +537,9 @@ def format_rows(
     def chunk_cells(start: int) -> list[np.ndarray]:
         return [cells(c[start:start + CHUNK_ROWS], reference) for c in columns]
 
-    # the worker overlaps a chunk's cells with the join of the chunk before,
+    # the thread overlaps a chunk's cells with the join of the chunk before,
     # never the first chunk's, so it pays for its start from three chunks
-    made = _threads.prefetched(chunk_cells, starts, len(starts) > 2)
-    # made first, so that zip runs it to its end, which joins the worker
-    for chunk, start in zip(made, starts):
-        text = join_rows(pieces, chunk, sep)
-        yield text if start + CHUNK_ROWS < n else text[:len(text) - len(sep)]
+    with _threads.pool(1 if len(starts) > 2 else 0) as pool:
+        for start, chunk in zip(starts, _threads.ahead(chunk_cells, starts, pool)):
+            text = join_rows(pieces, chunk, sep)
+            yield text if start + CHUNK_ROWS < n else text[:len(text) - len(sep)]

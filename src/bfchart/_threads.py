@@ -1,21 +1,23 @@
 """The work bfchart runs on a second core, and when it does.
 
-* ``threaded_map``: Phase I scores its discount factor candidates on
-  threads, whose batched ``eigh`` releases the GIL (``workflow.phase1``).
-* ``worker``: calibration draws its normal noise a buffer ahead on one
-  worker thread, since numpy's ``Generator`` fills an array with the GIL
-  released (``chart.calibrate_c``).
-* ``prefetched``: the text kernel makes the cells of each chunk of a long
-  per-row output on one worker thread while the calling thread joins the
-  chunk before into text; both run numpy operations on whole chunks, which
-  release the GIL (``_rows.format_rows``).
+``ahead(func, items, pool)`` yields func(item) in order, made on the
+threads of a ``pool`` while the caller uses the result before:
 
-Each caller runs its work inline when the process may use one CPU only
-(``usable_cpus``) or its input is small, where a thread costs more than it
-saves.  Every thread ends before the call that started it returns or raises.
-The threads are plain ``threading`` threads fed through ``queue.SimpleQueue``,
-which imports in about 1 ms; ``concurrent.futures`` takes 6 to 10 ms, which
-a fresh process would pay on its first threaded call.
+* Phase I scores its discount factor candidates, one thread each up to the
+  CPUs; their batched ``eigh`` releases the GIL (``workflow.phase1``).
+* Calibration draws each block's normal noise a buffer ahead on one thread;
+  numpy's ``Generator`` fills an array with the GIL released
+  (``chart.calibrate_c``).
+* The text kernel makes each chunk's cells on one thread while the caller
+  joins the chunk before into text (``_rows.format_rows``).
+
+A caller asks for no thread where its input is small and a thread costs
+more than it saves; ``pool`` gives none where the process may use one CPU
+(``usable_cpus``), and ``ahead`` then calls inline.  Every thread ends
+before its ``pool`` block is left.  The threads are plain ``threading``
+threads fed through ``queue.SimpleQueue``, which imports in about 1 ms;
+``concurrent.futures`` takes 6 to 10 ms, which a fresh process would pay
+on its first threaded call.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import contextvars
+import itertools
 import os
 import queue
 import threading
@@ -48,20 +51,20 @@ class _Pending(queue.SimpleQueue):
 
 
 class _Pool:
-    """``workers`` threads that make submitted calls in order of submission,
+    """``threads`` threads that make submitted calls in order of submission,
     each in a copy of the submitter's context, where numpy 2 keeps
     ``np.errstate``."""
 
-    def __init__(self, workers: int):
+    def __init__(self, threads: int):
         self._tasks = queue.SimpleQueue()
         self._stopped = False
-        self._threads = [threading.Thread(target=self._run) for _ in range(workers)]
+        self._threads = [threading.Thread(target=self._run) for _ in range(threads)]
         for thread in self._threads:
             thread.start()
 
-    def submit(self, func, *args, **kwargs) -> _Pending:
+    def submit(self, func, item) -> _Pending:
         pending = _Pending()
-        self._tasks.put((pending, contextvars.copy_context(), func, args, kwargs))
+        self._tasks.put((pending, contextvars.copy_context(), func, item))
         return pending
 
     def _run(self) -> None:
@@ -80,64 +83,55 @@ class _Pool:
             thread.join()
 
 
-def _call(pending: _Pending, context, func, args, kwargs) -> None:
+def _call(pending: _Pending, context, func, item) -> None:
     try:
-        pending.put((context.run(func, *args, **kwargs), None))
+        pending.put((context.run(func, item), None))
     except BaseException as error:  # raised again by pending.result()
         pending.put((None, error))
 
 
 @contextlib.contextmanager
-def worker(useful: bool):
-    """One worker thread when it is ``useful`` and this process may use two
-    CPUs, else None.  ``submit(func, *args, **kwargs)`` returns an object
-    whose ``result()`` waits for the call's value.
+def pool(threads: int):
+    """A pool of ``threads`` threads for ``ahead``, or None when ``threads``
+    is below 1 or this process may use one CPU.
 
-    On exit the work not yet started is dropped and the thread is joined.
+    The second CPU is chosen from the affinity mask alone, however busy it
+    is: with another process holding the second vCPU of a two-vCPU host,
+    calibration's noise thread made it 16 to 18% slower than drawing inline.
+    On exit the calls not yet started are dropped and the threads joined.
     """
-    if not useful or usable_cpus() < 2:
+    if threads < 1 or usable_cpus() < 2:
         yield None
         return
-    pool = _Pool(1)
+    workers = _Pool(threads)
     try:
-        yield pool
+        yield workers
     finally:
-        pool.shutdown()
+        workers.shutdown()
 
 
-def prefetched(func, items, useful: bool):
-    """Yield func(item) for each item in order.  When it is ``useful`` and
-    this process may use two CPUs, the calls are made on one worker thread,
-    each while the consumer uses the result before; at most two run ahead
-    of the consumer.  The first call to fail raises its error, after the
-    thread has stopped.
+def ahead(func, items, pool: _Pool | None):
+    """A generator of func(item) for each item, in order, with the items
+    drawn on the caller's thread.
+
+    Without a pool the calls are made inline.  On one, the first call is
+    submitted at once and the rest as results are taken, with at most
+    max(2, threads) calls submitted and not yet taken, so each call runs
+    while the caller uses the result before.  A failed call raises its
+    error when its result is taken; leaving the pool block drops the rest.
     """
-    with worker(useful) as pool:
-        yield from map(func, items) if pool is None else _in_order(pool, func, items, 2)
+    if pool is None:
+        return (func(item) for item in items)
+    items = iter(items)
+    bound = max(2, len(pool._threads))
+    calls = collections.deque(pool.submit(func, item) for item in itertools.islice(items, 1))
 
+    def results():
+        for item in items:
+            calls.append(pool.submit(func, item))
+            if len(calls) == bound:
+                yield calls.popleft().result()
+        while calls:
+            yield calls.popleft().result()
 
-def threaded_map(func, items, workers: int):
-    """Yield func(item) for each item in order, computed on ``workers`` threads.
-
-    At most ``workers`` calls run ahead of the consumer, so no more results
-    are held than that.  Each call runs in a copy of the caller's context,
-    where numpy 2 keeps ``np.errstate``.  The first call to fail in order
-    raises its error, after the threads have stopped.
-    """
-    pool = _Pool(workers)
-    try:
-        yield from _in_order(pool, func, items, workers)
-    finally:
-        pool.shutdown()
-
-
-def _in_order(pool: _Pool, func, items, ahead: int):
-    """func(item) for each item in order, made on the pool with at most
-    ``ahead`` calls submitted and not yet consumed."""
-    pending = collections.deque()
-    for item in items:
-        pending.append(pool.submit(func, item))
-        if len(pending) == ahead:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+    return results()

@@ -16,15 +16,16 @@ replications as one batch, extends only the runs the answer still depends
 on, and solves ARL(c) = target exactly on that step function.  Replications
 draw from one RNG stream per fixed-size block derived from (seed, block),
 so calibration is deterministic under a fixed seed.  Where the process may
-use two CPUs, each block's noise is drawn a buffer ahead on one worker
-thread, since numpy fills the buffer with the GIL released; the values, and
-so the result, are the same as drawn inline.  ``estimate_arl`` is the
-independent per-replication estimate at a fixed c, with one stream per
-(seed, replication).
+use two CPUs, each block's noise is drawn a buffer ahead on a second thread
+(``_threads.ahead``), since numpy fills the buffer with the GIL released;
+the values, and so the result, are the same as drawn inline.
+``estimate_arl`` is the independent per-replication estimate at a fixed c,
+with one stream per (seed, replication).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -210,38 +211,28 @@ class CalibrationResult:
 class _NormalStream:
     """The standard normal values of one generator, handed out in order.
 
-    Given a ``worker``, values are drawn _CHUNK_ELEMENTS at a time on it,
-    and from the first ``take`` on the next buffer is drawn while the caller
-    uses this one; at most one draw is in flight.  Without one, ``take``
-    draws its values inline.  A C-order draw of any shape is the same
-    stream as flat draws, so the values do not depend on how they are taken.
+    The values are drawn _CHUNK_ELEMENTS at a time into buffers allocated
+    on the calling thread, so that their memory goes back to its heap; on a
+    pool of one thread, the first buffer is drawn from construction on and
+    each next one while the caller uses the one before.  A C-order draw of
+    any shape is the same stream as flat draws, so the values do not depend
+    on how they are taken or on the pool.
     """
 
-    def __init__(self, rng: np.random.Generator, worker):
-        self.rng, self.worker = rng, worker
+    def __init__(self, rng: np.random.Generator, pool):
+        buffers = (np.empty(_CHUNK_ELEMENTS) for _ in itertools.count())
+        self.buffers = _threads.ahead(lambda out: rng.standard_normal(out=out), buffers, pool)
         self.buffer = np.empty(0)
         self.used = 0
-        self.pending = None
-
-    def prefetch(self) -> None:
-        """Start drawing the next buffer unless a draw is in flight."""
-        if self.worker is not None and self.pending is None:
-            # allocated here, so that its memory goes back to this thread's heap
-            out = np.empty(_CHUNK_ELEMENTS)
-            self.pending = self.worker.submit(self.rng.standard_normal, out=out)
 
     def take(self, n: int) -> np.ndarray:
         """The next ``n`` values."""
-        if self.worker is None:
-            return self.rng.standard_normal(n)
         parts = []
         while n > self.buffer.size - self.used:
             if self.used < self.buffer.size:
                 parts.append(self.buffer[self.used:])
                 n -= self.buffer.size - self.used
-            self.prefetch()
-            self.buffer, self.used, self.pending = self.pending.result(), 0, None
-            self.prefetch()
+            self.buffer, self.used = next(self.buffers), 0
         parts.append(self.buffer[self.used:self.used + n])
         self.used += n
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -260,7 +251,7 @@ class _RunMaxima:
     its events at heights <= c.
     """
 
-    def __init__(self, lam: float, phi: float, reps: int, seed: int, worker=None):
+    def __init__(self, lam: float, phi: float, reps: int, seed: int, pool=None):
         unit = Ar1Model(0.0, phi, 1.0)
         sigma_z = math.sqrt(asymptotic_sigma_z2(lam, unit))
         # the AR(1)+EWMA cascade of the noise, in units of sigma_z
@@ -272,7 +263,8 @@ class _RunMaxima:
             rng.standard_normal(min(_CALIB_BLOCK, reps - block * _CALIB_BLOCK))
             for block, rng in enumerate(rngs)
         ])
-        self.streams = [_NormalStream(rng, worker) for rng in rngs]
+        self.rngs, self.pool = rngs, pool
+        self.streams = [_NormalStream(rngs[0], pool)]
         self.state = np.zeros((reps, 2))
         self.state[:, 0] = lam * phi * math.sqrt(unit.variance) / sigma_z * start
         self.peak = np.full(reps, -np.inf)
@@ -289,7 +281,7 @@ class _RunMaxima:
         """Simulate the ``rows`` whose running maximum does not exceed ``stop``
         until each reaches ``limit`` steps or its running maximum exceeds
         ``stop``, in chunks of at most _CHUNK_ELEMENTS values."""
-        for block, stream in enumerate(self.streams):
+        for block in range(len(self.rngs)):
             lo = np.searchsorted(rows, block * _CALIB_BLOCK)
             hi = np.searchsorted(rows, (block + 1) * _CALIB_BLOCK)
             active = rows[lo:hi]
@@ -299,10 +291,11 @@ class _RunMaxima:
                     break
                 remaining = int((limit - self.horizon[active]).min())
                 steps = min(remaining, max(1, _CHUNK_ELEMENTS // active.size))
-                noise = stream.take(active.size * steps).reshape(active.size, steps)
-                # the next block's first buffer is drawn while this one runs
-                if block + 1 < len(self.streams):
-                    self.streams[block + 1].prefetch()
+                noise = self.streams[block].take(active.size * steps).reshape(active.size, steps)
+                # the next block's first buffer is drawn while this one runs;
+                # every block runs in the first round
+                if len(self.streams) == block + 1 < len(self.rngs):
+                    self.streams.append(_NormalStream(self.rngs[block + 1], self.pool))
                 self._advance(active, noise)
 
     def _deviations(self, rows: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -385,11 +378,13 @@ def calibrate_c(
     for |phi| >= 1, and BracketFailure when the ARL at the bracket's lower
     end already exceeds the target or the ARL at its upper end falls short
     of it.
-    When this process may use two CPUs and the first round draws at least
-    2 x _CHUNK_ELEMENTS values, one worker thread draws each block's noise
-    _CHUNK_ELEMENTS values at a time, a buffer ahead of the simulation; the
-    replications get the same noise as drawn inline, so the result does not
-    depend on the thread, which is joined before this returns or raises.
+    Each block's noise is drawn _CHUNK_ELEMENTS values at a time.  When this
+    process may use two CPUs and the first round draws at least
+    2 x _CHUNK_ELEMENTS values, one thread draws each buffer while the
+    simulation uses the one before, and a block's first buffer while the
+    block before runs; the replications get the same noise as drawn inline,
+    so the result does not depend on the thread, which is joined before
+    this returns or raises.
     """
     if not 1.0 < target_arl < math.inf:
         raise InvalidConfig(f"target ARL must be finite and exceed 1, got {target_arl}")
@@ -401,9 +396,10 @@ def calibrate_c(
     cap = min(RUN_LENGTH_CAP, max(10_000, int(100 * target_arl)))
     goal = target_arl * reps
 
-    # a worker pays for itself once the first round draws two buffers
-    with _threads.worker(reps * _FIRST_HORIZON >= 2 * _CHUNK_ELEMENTS) as worker:
-        runs = _RunMaxima(lam, phi, reps, seed, worker)
+    # a thread pays for itself once the first round draws two buffers; one
+    # thread draws each stream's buffers in order
+    with _threads.pool(1 if reps * _FIRST_HORIZON >= 2 * _CHUNK_ELEMENTS else 0) as pool:
+        runs = _RunMaxima(lam, phi, reps, seed, pool)
         rows = np.arange(reps)
         limit = min(_FIRST_HORIZON, cap)
         bound = stop = guess = hi

@@ -124,7 +124,10 @@ def sample_mvn(mean, cov, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def make_rng(seed: int, *key: int) -> np.random.Generator:
     """Deterministic PCG64 stream for ``seed``; extra keys derive independent
-    child streams, e.g. ``make_rng(seed, rep)`` for replication ``rep``."""
+    child streams, e.g. ``make_rng(seed, rep)`` for replication ``rep``.
+    Raises InvalidConfig for a negative seed."""
+    if seed < 0:
+        raise InvalidConfig(f"seed must be a non-negative integer, got {seed}")
     if key:
         return np.random.default_rng([int(seed), *(int(k) for k in key)])
     return np.random.default_rng(int(seed))

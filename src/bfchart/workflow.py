@@ -410,22 +410,23 @@ def phase1(
         report = fit_report(path.errors[w:], scale * path.s_pre[w:] / delta, y[w:])
         return GridEntry(delta, report), path, w
 
-    workers = 1
-    if n * p * p >= _THREADED_GRID_ENTRIES:
-        workers = min(len(deltas), _threads.usable_cpus())
-    scores = map(score, deltas) if workers < 2 else _threads.threaded_map(score, deltas, workers)
+    # one thread per candidate, up to the CPUs; one candidate runs inline
+    threads = 0
+    if n * p * p >= _THREADED_GRID_ENTRIES and len(deltas) > 1:
+        threads = min(len(deltas), _threads.usable_cpus())
     # every candidate's report is kept, and only the best path so far
     grid, best = [], None
-    for scored in scores:
-        if scored is not None:
-            entry, path, w = scored
-            grid.append(entry)
-            key = (entry.report.msse_score, entry.delta)
-            if best is None or key < best[0]:
-                best = key, path, w
-            del path
-        # drop this candidate's path before the next one is scored
-        del scored
+    with _threads.pool(threads) as pool:
+        for scored in _threads.ahead(score, deltas, pool):
+            if scored is not None:
+                entry, path, w = scored
+                grid.append(entry)
+                key = (entry.report.msse_score, entry.delta)
+                if best is None or key < best[0]:
+                    best = key, path, w
+                del path
+            # drop this candidate's path before the next one is scored
+            del scored
     if best is None:
         raise DegenerateFit(
             "no discount factor candidate produced a positive definite "

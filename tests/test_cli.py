@@ -1402,6 +1402,24 @@ def test_unwritable_output_exits_parse(fit_artifacts, capsys, argv):
     assert "No such file or directory" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "{train}", "--estimate-target", "--reps", "200", "--seed", "-2",
+     "--out", "{out}"],
+    ["calibrate", "--lambda", "0.05", "--seed", "-1", "--reps", "100",
+     "--grid-phi", "0.1", "--out", "{out}"],
+    ["simulate", "--seed", "-1", "-n", "20", "--out", "{out}"],
+], ids=["fit", "calibrate", "simulate"])
+def test_negative_seed_exits_parse(fit_artifacts, tmp_path, capsys, argv):
+    _, train, _ = fit_artifacts
+    out = tmp_path / "out"
+    assert cli.main([a.format(train=train, out=out) for a in argv]) == cli.EXIT_PARSE
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if not line.startswith("warning: ")]
+    seed = argv[argv.index("--seed") + 1]
+    assert errors == [f"error: seed must be a non-negative integer, got {seed}"]
+    assert not out.exists()
+
+
 def test_output_path_that_is_a_directory_exits_parse(tmp_path, capsys):
     assert cli.main(["simulate", "-n", "20", "--out", str(tmp_path)]) == cli.EXIT_PARSE
     assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")

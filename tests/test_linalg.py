@@ -242,6 +242,11 @@ class TestSampleMvn:
 
 
 class TestMakeRng:
+    @pytest.mark.parametrize("key", [(), (0,)])
+    def test_negative_seed_is_invalid(self, key):
+        with pytest.raises(InvalidConfig, match="seed must be a non-negative integer, got -1"):
+            make_rng(-1, *key)
+
     def test_same_key_same_stream(self):
         assert make_rng(3, 7).standard_normal() == make_rng(3, 7).standard_normal()
 

@@ -1,4 +1,5 @@
-"""The thread helpers bfchart runs work on a second core with."""
+"""The thread helpers bfchart runs work on a second core with: ``pool`` and
+``ahead``."""
 
 import os
 import subprocess
@@ -20,6 +21,9 @@ def cpus(request, monkeypatch):
 
 
 class TestPrefetched:
+    """``ahead`` on ``pool(1)``: each result is made on one thread while the
+    one before is used, or inline when the process may use one CPU."""
+
     def test_yields_in_order_at_most_two_ahead(self, cpus):
         started, ahead = [], []
 
@@ -28,9 +32,10 @@ class TestPrefetched:
             return item * item
 
         got = []
-        for value in _threads.prefetched(call, range(20), True):
-            ahead.append(len(started) - len(got))
-            got.append(value)
+        with _threads.pool(1) as pool:
+            for value in _threads.ahead(call, range(20), pool):
+                ahead.append(len(started) - len(got))
+                got.append(value)
         assert got == [i * i for i in range(20)]
         assert max(ahead) <= (2 if cpus > 1 else 1)
 
@@ -43,7 +48,9 @@ class TestPrefetched:
             return item
 
         before = threading.enumerate()
-        assert list(_threads.prefetched(call, range(5), useful)) == list(range(5))
+        with _threads.pool(1 if useful else 0) as pool:
+            assert (pool is None) == (cpus == 1 or not useful)
+            assert list(_threads.ahead(call, range(5), pool)) == list(range(5))
         assert threading.enumerate() == before
         assert (threading.main_thread() in threads) == (cpus == 1 or not useful)
 
@@ -56,38 +63,70 @@ class TestPrefetched:
         got = []
         before = threading.enumerate()
         with pytest.raises(ValueError, match="item 3 failed"):
-            got.extend(_threads.prefetched(call, range(10), True))
+            with _threads.pool(1) as pool:
+                got.extend(_threads.ahead(call, range(10), pool))
         assert got == [0, 1, 2]
         assert threading.enumerate() == before
 
     def test_closing_drops_the_rest(self, cpus):
         started = []
         before = threading.enumerate()
-        values = _threads.prefetched(started.append, range(100), True)
-        next(values)
-        values.close()
+        with _threads.pool(1) as pool:
+            values = _threads.ahead(started.append, range(100), pool)
+            next(values)
+            values.close()
         assert threading.enumerate() == before
-        assert len(started) <= 3
+        assert len(started) <= (2 if cpus > 1 else 1)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_holds_at_most_two_or_one_per_thread_ahead(monkeypatch, threads):
+    # every submitted call counts, started or not, until its result is taken
+    monkeypatch.setattr(_threads, "usable_cpus", lambda: 2)
+    submitted, ahead, got = [], [], []
+    with _threads.pool(threads) as pool:
+        submit = pool.submit
+        pool.submit = lambda func, item: submitted.append(item) or submit(func, item)
+        for value in _threads.ahead(abs, range(-20, 0), pool):
+            ahead.append(len(submitted) - len(got))
+            got.append(value)
+    assert got == list(range(20, 0, -1))
+    assert max(ahead) == max(2, threads)
+
+
+def test_the_first_call_starts_before_a_result_is_asked_for(monkeypatch):
+    monkeypatch.setattr(_threads, "usable_cpus", lambda: 2)
+    started = threading.Event()
+
+    def call(item):
+        started.set()
+        return item
+
+    with _threads.pool(1) as pool:
+        values = _threads.ahead(call, range(3), pool)
+        assert started.wait(10)
+        assert list(values) == [0, 1, 2]
 
 
 def test_worker_drops_the_work_not_started(monkeypatch):
-    # the first call is still running when the block exits; the others
-    # have not started and must not start
+    # the first call is still running when the block exits; it finishes,
+    # and the others have not started and must not start
     monkeypatch.setattr(_threads, "usable_cpus", lambda: 2)
-    started = []
+    started, finished = [], []
 
     def call(item):
         started.append(item)
         time.sleep(0.2)
+        finished.append(item)
 
     before = threading.enumerate()
-    with _threads.worker(True) as pool:
+    with _threads.pool(1) as pool:
         for item in range(5):
             pool.submit(call, item)
         while not started:
             time.sleep(0.001)
     assert threading.enumerate() == before
-    assert started == [0]
+    assert started == finished == [0]
 
 
 def test_a_fresh_process_never_imports_concurrent_futures(tmp_path):

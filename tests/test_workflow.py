@@ -186,6 +186,11 @@ class TestPhase1(object):
         with pytest.raises(InvalidConfig, match="row 7, column 1"):
             phase1(data, calib_reps=200)
 
+    def test_negative_seed_rejected(self):
+        data = make_rng(0).standard_normal((300, 2))
+        with pytest.raises(InvalidConfig, match="seed must be a non-negative integer, got -1"):
+            phase1(data, deltas=(0.9,), calib_reps=200, seed=-1)
+
     @pytest.mark.parametrize("difference,scale,row", [(False, 1.0, 10), (True, 1e5, 11)])
     def test_log_bayes_factor_that_overflows_is_degenerate(self, difference, scale, row):
         # a differenced series is scored against a zero mean, so there the
@@ -315,7 +320,7 @@ class TestThreadedGrid:
             phase1(large, calib_reps=200)
         assert want != np.geterr() and seen == [want] * len(DELTA_GRID)
 
-    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("count", [1, 2, 3])
     def test_holds_at_most_one_filter_path_per_worker(self, monkeypatch, large, count):
         # the best path so far and one per other worker; the rest are freed.
         # Here the best is in the middle of the grid, so a path kept past its
