@@ -138,8 +138,8 @@ _FIRST_DIGIT = 7
 _EXP_DIGITS, _E = 25, 28
 _FLOAT_WIDTH = 24
 #: layouts of each sign: 20 positional (decimal point after digit -3 ... 16)
-#: and 4 exponent forms (2 or 3 exponent digits, + or -), by digit count
-_FORMS = 24
+#: and 2 exponent forms (+ or -, two exponent digits), by digit count
+_FORMS = 22
 
 
 def _layouts() -> np.ndarray:
@@ -152,10 +152,8 @@ def _layouts() -> np.ndarray:
             for ndig in range(1, 18):
                 d = list(range(_FIRST_DIGIT, _FIRST_DIGIT + ndig))
                 if form >= 20:
-                    three, negative = divmod(form - 20, 2)
                     body = d[:1] + ([_DOT] + d[1:] if ndig > 1 else [])
-                    body += [_E, _E + 1 + negative]
-                    body += list(range(_EXP_DIGITS + 1 - three, _EXP_DIGITS + 3))
+                    body += [_E, _E + form - 19, _EXP_DIGITS + 1, _EXP_DIGITS + 2]
                 else:
                     point = form - 3
                     if point <= 0:
@@ -257,11 +255,7 @@ def float_cells(x: np.ndarray, reference: Callable[[float], str] = repr) -> np.n
     src[:, 1:6] = _digits(best, 5).view(np.uint32)
     src[:, 6] = _QUADS[np.abs(e10)]
     src[:, 7] = _TAIL_WORD
-    form = np.where(
-        (e10 >= -4) & (e10 <= 15),
-        e10 + 4,
-        20 + 2 * (np.abs(e10) >= 100) + (e10 < 0),
-    )
+    form = np.where((e10 >= -4) & (e10 <= 15), e10 + 4, 20 + (e10 < 0))
     layout = (np.signbit(x) * _FORMS + form) * 17 + ndig - 1
     width = int(_LAYOUT_WIDTHS[layout].max(initial=1))
     index = _LAYOUTS[:, :width][layout] + np.arange(0, 4 * _SRC_WORDS * len(best), 4 * _SRC_WORDS)[:, None]

@@ -5,19 +5,20 @@ threads of a ``pool`` while the caller uses the result before:
 
 * Phase I scores its discount factor candidates, one thread each up to the
   CPUs; their batched ``eigh`` releases the GIL (``workflow.phase1``).
-* Calibration draws each block's normal noise a buffer ahead on one thread;
+* Calibration draws its normal noise a buffer ahead on one thread;
   numpy's ``Generator`` fills an array with the GIL released
   (``chart.calibrate_c``).
 * The text kernel makes each chunk's cells on one thread while the caller
   joins the chunk before into text (``_rows.format_rows``).
 
 A caller asks for no thread where its input is small and a thread costs
-more than it saves; ``pool`` gives none where the process may use one CPU
-(``usable_cpus``), and ``ahead`` then calls inline.  Every thread ends
-before its ``pool`` block is left.  The threads are plain ``threading``
-threads fed through ``queue.SimpleQueue``, which imports in about 1 ms;
-``concurrent.futures`` takes 6 to 10 ms, which a fresh process would pay
-on its first threaded call.
+more than it saves; ``pool`` starts at most one per usable CPU
+(``usable_cpus``) and none where the process may use one, and ``ahead``
+then calls inline.  Every thread ends before its ``pool`` block is left.
+The threads are plain ``threading`` threads fed through
+``queue.SimpleQueue``, which imports in about 1 ms; ``concurrent.futures``
+takes 6 to 10 ms, which a fresh process would pay on its first threaded
+call.
 """
 
 from __future__ import annotations
@@ -92,18 +93,19 @@ def _call(pending: _Pending, context, func, item) -> None:
 
 @contextlib.contextmanager
 def pool(threads: int):
-    """A pool of ``threads`` threads for ``ahead``, or None when ``threads``
-    is below 1 or this process may use one CPU.
+    """A pool of min(``threads``, usable CPUs) threads for ``ahead``, or None
+    when ``threads`` is below 1 or this process may use one CPU.
 
     The second CPU is chosen from the affinity mask alone, however busy it
     is: with another process holding the second vCPU of a two-vCPU host,
     calibration's noise thread made it 16 to 18% slower than drawing inline.
     On exit the calls not yet started are dropped and the threads joined.
     """
-    if threads < 1 or usable_cpus() < 2:
+    cpus = usable_cpus()
+    if threads < 1 or cpus < 2:
         yield None
         return
-    workers = _Pool(threads)
+    workers = _Pool(min(threads, cpus))
     try:
         yield workers
     finally:

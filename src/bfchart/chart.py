@@ -13,12 +13,12 @@ target (370.4 by default elsewhere).  Under common random numbers a
 replication's AR(1)+EWMA path does not depend on c, so the Monte Carlo ARL
 is a monotone step function of c; ``calibrate_c`` simulates all
 replications as one batch, extends only the runs the answer still depends
-on, and solves ARL(c) = target exactly on that step function.  Replications
-draw from one RNG stream per fixed-size block derived from (seed, block),
-so calibration is deterministic under a fixed seed.  Where the process may
-use two CPUs, each block's noise is drawn a buffer ahead on a second thread
-(``_threads.ahead``), since numpy fills the buffer with the GIL released;
-the values, and so the result, are the same as drawn inline.
+on, and solves ARL(c) = target exactly on that step function.  Every
+replication's starting value and noise come from one RNG stream of the
+seed, so calibration is deterministic under a fixed seed.  Where the
+process may use two CPUs, the noise is drawn a buffer ahead on a second
+thread (``_threads.ahead``), since numpy fills the buffer with the GIL
+released; the values, and so the result, are the same as drawn inline.
 ``estimate_arl`` is the independent per-replication estimate at a fixed c,
 with one stream per (seed, replication).
 """
@@ -40,7 +40,8 @@ RUN_LENGTH_CAP = 10**7
 
 _CHUNK = 2048
 
-#: replications that share one random stream during calibration
+#: calibration simulates the replications in blocks of this many, so that
+#: a chunk of _CHUNK_ELEMENTS values spans at least 64 steps
 _CALIB_BLOCK = 1024
 #: steps every replication is simulated for in the first calibration round
 _FIRST_HORIZON = 256
@@ -256,15 +257,11 @@ class _RunMaxima:
         sigma_z = math.sqrt(asymptotic_sigma_z2(lam, unit))
         # the AR(1)+EWMA cascade of the noise, in units of sigma_z
         self.coef = (lam / sigma_z, _accel.cascade(lam, phi))
-        rngs = [make_rng(seed, block) for block in range(-(-reps // _CALIB_BLOCK))]
+        rng = make_rng(seed)
         # the AR(1) starts from its stationary law x_{-1} and the EWMA at the
         # chart center, which is the recurrence state (lam phi x_{-1} / sigma_z, 0)
-        start = np.concatenate([
-            rng.standard_normal(min(_CALIB_BLOCK, reps - block * _CALIB_BLOCK))
-            for block, rng in enumerate(rngs)
-        ])
-        self.rngs, self.pool = rngs, pool
-        self.streams = [_NormalStream(rngs[0], pool)]
+        start = rng.standard_normal(reps)
+        self.noise = _NormalStream(rng, pool)
         self.state = np.zeros((reps, 2))
         self.state[:, 0] = lam * phi * math.sqrt(unit.variance) / sigma_z * start
         self.peak = np.full(reps, -np.inf)
@@ -280,22 +277,17 @@ class _RunMaxima:
     def extend(self, rows: np.ndarray, limit: int, stop: float) -> None:
         """Simulate the ``rows`` whose running maximum does not exceed ``stop``
         until each reaches ``limit`` steps or its running maximum exceeds
-        ``stop``, in chunks of at most _CHUNK_ELEMENTS values."""
-        for block in range(len(self.rngs)):
-            lo = np.searchsorted(rows, block * _CALIB_BLOCK)
-            hi = np.searchsorted(rows, (block + 1) * _CALIB_BLOCK)
-            active = rows[lo:hi]
+        ``stop``, block by block in chunks of at most _CHUNK_ELEMENTS values
+        taken in order from the one noise stream."""
+        edges = np.searchsorted(rows, np.arange(_CALIB_BLOCK, self.peak.size, _CALIB_BLOCK))
+        for active in np.split(rows, edges):
             while True:
                 active = active[(self.horizon[active] < limit) & (self.peak[active] <= stop)]
                 if not active.size:
                     break
                 remaining = int((limit - self.horizon[active]).min())
                 steps = min(remaining, max(1, _CHUNK_ELEMENTS // active.size))
-                noise = self.streams[block].take(active.size * steps).reshape(active.size, steps)
-                # the next block's first buffer is drawn while this one runs;
-                # every block runs in the first round
-                if len(self.streams) == block + 1 < len(self.rngs):
-                    self.streams.append(_NormalStream(self.rngs[block + 1], self.pool))
+                noise = self.noise.take(active.size * steps).reshape(active.size, steps)
                 self._advance(active, noise)
 
     def _deviations(self, rows: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -378,13 +370,13 @@ def calibrate_c(
     for |phi| >= 1, and BracketFailure when the ARL at the bracket's lower
     end already exceeds the target or the ARL at its upper end falls short
     of it.
-    Each block's noise is drawn _CHUNK_ELEMENTS values at a time.  When this
-    process may use two CPUs and the first round draws at least
-    2 x _CHUNK_ELEMENTS values, one thread draws each buffer while the
-    simulation uses the one before, and a block's first buffer while the
-    block before runs; the replications get the same noise as drawn inline,
-    so the result does not depend on the thread, which is joined before
-    this returns or raises.
+    The starting values come first from one generator of ``seed``, and then
+    the noise, _CHUNK_ELEMENTS values at a time, taken by blocks of
+    _CALIB_BLOCK replications in order.  When this process may use two CPUs
+    and the first round draws at least 2 x _CHUNK_ELEMENTS values, one
+    thread draws each buffer while the simulation uses the one before; the
+    replications get the same noise as drawn inline, so the result does not
+    depend on the thread, which is joined before this returns or raises.
     """
     if not 1.0 < target_arl < math.inf:
         raise InvalidConfig(f"target ARL must be finite and exceed 1, got {target_arl}")
@@ -397,7 +389,7 @@ def calibrate_c(
     goal = target_arl * reps
 
     # a thread pays for itself once the first round draws two buffers; one
-    # thread draws each stream's buffers in order
+    # thread draws the stream's buffers in order
     with _threads.pool(1 if reps * _FIRST_HORIZON >= 2 * _CHUNK_ELEMENTS else 0) as pool:
         runs = _RunMaxima(lam, phi, reps, seed, pool)
         rows = np.arange(reps)

@@ -354,6 +354,8 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    if args.out and not (args.grid_lambda or args.grid_phi):
+        raise ParseError("calibrate: --out needs --grid-lambda or --grid-phi")
     if args.reps < 1000:
         print(
             f"warning: --reps {args.reps} gives a wide ARL standard error; "
@@ -392,6 +394,9 @@ def cmd_calibrate(args) -> int:
 def cmd_simulate(args) -> int:
     if args.lbf and (args.dwr or args.scenario != "all"):
         raise ParseError("simulate: --lbf needs --scenario all and no --dwr")
+    if not args.lbf and args.scenario not in simulate.SCENARIO_NAMES:
+        raise ParseError(f"simulate: unknown scenario {args.scenario!r}; choose one of "
+                         f"{', '.join(simulate.SCENARIO_NAMES)} or 'all' with --lbf")
     if args.dwr:
         config = DwrConfig(dim=args.dim, delta=args.delta)
         data = simulate.gen_local_level(
@@ -421,11 +426,8 @@ def cmd_simulate(args) -> int:
             fh.write("\n".join(summary) + "\n")
         print(f"histograms and summary written to {out_dir}/")
         return EXIT_OK
-    scenarios = simulate.reference_scenarios()
-    if args.scenario not in scenarios:
-        raise ParseError(f"simulate: unknown scenario {args.scenario!r}; choose one of "
-                         f"{', '.join(simulate.SCENARIO_NAMES)} or 'all' with --lbf")
-    data = simulate.gen_iid(scenarios[args.scenario], args.n, make_rng(args.seed))
+    scenario = simulate.reference_scenarios()[args.scenario]
+    data = simulate.gen_iid(scenario, args.n, make_rng(args.seed))
     write_data(args.out, data)
     print(f"{args.n} rows from scenario {args.scenario} written to {args.out}")
     return EXIT_OK

@@ -44,7 +44,7 @@ from .exceptions import (
     SchemaMismatch,
     TooShort,
 )
-from .linalg import as_rows, as_spd, cholesky
+from .linalg import as_rows, as_spd, cholesky, make_rng
 
 SCHEMA_VERSION = 1
 
@@ -368,6 +368,8 @@ def phase1(
     candidates are scored on up to min(CPUs, candidates) threads; the model
     does not depend on the thread count.
     """
+    # calibration's seed rule, applied before any work
+    make_rng(seed)
     deltas = tuple(map(float, deltas))
     for i, delta in enumerate(deltas):
         if delta in deltas[:i]:
@@ -413,7 +415,7 @@ def phase1(
     # one thread per candidate, up to the CPUs; one candidate runs inline
     threads = 0
     if n * p * p >= _THREADED_GRID_ENTRIES and len(deltas) > 1:
-        threads = min(len(deltas), _threads.usable_cpus())
+        threads = len(deltas)
     # every candidate's report is kept, and only the best path so far
     grid, best = [], None
     with _threads.pool(threads) as pool:

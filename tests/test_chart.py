@@ -319,8 +319,8 @@ class TestCalibrateC:
 
 
 class TestNoiseOnASecondCore:
-    """With two CPUs each block's noise is drawn a buffer ahead on one worker
-    thread; the replications get the same noise as drawn inline."""
+    """With two CPUs the noise is drawn a buffer ahead on one worker thread;
+    the replications get the same noise as drawn inline."""
 
     @pytest.fixture(params=[1, 2], ids=["inline", "worker"])
     def cpus(self, request, monkeypatch):
@@ -330,38 +330,38 @@ class TestNoiseOnASecondCore:
     @pytest.mark.parametrize("reps", [511, 512, 2500])
     def test_blocks_consume_their_streams_in_order(self, monkeypatch, cpus, reps):
         # 511 and 512 replications are one block and 2500 are three; the
-        # worker runs once the first round draws two buffers, from 512
-        consumed, threads = {}, set()
+        # worker runs once the first round draws two buffers, from 512.
+        # The chunks take the seed's one stream in order, after the starting
+        # values, and each holds the rows of one block
+        consumed, blocks, threads = [], set(), set()
         advance = chart._RunMaxima._advance
 
         def spy(runs, rows, noise):
             block = int(rows[0]) // chart._CALIB_BLOCK
             assert int(rows[-1]) // chart._CALIB_BLOCK == block
-            consumed.setdefault(block, []).append(noise.ravel().copy())
+            blocks.add(block)
+            consumed.append(noise.ravel().copy())
             threads.update(threading.enumerate())
             advance(runs, rows, noise)
 
         monkeypatch.setattr(chart._RunMaxima, "_advance", spy)
         before = set(threading.enumerate())
         result = calibrate_c(0.05, 0.1, 370.4, reps=reps, seed=11)
-        blocks = -(-reps // chart._CALIB_BLOCK)
-        assert sorted(consumed) == list(range(blocks))
-        total = 0
-        for block in range(blocks):
-            noise = np.concatenate(consumed[block])
-            start = min(chart._CALIB_BLOCK, reps - block * chart._CALIB_BLOCK)
-            want = make_rng(11, block).standard_normal(start + noise.size)[start:]
-            np.testing.assert_array_equal(noise, want)
-            total += noise.size
-        assert total == result.simulated_steps
+        assert sorted(blocks) == list(range(-(-reps // chart._CALIB_BLOCK)))
+        noise = np.concatenate(consumed)
+        want = make_rng(11).standard_normal(reps + noise.size)[reps:]
+        np.testing.assert_array_equal(noise, want)
+        assert noise.size == result.simulated_steps
         gate = 2 * chart._CHUNK_ELEMENTS // chart._FIRST_HORIZON
         assert (threads > before) == (cpus > 1 and reps >= gate)
 
     @pytest.mark.parametrize("reps, want", [
-        (2500, chart.CalibrationResult(2.4609276537605136, 371.1528, 7.443185728327524,
-                                       5, 0, 1487419)),
+        (2500, chart.CalibrationResult(2.4661996139053963, 370.6556, 7.233453898213151,
+                                       5, 0, 1480087)),
         (1000, chart.CalibrationResult(2.4804359785326664, 370.824, 11.01774276699541,
                                        5, 0, 577729)),
+        (1024, chart.CalibrationResult(2.480777909672926, 370.7275390625,
+                                       11.097517016980866, 5, 0, 600330)),
     ])
     def test_results_are_pinned(self, cpus, reps, want):
         assert calibrate_c(0.05, 0.1, 370.4, reps=reps, seed=0) == want
@@ -376,7 +376,7 @@ class TestNoiseOnASecondCore:
             result = calibrate_c(0.05, 0.1, 370.4, reps=2500, seed=0)
         finally:
             sys.setswitchinterval(interval)
-        assert (result.c, result.simulated_steps) == (2.4609276537605136, 1487419)
+        assert (result.c, result.simulated_steps) == (2.4661996139053963, 1480087)
 
     def test_no_thread_outlives_a_call(self, cpus):
         before = threading.enumerate()
@@ -456,12 +456,8 @@ class TestCalibrationIsExact:
         result = calibrate_c(self.LAM, self.AR.phi, self.TARGET, reps=self.REPS,
                              seed=self.SEED)
 
-        # the stationary starting values come first from each block's stream
-        start = np.concatenate([
-            make_rng(self.SEED, block).standard_normal(
-                min(chart._CALIB_BLOCK, self.REPS - block * chart._CALIB_BLOCK))
-            for block in range(-(-self.REPS // chart._CALIB_BLOCK))
-        ])
+        # the stationary starting values come first from the seed's stream
+        start = make_rng(self.SEED).standard_normal(self.REPS)
         x0 = math.sqrt(self.AR.variance) * start
         paths = [cascade_loop(x0[r], np.concatenate(noise[r]), self.AR, self.LAM)
                  for r in range(self.REPS)]

@@ -768,6 +768,19 @@ class TestSimulateCommand:
         assert err.startswith("error: simulate: unknown scenario 'nope'; choose one of ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("scenario", ["nope", "all"])
+    def test_unknown_scenario_with_dwr(self, tmp_path, capsys, scenario):
+        # the name is checked whatever the generator; 'all' is only for --lbf
+        out = tmp_path / "d.csv"
+        code = cli.main(["simulate", "--dwr", "--scenario", scenario, "-n", "5",
+                         "--out", str(out)])
+        assert code == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: simulate: unknown scenario {scenario!r}; choose one of ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_dwr_generator(self, tmp_path):
         out = tmp_path / "dwr.csv"
         code = cli.main(["simulate", "--dwr", "--dim", "3", "--delta", "0.8",
@@ -878,6 +891,17 @@ class TestCalibrateCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "lambda,phi,c,arl,arl_se"
         assert len(lines) == 3
+
+    def test_out_needs_a_grid(self, tmp_path, capsys):
+        out = tmp_path / "single.csv"
+        code = cli.main(["calibrate", "--lambda", "0.05", "--reps", "200",
+                         "--out", str(out)])
+        assert code == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: calibrate: --out needs --grid-lambda or --grid-phi\n")
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestFitCommand:

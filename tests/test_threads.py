@@ -81,8 +81,9 @@ class TestPrefetched:
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_holds_at_most_two_or_one_per_thread_ahead(monkeypatch, threads):
-    # every submitted call counts, started or not, until its result is taken
-    monkeypatch.setattr(_threads, "usable_cpus", lambda: 2)
+    # every submitted call counts, started or not, until its result is taken;
+    # one thread needs two CPUs to run at all
+    monkeypatch.setattr(_threads, "usable_cpus", lambda: max(2, threads))
     submitted, ahead, got = [], [], []
     with _threads.pool(threads) as pool:
         submit = pool.submit
@@ -92,6 +93,16 @@ def test_holds_at_most_two_or_one_per_thread_ahead(monkeypatch, threads):
             got.append(value)
     assert got == list(range(20, 0, -1))
     assert max(ahead) == max(2, threads)
+
+
+def test_starts_at_most_one_thread_per_cpu(monkeypatch):
+    monkeypatch.setattr(_threads, "usable_cpus", lambda: 2)
+    before = threading.active_count()
+    with _threads.pool(3) as pool:
+        assert len(pool._threads) == 2
+        assert threading.active_count() == before + 2
+        assert list(_threads.ahead(abs, range(-5, 0), pool)) == [5, 4, 3, 2, 1]
+    assert threading.active_count() == before
 
 
 def test_the_first_call_starts_before_a_result_is_asked_for(monkeypatch):

@@ -186,7 +186,12 @@ class TestPhase1(object):
         with pytest.raises(InvalidConfig, match="row 7, column 1"):
             phase1(data, calib_reps=200)
 
-    def test_negative_seed_rejected(self):
+    def test_negative_seed_rejected(self, monkeypatch):
+        # refused before any candidate is filtered
+        def run_filter(*args):
+            raise AssertionError("run_filter called before the seed was checked")
+
+        monkeypatch.setattr(workflow, "run_filter", run_filter)
         data = make_rng(0).standard_normal((300, 2))
         with pytest.raises(InvalidConfig, match="seed must be a non-negative integer, got -1"):
             phase1(data, deltas=(0.9,), calib_reps=200, seed=-1)
