@@ -43,7 +43,11 @@ class FitReport:
 
 
 def standardize_errors(errors, covs) -> np.ndarray:
-    """Whiten each error by the inverse symmetric square root of its covariance."""
+    """Whiten each error by the inverse symmetric square root of its covariance.
+
+    The roots come from ``linalg.sym_inv_sqrt``: in closed form for 1 x 1
+    and 2 x 2 covariances, through a batched ``eigh`` for larger ones.
+    """
     errs = np.asarray(errors, dtype=float)
     if len(errs) != len(covs):
         raise DimensionMismatch(

@@ -20,7 +20,10 @@ starts symmetric stays exactly symmetric without re-symmetrization.
 
 ``filter_path`` runs the recursions over a whole series as arrays and
 returns a ``FilterPath``, which holds the covariance estimates as one
-array; ``run_filter`` runs it from a fresh state.  ``FilterState.step``,
+array; ``run_filter`` runs it from a fresh state.  No row is stepped alone:
+P_t does not depend on the data, so the mean recursion is a linear map of
+the rows, run as blocked matrix products while P_t is still moving and as
+one constant-gain recurrence once it has settled.  ``FilterState.step``,
 one observation at a time, is the scalar form it is checked against.
 """
 
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import recurrence
+from ._accel import _BLOCK, _PRODUCT_SIZE, recurrence
 from .exceptions import DimensionMismatch, InvalidConfig
 from .linalg import as_rows
 
@@ -153,9 +156,12 @@ def filter_path(y, start: FilterState) -> "FilterPath":
     for a fresh filter) to s[n] = sum of the weighted outer products so far
     divided by start.t + n, and the state after the last observation.
 
-    P_t does not depend on the data.  Once it is within ``_SETTLED_RTOL`` of
-    its limit, the mean recursion has a constant gain and runs as one
-    first-order ``recurrence`` over the rest of the series.
+    P_t does not depend on the data.  Until it is within ``_SETTLED_RTOL``
+    of its limit, the means come from ``_prefix_means``, one product per
+    block of at most ``_accel._BLOCK`` rows, in calls of at most
+    _PRODUCT_SIZE // _BLOCK rows; from there the mean recursion has a
+    constant gain and runs as one first-order ``recurrence`` over the rest
+    of the series.
     """
     n, p = y.shape
     delta = start.delta
@@ -167,10 +173,14 @@ def filter_path(y, start: FilterState) -> "FilterPath":
 
     m_pre = np.empty((n, p))
     m = np.asarray(start.m, dtype=float).copy()
-    for t in range(settled):
-        m_pre[t] = m
-        denom = delta + p_pre[t]
-        m = (delta * m + p_pre[t] * y[t]) / denom
+    # each call's transfer matrices hold at most _PRODUCT_SIZE entries
+    span = _PRODUCT_SIZE // _BLOCK
+    for lo in range(0, settled, span):
+        hi = min(settled, lo + span)
+        post = _prefix_means(y[lo:hi], m, p_pre[lo:hi], delta)
+        m_pre[lo] = m
+        m_pre[lo + 1:hi] = post[:-1]
+        m = post[-1].copy()
     if settled < n:
         scale = p_pre[settled]
         denom = delta + scale
@@ -191,6 +201,49 @@ def filter_path(y, start: FilterState) -> "FilterPath":
     final = FilterState(delta, start.t + n, m, float(scales[n]), s[-1].copy())
     s /= np.maximum(start.t + np.arange(n + 1.0), 1.0)[:, None, None]
     return FilterPath(delta=delta, errors=e, m_pre=m_pre, p_pre=p_pre, s=s, final=final)
+
+
+def _prefix_means(y, m, scales, delta):
+    """The means after each row of y, from mean m, when row t meets scale
+    scales[t]: m <- a_t m + b_t y_t with a_t = delta / (delta + P_t) and
+    b_t = P_t / (delta + P_t).
+
+    The rows run in blocks of equal width B <= _BLOCK, the last zero-padded
+    with steps a = 1, b = 0 that leave the mean as it is.  Within a block
+    the means are one product of its rows with the B x B transfer matrix
+    T[i, j] = b_j (a_{j+1} ... a_i), zero above the diagonal, plus the
+    block's starting mean times the gain product a_0 ... a_i.  T depends on
+    P_t only.  Both are exponentials of differences of the cumulative log
+    gains, never a quotient of two gain products, which would read 0 / 0
+    once the products underflow (delta near 0 gives gains near 1e-3 and
+    1e-9 in turn).  The exponents are held at or above the log of the
+    smallest normal double, because an exp that underflows runs about 20
+    times slower; a weight raised to 2.2e-308 moves a mean by at most
+    2.2e-308 times the largest input.  Only the starting means are carried
+    from block to block.
+    """
+    rows, p = y.shape
+    blocks = -(-rows // _BLOCK)
+    width = -(-rows // blocks)
+    denom = delta + scales
+    logs = np.zeros(blocks * width)
+    np.log(delta / denom, out=logs[:rows])
+    inputs = np.zeros((blocks * width, p))
+    np.multiply(y, (scales / denom)[:, None], out=inputs[:rows])
+    # c[k, i]: log of the gain product a_0 ... a_i of block k; it never
+    # increases along i, so d below is <= 0 on and below the diagonal
+    c = np.cumsum(logs.reshape(blocks, width), axis=1)
+    floor = math.log(np.finfo(float).tiny)
+    d = c[:, :, None] - c[:, None, :]
+    np.clip(d, floor, 0.0, out=d)
+    np.exp(d, out=d)
+    d *= np.tri(width)
+    post = d @ inputs.reshape(blocks, width, p)
+    gains = np.exp(np.maximum(c, floor))
+    for k in range(blocks):
+        post[k] += gains[k, :, None] * m
+        m = post[k, -1]
+    return post.reshape(-1, p)[:rows]
 
 
 @dataclass(frozen=True)

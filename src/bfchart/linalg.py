@@ -96,16 +96,53 @@ def sym_inv_sqrt(m) -> np.ndarray:
     """Spectral inverse square root R with R m R = I; R is symmetric.
 
     ``m`` is one matrix or a stack (..., p, p) of them; every matrix must be
-    finite, symmetric to within 1e-10 and positive definite.
+    finite, symmetric to within 1e-10 and positive definite.  Matrices of
+    size 1 and 2 are inverted in closed form (``_inv_sqrt_small``), larger
+    ones through a batched ``eigh``.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
-    w, u = np.linalg.eigh(_symmetrized(a))
+    a = _symmetrized(a)
+    if a.shape[-1] <= 2:
+        return _inv_sqrt_small(a)
+    w, u = np.linalg.eigh(a)
     if np.any(w[..., 0] <= 0.0):
         raise NotPositiveDefinite("matrix has non-positive eigenvalues")
     r = (u / np.sqrt(w)[..., None, :]) @ np.swapaxes(u, -1, -2)
     return 0.5 * (r + np.swapaxes(r, -1, -2))
+
+
+def _inv_sqrt_small(a: np.ndarray) -> np.ndarray:
+    """``sym_inv_sqrt`` of a stack of symmetric 1 x 1 or 2 x 2 matrices.
+
+    For 2 x 2 C with s = sqrt(det C) and t = sqrt(tr C + 2s), the square
+    root is (C + sI) / t, and its inverse t adj(C + sI) / det(C + sI) is
+    adj(C + sI) / (s t), since det(C + sI) = s t^2.  Each matrix is first
+    divided by its largest entry k, so that no product overflows, and the
+    result by sqrt(k).  C is positive definite exactly when c11 > 0 and
+    det C > 0.  A 1 x 1 matrix c gives 1 / sqrt(c), which is what ``eigh``
+    gives too.
+    """
+    if a.shape[-1] == 1:
+        if np.any(a <= 0.0):
+            raise NotPositiveDefinite("matrix has non-positive eigenvalues")
+        return 1.0 / np.sqrt(a)
+    c11, c12, c22 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
+    if np.any(c11 <= 0.0):
+        raise NotPositiveDefinite("matrix has non-positive eigenvalues")
+    k = np.maximum(np.maximum(c11, np.abs(c22)), np.abs(c12))
+    c11, c12, c22 = c11 / k, c12 / k, c22 / k
+    det = c11 * c22 - c12 * c12
+    if np.any(det <= 0.0):
+        raise NotPositiveDefinite("matrix has non-positive eigenvalues")
+    s = np.sqrt(det)
+    f = 1.0 / (s * np.sqrt(c11 + c22 + 2.0 * s) * np.sqrt(k))
+    r = np.empty(a.shape)
+    r[..., 0, 0] = (c22 + s) * f
+    r[..., 0, 1] = r[..., 1, 0] = -c12 * f
+    r[..., 1, 1] = (c11 + s) * f
+    return r
 
 
 def sample_mvn(mean, cov, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -363,14 +363,17 @@ def phase1(
 
     ``data`` is read by ``linalg.as_rows``.  For each discount factor
     candidate the filter is run over the data and the candidate minimizing
-    the mean |MSSE - 1| across coordinates wins; a repeated candidate raises
-    InvalidConfig.  From ``_THREADED_GRID_ENTRIES`` values of n * p * p the
+    the mean |MSSE - 1| across coordinates wins.  An empty grid, a candidate
+    outside (0, 1] or a repeated one raises InvalidConfig before any is
+    filtered.  From ``_THREADED_GRID_ENTRIES`` values of n * p * p the
     candidates are scored on up to min(CPUs, candidates) threads; the model
     does not depend on the thread count.
     """
     # calibration's seed rule, applied before any work
     make_rng(seed)
-    deltas = tuple(map(float, deltas))
+    deltas = tuple(map(dwr._check_delta, deltas))
+    if not deltas:
+        raise InvalidConfig("the discount factor grid is empty")
     for i, delta in enumerate(deltas):
         if delta in deltas[:i]:
             raise InvalidConfig(f"discount factor {delta} is repeated in the grid")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bfchart import dwr
 from bfchart.bayesfactor import TargetSpec, lbf_series, lbf_terms
 from bfchart.dwr import (
     DEFAULT_PRIOR_SCALE,
@@ -259,29 +260,58 @@ class TestRunFilter:
         np.testing.assert_allclose(path.final.sum_outer, state.sum_outer,
                                    rtol=0, atol=1e-12)
 
+    def _assert_matches_steps(self, data, start):
+        path = filter_path(data, start)
+        state = start.copy()
+        for k, row in enumerate(data):
+            np.testing.assert_allclose(path.m_pre[k], state.m, rtol=0, atol=1e-12)
+            assert path.p_pre[k] == state.P
+            np.testing.assert_allclose(path.errors[k], state.step(row), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(path.s_post[k], state.S, rtol=0, atol=1e-12)
+        assert (path.final.delta, path.final.t) == (state.delta, state.t)
+        np.testing.assert_allclose(path.final.m, state.m, rtol=0, atol=1e-12)
+        assert path.final.P == state.P
+        np.testing.assert_allclose(path.final.sum_outer, state.sum_outer, rtol=0, atol=1e-12)
+        return path
+
+    @pytest.mark.parametrize("delta,n", [(0.01, 2000), (1e-6, 5000)])
+    def test_matches_step_loop_where_the_gain_never_settles(self, delta, n):
+        # P_t stays away from its limit for all n rows, so the whole series
+        # runs as the unsettled prefix; at delta 1e-6 the gains alternate
+        # near 1e-3 and 1e-9, so their products underflow within a few rows,
+        # and 5000 rows take more than one run of blocks
+        data = (make_rng(16).standard_normal((n, 2))
+                + np.linspace(0.0, 5.0, n)[:, None])
+        path = self._assert_matches_steps(data, init(DwrConfig(dim=2, delta=delta)))
+        limit = steady_state_scale(delta)
+        assert np.all(np.abs(path.p_pre - limit) > dwr._SETTLED_RTOL * limit)
+
+    @pytest.mark.parametrize("prefix", [1, 2, 63, 65, 129, 353])
+    def test_matches_step_loop_where_the_prefix_ends_inside_a_block(self, prefix):
+        # from a fresh start P_t settles at row 353 at delta 0.1; resuming
+        # after 353 - prefix rows leaves a prefix that fills no whole number
+        # of 64-row blocks, followed by the constant-gain tail
+        config = DwrConfig(dim=3, delta=0.1)
+        data = (make_rng(17).standard_normal((600, 3))
+                + np.linspace(0.0, 5.0, 600)[:, None])
+        limit = steady_state_scale(0.1)
+        near = np.abs(run_filter(config, data).p_pre - limit) <= dwr._SETTLED_RTOL * limit
+        assert int(np.argmax(near)) == 353
+        start = run_filter(config, data[:353 - prefix]).final
+        self._assert_matches_steps(data[353 - prefix:], start)
+
     def test_resumed_kernel_matches_continued_steps(self):
         config = DwrConfig(dim=2, delta=0.4)
         data = make_rng(15).standard_normal((120, 2))
         state = run_filter(config, data[:50]).final
         before = state.copy()
-        path = filter_path(data[50:], state)
-        e, m_pre, p_pre, s_post, final = (path.errors, path.m_pre, path.p_pre,
-                                          path.s_post, path.final)
+        path = self._assert_matches_steps(data[50:], state)
         # one covariance array: s_pre starts at the start's S, then is s_post
         np.testing.assert_array_equal(path.s_pre[0], state.S)
         assert np.shares_memory(path.s_pre, path.s_post)
-        shadow = state.copy()
-        for k, row in enumerate(data[50:]):
-            np.testing.assert_allclose(m_pre[k], shadow.m, rtol=0, atol=1e-12)
-            assert p_pre[k] == shadow.P
-            np.testing.assert_allclose(e[k], shadow.step(row), rtol=0, atol=1e-12)
-            np.testing.assert_allclose(s_post[k], shadow.S, rtol=0, atol=1e-12)
-        assert (final.delta, final.t) == (shadow.delta, shadow.t) == (0.4, 120)
-        np.testing.assert_allclose(final.m, shadow.m, rtol=0, atol=1e-12)
-        assert final.P == shadow.P
-        np.testing.assert_allclose(final.sum_outer, shadow.sum_outer, rtol=0, atol=1e-12)
+        assert (path.final.delta, path.final.t) == (0.4, 120)
         # an owning array: a view would keep the whole (n, p, p) sums alive
-        assert final.sum_outer.base is None
+        assert path.final.sum_outer.base is None
         # the start state is left as it was
         assert state.t == before.t and state.P == before.P
         np.testing.assert_array_equal(state.m, before.m)

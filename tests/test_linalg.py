@@ -29,9 +29,9 @@ def quad_form(x, m):
 
 
 def random_spd(draw_matrix):
-    """SPD matrix A A' + 0.1 I from an arbitrary square matrix."""
+    """SPD matrix A A' + 0.1 I from an arbitrary square matrix, or a stack of them."""
     a = np.asarray(draw_matrix, dtype=float)
-    return a @ a.T + 0.1 * np.eye(a.shape[0])
+    return a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(a.shape[-1])
 
 
 spd_strategy = arrays(
@@ -39,6 +39,13 @@ spd_strategy = arrays(
     (3, 3),
     elements=st.floats(-5, 5, allow_nan=False, allow_infinity=False),
 ).map(random_spd)
+
+# stacks of four SPD matrices of size 1, 2 or 3
+spd_stack_strategy = st.integers(1, 3).flatmap(lambda p: arrays(
+    float,
+    (4, p, p),
+    elements=st.floats(-5, 5, allow_nan=False, allow_infinity=False),
+)).map(random_spd)
 
 
 class TestCholesky:
@@ -170,11 +177,49 @@ class TestSymInvSqrt:
             sym_inv_sqrt(np.ones((3, 2, 3)))
 
     @settings(max_examples=50, deadline=None)
-    @given(spd_strategy)
+    @given(spd_stack_strategy)
     def test_defining_property(self, m):
         r = sym_inv_sqrt(m)
-        np.testing.assert_allclose(r, r.T)
-        np.testing.assert_allclose(r @ as_spd(m) @ r, np.eye(3), atol=1e-7)
+        np.testing.assert_array_equal(r, np.swapaxes(r, -1, -2))
+        np.testing.assert_allclose(r @ m @ r, np.broadcast_to(np.eye(m.shape[-1]), m.shape),
+                                   atol=1e-7)
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e2, 1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+    def test_closed_form_matches_the_eigh_formula(self, kappa, scale):
+        # 2 x 2 matrices Q diag(scale, scale / kappa) Q' at 50 rotations Q;
+        # both forms lie within about kappa * eps of the exact
+        # Q diag(lambda^-1/2) Q', relative to its largest entry
+        theta = np.linspace(0.0, np.pi, 50, endpoint=False)
+        cos, sin = np.cos(theta), np.sin(theta)
+        q = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
+        lam = np.array([scale, scale / kappa])
+        m = (q * lam) @ np.swapaxes(q, -1, -2)
+        m = 0.5 * m + 0.5 * np.swapaxes(m, -1, -2)
+        exact = (q / np.sqrt(lam)) @ np.swapaxes(q, -1, -2)
+        w, u = np.linalg.eigh(m)
+        by_eigh = (u / np.sqrt(w)[..., None, :]) @ np.swapaxes(u, -1, -2)
+        by_eigh = 0.5 * (by_eigh + np.swapaxes(by_eigh, -1, -2))
+        closed = sym_inv_sqrt(m)
+        norm = np.abs(exact).max(axis=(-2, -1))
+        bound = np.finfo(float).eps * (kappa + 4.0)
+        for r in (closed, by_eigh):
+            assert np.all(np.abs(r - exact).max(axis=(-2, -1)) <= bound * norm)
+        assert np.all(np.abs(closed - by_eigh).max(axis=(-2, -1)) <= 2.0 * bound * norm)
+
+    def test_one_by_one_is_the_reciprocal_square_root(self):
+        m = np.array([1e-300, 0.5, 2.0, 1e300]).reshape(4, 1, 1)
+        np.testing.assert_array_equal(sym_inv_sqrt(m), 1.0 / np.sqrt(m))
+
+    @pytest.mark.parametrize("bad", [
+        [[0.0]], [[-2.0]],
+        [[0.0, 0.0], [0.0, 0.0]], [[-1.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, -1.0]],
+        [[1.0, 1.0], [1.0, 1.0]], [[1e-300, 1e200], [1e200, 1.0]],
+    ])
+    def test_small_matrices_that_are_not_positive_definite_are_refused(self, bad):
+        # the 1e200 entries would overflow det = c11 c22 - c12^2 unscaled
+        with pytest.raises(NotPositiveDefinite):
+            sym_inv_sqrt(np.stack([np.eye(len(bad)), bad]))
 
 
 class TestAsRows:

@@ -196,6 +196,22 @@ class TestPhase1(object):
         with pytest.raises(InvalidConfig, match="seed must be a non-negative integer, got -1"):
             phase1(data, deltas=(0.9,), calib_reps=200, seed=-1)
 
+    @pytest.mark.parametrize("deltas,message", [
+        ((), "the discount factor grid is empty"),
+        ((0.5, 1.5), r"discount factor must lie in \(0, 1\], got 1.5"),
+        ((0.5, 0.0), r"discount factor must lie in \(0, 1\], got 0.0"),
+        ((np.nan,), r"discount factor must lie in \(0, 1\], got nan"),
+    ])
+    def test_bad_grid_rejected(self, monkeypatch, deltas, message):
+        # refused before any candidate is filtered
+        def run_filter(*args):
+            raise AssertionError("run_filter called before the grid was checked")
+
+        monkeypatch.setattr(workflow, "run_filter", run_filter)
+        data = make_rng(0).standard_normal((300, 2))
+        with pytest.raises(InvalidConfig, match=message):
+            phase1(data, deltas=deltas, calib_reps=200)
+
     @pytest.mark.parametrize("difference,scale,row", [(False, 1.0, 10), (True, 1e5, 11)])
     def test_log_bayes_factor_that_overflows_is_degenerate(self, difference, scale, row):
         # a differenced series is scored against a zero mean, so there the
