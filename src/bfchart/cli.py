@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -472,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--reps", type=int, default=10**4,
                      help="Monte-Carlo replications for limit calibration")
-    fit.set_defaults(func=cmd_fit)
 
     monitor = sub.add_parser("monitor", help="phase II: chart new data")
     monitor.add_argument("data", help="CSV file of new observations")
@@ -481,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--plot", help="path for an SVG rendering of the chart")
     monitor.add_argument("--tracking", action="store_true",
                          help="keep updating the filter during monitoring")
-    monitor.set_defaults(func=cmd_monitor)
 
     calibrate = sub.add_parser("calibrate", help="calibrate the limit multiplier")
     calibrate.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -492,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate.add_argument("--grid-lambda", help="comma-separated lambda grid")
     calibrate.add_argument("--grid-phi", help="comma-separated phi grid")
     calibrate.add_argument("--out", help="CSV output path for grid mode")
-    calibrate.set_defaults(func=cmd_calibrate)
 
     sim = sub.add_parser("simulate", help="generate scenario or filter data")
     sim.add_argument("--scenario", default="in_control",
@@ -510,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="emit LBF histograms for all four scenarios")
     sim.add_argument("--out", default="data.csv", help="CSV output path")
     sim.add_argument("--out-dir", help="output directory for the --lbf study")
-    sim.set_defaults(func=cmd_simulate)
     return parser
 
 
@@ -525,11 +522,16 @@ _EXIT_CODES = {
 }
 
 
+#: the parser, built on the first call and kept for the process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at each call, so the module's cmd_<command> is the one run
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except BfchartError as err:
         print(f"error: {err}", file=sys.stderr)
         return next(_EXIT_CODES[cls] for cls in type(err).__mro__ if cls in _EXIT_CODES)

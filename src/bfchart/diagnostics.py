@@ -2,9 +2,11 @@
 
 MSSE standardizes each one-step forecast error by the inverse symmetric
 square root of its forecast covariance and averages the squares per
-coordinate; a good fit gives entries near 1.  MAE is the per-coordinate
-mean absolute error.  MAPE only makes sense for positive-valued series and
-is reported as NaN for any coordinate with a non-positive observation.
+coordinate; a good fit gives entries near 1.  Above 2 x 2 the root is never
+formed: each error is whitened from its covariance's eigenpairs.  MAE is
+the per-coordinate mean absolute error.  MAPE only makes sense for
+positive-valued series and is reported as NaN for any coordinate with a
+non-positive observation.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatch, EmptyInput, TooShort, ZeroVariance
-from .linalg import sym_inv_sqrt
+from .linalg import spd_eigh, sym_inv_sqrt
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,10 @@ class FitReport:
 def standardize_errors(errors, covs) -> np.ndarray:
     """Whiten each error by the inverse symmetric square root of its covariance.
 
-    The roots come from ``linalg.sym_inv_sqrt``: in closed form for 1 x 1
-    and 2 x 2 covariances, through a batched ``eigh`` for larger ones.
+    1 x 1 and 2 x 2 covariances get their inverse roots in closed form from
+    ``linalg.sym_inv_sqrt``.  Larger ones get none: each error e
+    is whitened from its covariance's eigenpairs (``linalg.spd_eigh``) as
+    u ((u'e) / sqrt(w)), which is C^-1/2 e with C^-1/2 = u diag(w^-1/2) u'.
     """
     errs = np.asarray(errors, dtype=float)
     if len(errs) != len(covs):
@@ -55,7 +59,12 @@ def standardize_errors(errors, covs) -> np.ndarray:
         )
     if not len(errs):
         return np.empty_like(errs)
-    return (sym_inv_sqrt(covs) @ errs[..., None])[..., 0]
+    c = np.asarray(covs, dtype=float)
+    if c.ndim < 2 or c.shape[-1] <= 2:
+        return (sym_inv_sqrt(c) @ errs[..., None])[..., 0]
+    w, u = spd_eigh(c)
+    z = (np.swapaxes(u, -1, -2) @ errs[..., None]) / np.sqrt(w)[..., None]
+    return (u @ z)[..., 0]
 
 
 def msse(e_star) -> np.ndarray:

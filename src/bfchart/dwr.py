@@ -280,11 +280,17 @@ class FilterPath:
         Requires the smallest eigenvalue to clear a relative threshold, not
         just a Cholesky success: a barely positive definite early estimate
         would make the standardization and Bayes factors numerically wild.
+        The rows are scanned in batches of 8, 16, 32, ... covariances, one
+        ``eigvalsh`` call each, so a series that never warms up costs O(n).
         """
-        for t in range(1, self.errors.shape[0]):
-            w = np.linalg.eigvalsh(self.s_pre[t])
-            if w[0] > 0.0 and w[0] > 1e-8 * w[-1]:
-                return t
+        n = self.errors.shape[0]
+        lo, size = 1, 8
+        while lo < n:
+            w = np.linalg.eigvalsh(self.s_pre[lo:lo + size])
+            ready = (w[:, 0] > 0.0) & (w[:, 0] > 1e-8 * w[:, -1])
+            if ready.any():
+                return lo + int(np.argmax(ready))
+            lo, size = lo + size, 2 * size
         return None
 
 

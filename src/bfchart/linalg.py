@@ -5,8 +5,9 @@ rule for them.  Every covariance handled by the package is a small (p x p,
 p typically 2-10) symmetric positive definite matrix.  Log determinants and
 quadratic forms are taken from a Cholesky factor (``chol_log_det``,
 ``chol_sq``), never from an explicit inverse.  Inputs are symmetrized as
-m/2 + m'/2 before factorisation to absorb I/O rounding; asymmetry beyond an
-absolute 1e-10 is rejected.
+m/2 + m'/2 before factorisation to absorb I/O rounding (an exactly
+symmetric input is taken as it is); asymmetry beyond an absolute 1e-10 is
+rejected.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def as_spd(m) -> np.ndarray:
     for non-finite or materially asymmetric input.  Positive definiteness
     itself is only checked where a factorisation is actually taken.
     """
-    a = np.asarray(m, dtype=float)
+    a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return _symmetrized(a)
@@ -52,12 +53,19 @@ def as_spd(m) -> np.ndarray:
 
 def _symmetrized(a: np.ndarray) -> np.ndarray:
     """(a + a')/2 for a matrix or a stack (..., p, p) of finite, symmetric ones,
-    taken as a/2 + a'/2: the same bits for normal-range entries, and no overflow."""
+    taken as a/2 + a'/2: the same bits for normal-range entries, and no overflow.
+
+    An exactly symmetric ``a`` is returned itself, not copied; the filter's
+    covariance estimates always are.  (a/2 + a'/2 would give its bits back
+    anyway, except that it rounds subnormal entries.)"""
     if not np.all(np.isfinite(a)):
         raise NotPositiveDefinite("matrix has non-finite entries")
     at = np.swapaxes(a, -1, -2)
-    if a.size and np.max(np.abs(a - at)) > SYM_ATOL:
+    gap = np.max(np.abs(a - at)) if a.size else 0.0
+    if gap > SYM_ATOL:
         raise NotPositiveDefinite("matrix is not symmetric to within 1e-10")
+    if gap == 0.0:
+        return a
     return 0.5 * a + 0.5 * at
 
 
@@ -98,19 +106,34 @@ def sym_inv_sqrt(m) -> np.ndarray:
     ``m`` is one matrix or a stack (..., p, p) of them; every matrix must be
     finite, symmetric to within 1e-10 and positive definite.  Matrices of
     size 1 and 2 are inverted in closed form (``_inv_sqrt_small``), larger
-    ones through a batched ``eigh``.
+    ones from their eigenpairs (``spd_eigh``) as U diag(w^-1/2) U'.
     """
+    a = _square_stack(m)
+    if a.shape[-1] <= 2:
+        return _inv_sqrt_small(_symmetrized(a))
+    w, u = spd_eigh(a)
+    r = (u / np.sqrt(w)[..., None, :]) @ np.swapaxes(u, -1, -2)
+    return 0.5 * (r + np.swapaxes(r, -1, -2))
+
+
+def spd_eigh(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w (ascending) and orthonormal eigenvectors u of each matrix
+    of a stack (..., p, p), from one batched ``eigh``.
+
+    Every matrix must be finite, symmetric to within 1e-10 and positive
+    definite (every w > 0); otherwise NotPositiveDefinite.
+    """
+    w, u = np.linalg.eigh(_symmetrized(_square_stack(m)))
+    if np.any(w[..., 0] <= 0.0):
+        raise NotPositiveDefinite("matrix has non-positive eigenvalues")
+    return w, u
+
+
+def _square_stack(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
-    a = _symmetrized(a)
-    if a.shape[-1] <= 2:
-        return _inv_sqrt_small(a)
-    w, u = np.linalg.eigh(a)
-    if np.any(w[..., 0] <= 0.0):
-        raise NotPositiveDefinite("matrix has non-positive eigenvalues")
-    r = (u / np.sqrt(w)[..., None, :]) @ np.swapaxes(u, -1, -2)
-    return 0.5 * (r + np.swapaxes(r, -1, -2))
+    return a
 
 
 def _inv_sqrt_small(a: np.ndarray) -> np.ndarray:

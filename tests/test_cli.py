@@ -1732,6 +1732,51 @@ class TestExitCodeTable:
         assert set(EXIT_CODES) == set(_subclasses(exceptions.BfchartError))
 
 
+class TestOneParserPerProcess:
+    def test_calls_in_turn_match_calls_on_a_fresh_parser(self, tmp_path, capsys):
+        # the parser is built once and serves every later call; each call
+        # must end as it does on a parser built for it alone
+        train, stream = tmp_path / "train.csv", tmp_path / "stream.csv"
+        write_stream(train, 120, seed=96)
+        write_stream(stream, 60, seed=97, shift=1.5)
+        outputs = [tmp_path / name for name in ("model.json", "grid.csv", "report.json")]
+        model, grid, report = map(str, outputs)
+        calls = [
+            ["fit", str(train)],
+            ["calibrate", "--lambda", "0.05", "--phi", "1"],
+            ["fit", str(train), "--out", model, "--estimate-target",
+             "--delta-grid", "0.8,0.9", "--reps", "200", "--seed", "5"],
+            ["calibrate", "--lambda", "0.1", "--reps", "400", "--seed", "2",
+             "--grid-lambda", "0.1,0.2", "--out", grid],
+            ["calibrate", "--lambda", "0.2", "--phi", "0.3", "--reps", "1000"],
+            ["monitor", str(stream), "--model", model, "--out", report],
+            ["monitor", str(stream), "--model", model, "--tracking"],
+        ]
+
+        def run(argv):
+            try:
+                code = cli.main(argv)
+            except SystemExit as stop:
+                code = stop.code
+            out, err = capsys.readouterr()
+            return code, out, err, {p.name: p.read_bytes() for p in outputs if p.exists()}
+
+        capsys.readouterr()
+        cli._parser.cache_clear()
+        parser = cli._parser()
+        in_turn = [run(argv) for argv in calls]
+        assert cli._parser() is parser
+        for path in outputs:
+            path.unlink()
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run(argv))
+        assert in_turn == fresh
+        assert [code for code, *_ in in_turn] == [2, 2, 0, 0, 0, 10, 10]
+        assert "--out" in in_turn[0][2] and "modulus" in in_turn[1][2]
+
+
 def _leaf_paths(value, path=()):
     """Key paths to every field of a JSON document: each value, and the
     first element of each list."""

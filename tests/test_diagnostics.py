@@ -63,6 +63,73 @@ class TestStandardizeErrors:
             standardize_errors(np.ones((6, 2)), covs)
 
 
+def rotated_stack(p, kappa, n, seed):
+    """n covariances Q diag(1 ... 1/kappa) Q' at random rotations Q, exactly
+    symmetric, and n errors."""
+    rng = make_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, p, p)))
+    covs = (q * np.geomspace(1.0, 1.0 / kappa, p)) @ np.swapaxes(q, -1, -2)
+    covs = 0.5 * covs + 0.5 * np.swapaxes(covs, -1, -2)
+    return rng.standard_normal((n, p)), covs
+
+
+class TestWhiteningFromEigenpairs:
+    """Above 2 x 2 each error is whitened from its covariance's eigenpairs."""
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e2, 1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("p", [3, 4, 6])
+    def test_matches_the_per_matrix_root(self, p, kappa):
+        # both lie within about kappa * eps of the exact C^-1/2 e, relative
+        # to |C^-1/2| |e| = sqrt(kappa) |e|
+        errors, covs = rotated_stack(p, kappa, 40, seed=22)
+        expected = np.array([sym_inv_sqrt(c) @ e for c, e in zip(covs, errors)])
+        got = standardize_errors(errors, covs)
+        norm = np.sqrt(kappa) * np.linalg.norm(errors, axis=1)
+        bound = np.finfo(float).eps * (kappa + 4.0)
+        assert np.all(np.abs(got - expected).max(axis=1) <= bound * norm)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_stack_of_one(self, p):
+        errors, covs = rotated_stack(p, 1e3, 1, seed=23)
+        np.testing.assert_allclose(standardize_errors(errors, covs)[0],
+                                   sym_inv_sqrt(covs[0]) @ errors[0], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("bad", ["indefinite", "singular", "nan", "inf", "asymmetric"])
+    @pytest.mark.parametrize("where", [0, 5, 9])
+    def test_one_bad_matrix_anywhere_is_refused(self, bad, where):
+        errors, covs = rotated_stack(4, 10.0, 10, seed=24)
+        if bad == "indefinite":
+            covs[where] = np.diag([1.0, 2.0, -1e-3, 3.0])
+        elif bad == "singular":
+            covs[where] = np.diag([1.0, 2.0, 0.0, 3.0])
+        elif bad == "nan":
+            covs[where, 1, 1] = np.nan
+        elif bad == "inf":
+            covs[where, 2, 3] = covs[where, 3, 2] = np.inf
+        else:
+            covs[where, 0, 3] += 2e-10
+        with pytest.raises(NotPositiveDefinite):
+            standardize_errors(errors, covs)
+
+    @pytest.mark.parametrize("gap", [1e-10, 3e-11, 1e-16])
+    def test_small_asymmetry_whitens_the_symmetrized_stack(self, gap):
+        errors, covs = rotated_stack(4, 10.0, 10, seed=25)
+        covs[:] = np.diag([1.0, 2.0, 3.0, 4.0])
+        covs[6, 1, 3] = gap
+        symmetrized = 0.5 * covs + 0.5 * np.swapaxes(covs, -1, -2)
+        np.testing.assert_array_equal(standardize_errors(errors, covs),
+                                      standardize_errors(errors, symmetrized))
+
+    @pytest.mark.parametrize("p", [2, 4])
+    @pytest.mark.parametrize("gap", [0.0, 1e-11])
+    def test_covariances_are_left_alone(self, p, gap):
+        errors, covs = rotated_stack(p, 10.0, 10, seed=26)
+        covs[3, 0, 1] += gap
+        before = covs.copy()
+        standardize_errors(errors, covs)
+        np.testing.assert_array_equal(covs, before)
+
+
 class TestMsse:
     def test_unit_case(self):
         np.testing.assert_allclose(msse(np.ones((4, 3))), np.ones(3))

@@ -238,6 +238,39 @@ class TestRunFilter:
         path = run_filter(DwrConfig(dim=2, delta=0.9), np.ones((20, 2)))
         assert path.warmup is None
 
+    @staticmethod
+    def _warmup_loop(path):
+        """The warm-up scan one covariance at a time."""
+        for t in range(1, path.errors.shape[0]):
+            w = np.linalg.eigvalsh(path.s_pre[t])
+            if w[0] > 0.0 and w[0] > 1e-8 * w[-1]:
+                return t
+        return None
+
+    # the scan's batches start at rows 1, 9, 25, 57, ...
+    @pytest.mark.parametrize("n, ready", [(100, 1), (100, 9), (100, 24), (100, 40),
+                                          (30, 29), (26, 25), (100, None)])
+    def test_warmup_matches_the_row_loop(self, n, ready):
+        # rows before the warm-up fail the relative threshold, positivity or
+        # both; the warm-up row clears the threshold by a factor of 2
+        s = np.tile(np.diag([1.0, 1.0]), (n + 1, 1, 1))
+        s[:, 1, 1] = np.resize([1e-9, -1.0, 0.0, 5e-9], n + 1)
+        if ready is not None:
+            s[ready, 1, 1] = 2e-8
+            s[ready + 1:, 1, 1] = 0.5
+        path = dwr.FilterPath(delta=0.5, errors=np.zeros((n, 2)), m_pre=np.zeros((n, 2)),
+                              p_pre=np.ones(n), s=s, final=None)
+        assert path.warmup == self._warmup_loop(path) == ready
+
+    def test_warmup_of_near_collinear_columns_matches_the_row_loop(self):
+        rng = make_rng(14)
+        x = rng.standard_normal(2000)
+        data = np.column_stack([x, x + 1e-9 * rng.standard_normal(2000),
+                                rng.standard_normal(2000)])
+        for delta in (0.1, 0.9):
+            path = run_filter(DwrConfig(dim=3, delta=delta), data)
+            assert path.warmup == self._warmup_loop(path)
+
     @pytest.mark.parametrize("delta", [0.1, 0.5, 0.9, 1.0])
     def test_matches_step_loop_through_the_settled_tail(self, delta):
         # within 600 steps P_t reaches an exact fixed point (delta 0.9, 1.0)

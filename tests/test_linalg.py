@@ -149,6 +149,18 @@ class TestQuadForm:
         assert got[1] == pytest.approx(2.0, abs=1e-12)
 
 
+class TestAsSpd:
+    @pytest.mark.parametrize("gap", [0.0, 1e-12])
+    def test_returns_a_copy_the_caller_owns(self, gap):
+        m = np.array([[2.0, 0.5], [0.5 + gap, 1.0]])
+        before = m.copy()
+        a = as_spd(m)
+        assert not np.shares_memory(a, m)
+        a[0, 0] = 7.0
+        np.testing.assert_array_equal(m, before)
+        np.testing.assert_array_equal(as_spd(m), 0.5 * m + 0.5 * m.T)
+
+
 class TestSymInvSqrt:
     def test_identity(self):
         np.testing.assert_allclose(sym_inv_sqrt(np.eye(2)), np.eye(2))
