@@ -69,7 +69,6 @@ from .simulate import (
 from .workflow import (
     FittedModel,
     MonitorResult,
-    difference,
     estimate_target,
     phase1,
     phase2,

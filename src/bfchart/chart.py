@@ -60,6 +60,17 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
+def check_chart_settings(lam: float, target_arl: float, reps: int) -> float:
+    """Refuse with InvalidConfig a target ARL that is not finite and above 1,
+    fewer than one replication or a smoothing parameter outside (0, 1];
+    returns the smoothing parameter as a float."""
+    if not 1.0 < target_arl < math.inf:
+        raise InvalidConfig(f"target ARL must be finite and exceed 1, got {target_arl}")
+    if reps < 1:
+        raise InvalidConfig(f"replication count must be >= 1, got {reps}")
+    return _check_lambda(lam)
+
+
 @dataclass(frozen=True)
 class Ar1Model:
     """Stationary AR(1): x_t = intercept + phi x_{t-1} + nu_t, nu ~ N(0, sigma2)."""
@@ -378,11 +389,7 @@ def calibrate_c(
     replications get the same noise as drawn inline, so the result does not
     depend on the thread, which is joined before this returns or raises.
     """
-    if not 1.0 < target_arl < math.inf:
-        raise InvalidConfig(f"target ARL must be finite and exceed 1, got {target_arl}")
-    if reps < 1:
-        raise InvalidConfig(f"replication count must be >= 1, got {reps}")
-    lam = _check_lambda(lam)
+    lam = check_chart_settings(lam, target_arl, reps)
     lo, hi = _BRACKET
     # runs far beyond the target carry no information for calibration
     cap = min(RUN_LENGTH_CAP, max(10_000, int(100 * target_arl)))

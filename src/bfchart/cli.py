@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import mmap
+import os
 import sys
 from dataclasses import asdict
 
@@ -43,6 +44,9 @@ EXIT_DEGENERATE = 3
 EXIT_SCHEMA = 4
 EXIT_CALIBRATION = 5
 EXIT_SIGNAL = 10
+
+#: version of the report.json layout, which does not follow the model's
+REPORT_VERSION = 1
 
 
 class ParseError(BfchartError):
@@ -263,8 +267,6 @@ def cmd_fit(args) -> int:
         lam=args.lam,
         target_arl=args.arl,
         seed=args.seed,
-        recenter=args.recenter,
-        apply_difference=args.difference,
         calib_reps=args.reps,
     )
     doc = model.to_dict()
@@ -286,8 +288,7 @@ def cmd_fit(args) -> int:
 
 
 def _print_fit_report(model: workflow.FittedModel, names: list[str]) -> None:
-    print(f"phase I fit over {model.n_phase1} observations "
-          f"({'differenced, ' if model.difference else ''}warm-up {model.warmup})")
+    print(f"phase I fit over {model.n_phase1} observations (warm-up {model.warmup})")
     print("delta grid:")
     for entry in model.grid:
         marker = " *" if entry.delta == model.delta else "  "
@@ -311,7 +312,7 @@ def cmd_monitor(args) -> int:
     result = workflow.phase2(model, data, tracking=args.tracking)
     signals = np.flatnonzero(result.out_of_control)
     doc = {
-        "schema_version": workflow.SCHEMA_VERSION,
+        "schema_version": REPORT_VERSION,
         "kind": "bfchart-report",
         "model_file": args.model,
         "model_sha256": hashlib.sha256(model_bytes).hexdigest(),
@@ -332,9 +333,9 @@ def cmd_monitor(args) -> int:
         "lbf": _Rows(result.lbf),
         "warnings": list(result.warnings),
     }
-    if args.out:
+    if args.out is not None:
         _write_json(args.out, doc)
-    if args.plot:
+    if args.plot is not None:
         document = svg.render_chart_svg(
             np.concatenate([model.phase1_z, result.z]),
             model.chart.mu_z,
@@ -355,17 +356,20 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    if args.out and not (args.grid_lambda or args.grid_phi):
+    grid = args.grid_lambda is not None or args.grid_phi is not None
+    if args.out is not None and not grid:
         raise ParseError("calibrate: --out needs --grid-lambda or --grid-phi")
+    lams = (args.lam,) if args.grid_lambda is None else _parse_grid(args.grid_lambda)
+    phis = (args.phi,) if args.grid_phi is None else _parse_grid(args.grid_phi)
+    for lam in lams:
+        chart.check_chart_settings(lam, args.arl, args.reps)
     if args.reps < 1000:
         print(
             f"warning: --reps {args.reps} gives a wide ARL standard error; "
             "1000 or more is recommended",
             file=sys.stderr,
         )
-    if args.grid_lambda or args.grid_phi:
-        lams = _parse_grid(args.grid_lambda or str(args.lam))
-        phis = _parse_grid(args.grid_phi or str(args.phi))
+    if grid:
         rows = []
         for lam in lams:
             for phi in phis:
@@ -376,7 +380,7 @@ def cmd_calibrate(args) -> int:
         pieces = [""] + [","] * 4 + ["\n"]
         body = "lambda,phi,c,arl,arl_se\n" + "".join(
             format_rows(pieces, "", np.array(rows).T, repr))
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(body)
         else:
@@ -407,14 +411,20 @@ def cmd_simulate(args) -> int:
         print(f"{args.n} local-level rows written to {args.out}")
         return EXIT_OK
     if args.lbf:
+        if args.n < 3:
+            raise ParseError(f"simulate: --lbf needs -n of at least 3, got {args.n}")
+        out_dir = "." if args.out_dir is None else args.out_dir
+        # a directory that cannot be opened, '' too, is refused before the study
+        with os.scandir(out_dir):
+            pass
         study = simulate.scenario_lbf_study(
             n=args.n, warmup=args.warmup, delta=args.delta, seed=args.seed
         )
-        out_dir = args.out_dir or "."
         summary = ["scenario,n,warmup,delta,mean,skewness"]
         for name, values in study.items():
             counts, edges = np.histogram(values, bins=40)
-            with open(f"{out_dir}/lbf_hist_{name}.csv", "w", encoding="utf-8") as fh:
+            with open(os.path.join(out_dir, f"lbf_hist_{name}.csv"), "w",
+                      encoding="utf-8") as fh:
                 fh.write("bin_left,bin_right,count\n")
                 columns = (edges[:-1], edges[1:], counts)
                 fh.writelines(format_rows(["", ",", ",", "\n"], "", columns, repr))
@@ -422,10 +432,9 @@ def cmd_simulate(args) -> int:
                 f"{name},{len(values)},{args.warmup},{float(args.delta)!r},"
                 f"{float(values.mean())!r},{float(skewness(values))!r}"
             )
-        summary_path = f"{out_dir}/lbf_summary.csv"
-        with open(summary_path, "w", encoding="utf-8") as fh:
+        with open(os.path.join(out_dir, "lbf_summary.csv"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(summary) + "\n")
-        print(f"histograms and summary written to {out_dir}/")
+        print(f"histograms and summary written to {os.path.join(out_dir, '')}")
         return EXIT_OK
     scenario = simulate.reference_scenarios()[args.scenario]
     data = simulate.gen_iid(scenario, args.n, make_rng(args.seed))
@@ -466,10 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="EWMA smoothing parameter")
     fit.add_argument("--arl", type=float, default=370.4,
                      help="target in-control average run length")
-    fit.add_argument("--difference", action="store_true",
-                     help="monitor the first-differenced series (dispersion only)")
-    fit.add_argument("--recenter", action="store_true",
-                     help="pin the chart center to the phase I EWMA mean")
     fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--reps", type=int, default=10**4,
                      help="Monte-Carlo replications for limit calibration")

@@ -9,8 +9,7 @@ mean, covariance estimate, and the steady-state scale limit) and runs the
 modified EWMA chart over the centered statistic.
 
 The fitted AR(1) stationary mean is removed from the statistic before
-charting, so the chart center is 0 unless ``recenter`` additionally pins
-the center to the realized Phase I EWMA mean.
+charting, so the chart center is 0.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from .chart import (
     ChartConfig,
     asymptotic_sigma_z2,
     calibrate_c,
+    check_chart_settings,
     design_chart,
     fit_ar1,
     run_chart,
@@ -46,7 +46,7 @@ from .exceptions import (
 )
 from .linalg import as_rows, as_spd, cholesky, make_rng
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: default discount factor grid searched in Phase I
 DELTA_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -62,14 +62,6 @@ RUN_WARNING = 8
 #: candidates on threads; below it the threads' contention for the GIL costs
 #: more than overlapping their batched eigh saves (BENCH_grid_threads.json)
 _THREADED_GRID_ENTRIES = 16000
-
-
-def difference(data) -> np.ndarray:
-    """First-order difference of ``linalg.as_rows(data)`` in time; one row shorter."""
-    y = as_rows(data)
-    if y.shape[0] < 2:
-        raise TooShort(f"need at least 2 observations to difference, got {y.shape[0]}")
-    return np.diff(y, axis=0)
 
 
 def estimate_target(data) -> TargetSpec:
@@ -101,8 +93,6 @@ class FittedModel:
     target: TargetSpec
     ar: Ar1Model
     chart: ChartConfig
-    recenter: bool
-    difference: bool
     n_phase1: int
     warmup: int
     grid: tuple[GridEntry, ...]
@@ -176,8 +166,6 @@ class FittedModel:
             "delta": self.delta,
             "p_star": self.p_star,
             "lbf_offset": self.lbf_offset,
-            "recenter": self.recenter,
-            "difference": self.difference,
             "n_phase1": self.n_phase1,
             "warmup": self.warmup,
             "prior_scale": dwr.DEFAULT_PRIOR_SCALE,
@@ -209,8 +197,6 @@ class FittedModel:
                 target=target_from_dict(_json_value(doc, "target", dict), "target."),
                 ar=Ar1Model(**_numbers(_json_value(doc, "ar", dict), "ar.")),
                 chart=ChartConfig(**_numbers(_json_value(doc, "chart", dict), "chart.")),
-                recenter=_json_value(doc, "recenter", bool),
-                difference=_json_value(doc, "difference", bool),
                 n_phase1=_json_value(doc, "n_phase1", int),
                 warmup=_json_value(doc, "warmup", int),
                 grid=tuple(GridEntry(_json_value(g, "delta", float, at=f"grid[{i}]."),
@@ -236,8 +222,7 @@ class FittedModel:
             ("lbf_offset", lbf_offset, model.lbf_offset),
             ("chart.sigma_z", model.chart.sigma_z,
              math.sqrt(asymptotic_sigma_z2(model.chart.lam, model.ar))),
-            ("chart.mu_z", model.chart.mu_z,
-             float(model.phase1_z.mean()) if model.recenter else 0.0),
+            ("chart.mu_z", model.chart.mu_z, 0.0),
         ):
             if not math.isclose(value, want, rel_tol=1e-12):
                 raise SchemaMismatch(f"{name} {value!r} is not the {want!r} "
@@ -266,7 +251,7 @@ def _json_value(doc: dict, key: str, kind: type, nulls: bool = False, at: str = 
     key is missing.
 
     ``float`` takes a number, a JSON int or float but never a bool or a
-    string, and returns a float.  ``int`` and ``bool`` take that JSON type.
+    string, and returns a float.  ``int`` takes a JSON integer.
     ``list`` takes a flat list of numbers and returns a float array; with
     ``nulls`` a ``null`` entry of the list is read as NaN.  ``dict`` takes
     an object, and ``list[dict]`` a list of objects, whose entries it names
@@ -355,8 +340,6 @@ def phase1(
     lam: float = 0.05,
     target_arl: float = 370.4,
     seed: int = 0,
-    recenter: bool = False,
-    apply_difference: bool = False,
     calib_reps: int = 10**4,
 ) -> FittedModel:
     """Fit, diagnose and calibrate on historical data; returns the frozen model.
@@ -365,7 +348,8 @@ def phase1(
     candidate the filter is run over the data and the candidate minimizing
     the mean |MSSE - 1| across coordinates wins.  An empty grid, a candidate
     outside (0, 1] or a repeated one raises InvalidConfig before any is
-    filtered.  From ``_THREADED_GRID_ENTRIES`` values of n * p * p the
+    filtered, and so does a chart setting that ``calibrate_c`` refuses.
+    From ``_THREADED_GRID_ENTRIES`` values of n * p * p the
     candidates are scored on up to min(CPUs, candidates) threads; the model
     does not depend on the thread count.
     """
@@ -377,9 +361,8 @@ def phase1(
     for i, delta in enumerate(deltas):
         if delta in deltas[:i]:
             raise InvalidConfig(f"discount factor {delta} is repeated in the grid")
+    check_chart_settings(lam, target_arl, calib_reps)
     y = as_rows(data)
-    if apply_difference:
-        y = difference(y)
     n, p = y.shape
     if n < MIN_PHASE1:
         raise TooShort(f"Phase I needs at least {MIN_PHASE1} observations, got {n}")
@@ -397,9 +380,6 @@ def phase1(
         raise DimensionMismatch(
             f"target dim {target.dim} does not match data dim {p}"
         )
-    if apply_difference:
-        # a differenced series is monitored for its dispersion only
-        target = TargetSpec(mu=np.zeros(p), V=target.V)
 
     def score(delta):
         """The grid entry, filter path and warm-up of one candidate; None when
@@ -448,7 +428,7 @@ def phase1(
     if bad.size:
         i = int(bad[0])
         # a row of the input, as phase2 names it
-        row = warmup + i + int(apply_difference)
+        row = warmup + i
         if not math.isfinite(lbf_vals[i]):
             raise DegenerateFit(f"log Bayes factor of row {row} is not finite under the target")
         raise DegenerateFit(
@@ -460,8 +440,7 @@ def phase1(
 
     calib = calibrate_c(lam, ar.phi, target_arl, reps=calib_reps, seed=seed)
     phase1_z = _accel.ewma_path(np.ascontiguousarray(statistic), lam, 0.0)
-    center = float(phase1_z.mean()) if recenter else 0.0
-    chart = design_chart(ar, lam, calib.c, center=center)
+    chart = design_chart(ar, lam, calib.c)
 
     return FittedModel(
         delta=delta_opt,
@@ -470,8 +449,6 @@ def phase1(
         target=target,
         ar=ar,
         chart=chart,
-        recenter=recenter,
-        difference=apply_difference,
         n_phase1=n,
         warmup=warmup,
         grid=tuple(sorted(grid, key=lambda entry: entry.delta)),
@@ -493,8 +470,6 @@ def phase2(model: FittedModel, data, tracking: bool = False) -> MonitorResult:
     if y.size == 0:
         return _chart_result(model, np.empty(0))
     y = as_rows(y, model.target.dim)
-    if model.difference:
-        y = difference(y)
 
     # a row too extreme to score is refused below; numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -511,7 +486,7 @@ def phase2(model: FittedModel, data, tracking: bool = False) -> MonitorResult:
             except CovarianceNotReady as err:
                 # S starts positive definite and only gains outer products, so
                 # it fails only once the previous row has overflowed it
-                row = err.t - model.n_phase1 - 1 + int(model.difference)
+                row = err.t - model.n_phase1 - 1
                 raise NonFiniteScore(
                     f"row {row} overflows the innovation covariance estimate, "
                     "so no log Bayes factor from there on is finite"
@@ -523,9 +498,7 @@ def phase2(model: FittedModel, data, tracking: bool = False) -> MonitorResult:
     bad = np.flatnonzero(~np.isfinite(lbf_vals))
     if bad.size:
         # a NaN would leave every later EWMA value NaN and never signal
-        raise NonFiniteScore(
-            f"log Bayes factor is not finite at row {bad[0] + int(model.difference)}"
-        )
+        raise NonFiniteScore(f"log Bayes factor is not finite at row {bad[0]}")
     return _chart_result(model, lbf_vals)
 
 

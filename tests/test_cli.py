@@ -12,6 +12,7 @@ import os
 import pathlib
 import pkgutil
 import re
+import shlex
 import sys
 import threading
 import warnings
@@ -126,15 +127,13 @@ def fit_artifacts(tmp_path_factory):
 
 #: the mistyped changes of a document value of each kind, by the test id
 #: pattern they make: a number or a count as true, false and its JSON text,
-#: a count also fractional and as a whole float, a flag as a number and as
-#: its JSON text
+#: a count also fractional and as a whole float
 MISTYPED = {
     "number": {"{}_as_true": lambda v: True, "{}_as_false": lambda v: False,
                "{}_as_text": json.dumps},
     "count": {"{}_as_true": lambda v: True, "{}_as_false": lambda v: False,
               "{}_as_text": json.dumps, "fractional_{}": lambda v: v + 0.5,
               "{}_as_float": float},
-    "flag": {"{}_as_number": int, "{}_as_text": json.dumps},
 }
 
 #: every value of model.json but ``kind`` and ``metadata``: its key path, where
@@ -145,8 +144,6 @@ MODEL_FIELDS = {
     "p_star": (("p_star",), "number"),
     "lbf_offset": (("lbf_offset",), "number"),
     "prior_scale": (("prior_scale",), "number"),
-    "recenter": (("recenter",), "flag"),
-    "difference": (("difference",), "flag"),
     "n_phase1": (("n_phase1",), "count"),
     "warmup": (("warmup",), "count"),
     "m_opt": (("m_opt", 0), "number"),
@@ -203,8 +200,8 @@ def _mistyped(fields):
 @pytest.fixture(scope="module")
 def positive_artifacts(tmp_path_factory):
     """A model fitted through the CLI on positive-valued rows, 50 + N(0, SIGMA),
-    so that every value of model.json but a flag is a number (MAPE too), and
-    a stream of such rows."""
+    so that every value of model.json is a number (MAPE too), and a stream
+    of such rows."""
     root = tmp_path_factory.mktemp("cli-positive")
     train, model, stream = root / "train.csv", root / "model.json", root / "stream.csv"
     cli.write_data(str(train), 50.0 + sample_mvn(np.zeros(2), SIGMA, 250, make_rng(80)))
@@ -800,6 +797,16 @@ class TestSimulateCommand:
             "error: simulate: --lbf needs --scenario all and no --dwr\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_lbf_needs_three_rows(self, tmp_path, capsys, n):
+        # refused before the study writes its first histogram
+        code = cli.main(["simulate", "--scenario", "all", "--lbf", "-n", str(n),
+                         "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: simulate: --lbf needs -n of at least 3, got {n}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_lbf_study_outputs(self, tmp_path):
         code = cli.main(["simulate", "--scenario", "all", "--lbf", "-n", "150",
                          "--warmup", "100", "--seed", "0",
@@ -869,6 +876,12 @@ class TestCalibrateCommand:
         cli.main(["calibrate", "--lambda", "1.0", "--reps", "100", "--seed", "0"])
         assert "wide ARL standard error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", [[], ["--grid-phi", "0.0"]])
+    def test_zero_reps_refused_without_warning(self, capsys, grid):
+        code = cli.main(["calibrate", "--lambda", "0.05", "--reps", "0", *grid])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr() == ("", "error: replication count must be >= 1, got 0\n")
+
     def test_grid_rows_match_per_value_text(self, capsys):
         from bfchart import chart
 
@@ -918,11 +931,22 @@ class TestFitCommand:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--recenter", "--difference"])
+    def test_deleted_flag_is_a_usage_error(self, fit_artifacts, tmp_path, capsys, flag):
+        _, train, _ = fit_artifacts
+        out = tmp_path / "m.json"
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["fit", str(train), "--out", str(out), "--estimate-target",
+                      "--reps", "200", flag])
+        assert stop.value.code == cli.EXIT_PARSE
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_model_document_shape(self, fit_artifacts):
         _, _, model_path = fit_artifacts
         doc = json.loads(model_path.read_text())
         assert doc["kind"] == "bfchart-model"
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["metadata"]["seed"] == 4
         assert doc["metadata"]["target_estimated"] is True
         assert len(doc["m_opt"]) == 2
@@ -1116,7 +1140,7 @@ class TestFitCommand:
                             r"under the target\n", err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("difference,row", [(False, 10), (True, 11)])
+    @pytest.mark.parametrize("difference,row", [(False, 10)])
     def test_target_whose_log_bayes_factor_is_too_large_exits_degenerate(
             self, tmp_path, capsys, difference, row):
         # finite, but its square overflows in the AR(1) fit; the row named
@@ -1132,8 +1156,7 @@ class TestFitCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = cli.main(["fit", str(data), "--out", str(out), "--target-file",
-                             str(target), "--reps", "200"]
-                            + ["--difference"] * difference)
+                             str(target), "--reps", "200"])
         assert code == cli.EXIT_DEGENERATE
         err = capsys.readouterr().err
         assert re.fullmatch(rf"error: log Bayes factor of row {row} is \S+ under the "
@@ -1449,6 +1472,30 @@ def test_output_path_that_is_a_directory_exits_parse(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["monitor", "{train}", "--model", "{model}", "--out", ""], "'': No such file"),
+    (["monitor", "{train}", "--model", "{model}", "--plot", ""], "'': No such file"),
+    (["calibrate", "--lambda", "0.05", "--grid-lambda", ""], "empty numeric list ''"),
+    (["calibrate", "--lambda", "0.05", "--grid-phi", ""], "empty numeric list ''"),
+    (["calibrate", "--lambda", "0.05", "--grid-phi", "0.1", "--reps", "1000", "--out", ""],
+     "'': No such file"),
+    (["simulate", "--scenario", "all", "--lbf", "-n", "20", "--out-dir", ""],
+     "'': No such file"),
+], ids=["monitor_out", "monitor_plot", "calibrate_grid_lambda", "calibrate_grid_phi",
+        "calibrate_out", "simulate_out_dir"])
+def test_empty_value_is_used_not_read_as_absent(fit_artifacts, tmp_path, monkeypatch,
+                                                capsys, argv, message):
+    # an empty path names no file, and an empty grid no value; neither
+    # falls back to the flag's absence
+    _, train, model = fit_artifacts
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([a.format(train=train, model=model) for a in argv]) == cli.EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _cut_m_opt(doc):
     doc["m_opt"] = doc["m_opt"][:1]
 
@@ -1526,10 +1573,6 @@ def _mu_z_off_zero(doc):
     doc["chart"]["mu_z"] = 0.5 * doc["chart"]["sigma_z"]
 
 
-def _recenter_without_its_center(doc):
-    doc["recenter"] = True
-
-
 def _another_prior_scale(doc):
     doc["prior_scale"] = 1.0
 
@@ -1598,8 +1641,8 @@ class TestModelValidation:
         _cut_m_opt, _one_by_one_s_opt, _long_target_mean, _delta_out_of_range,
         _negative_p_star, _p_star_of_another_delta, _indefinite_s_opt,
         _no_phase1_rows, _nan_in_m_opt, _lbf_offset_off_the_ar_mean,
-        _tripled_sigma_z, _mu_z_off_zero, _recenter_without_its_center,
-        _another_prior_scale, _warmup_as_bool, _negative_warmup, _huge_warmup,
+        _tripled_sigma_z, _mu_z_off_zero, _another_prior_scale, _warmup_as_bool,
+        _negative_warmup, _huge_warmup,
         _warmup_at_n_phase1, _cut_phase1_z, _huge_s_opt_variance, _fit_off_the_grid,
         _grid_without_delta, _repeated_grid_delta, _short_grid_msse, _empty_grid_mae,
         _negative_grid_n, *_mistyped(MODEL_FIELDS), *_mistyped_blocks(),
@@ -1617,6 +1660,21 @@ class TestModelValidation:
         assert code == cli.EXIT_SCHEMA
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("tracking", [False, True])
+    def test_schema_version_1_model_exits_schema(self, positive_artifacts, tmp_path, capsys,
+                                                 tracking):
+        # a model written before the recenter and difference fields went away
+        model_path, stream = positive_artifacts
+        doc = json.loads(model_path.read_text())
+        doc.update(schema_version=1, recenter=False, difference=False)
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = cli.main(["monitor", str(stream), "--model", str(old)]
+                        + ["--tracking"] * tracking)
+        assert code == cli.EXIT_SCHEMA
+        assert capsys.readouterr() == ("", "error: unsupported schema version 1\n")
 
     @pytest.mark.parametrize("name", MODEL_FIELDS)
     def test_mistyped_value_names_its_key_path(self, positive_artifacts, tmp_path, capsys,
@@ -1654,28 +1712,6 @@ class TestModelValidation:
         values = {path: kinds[type(_field(doc, path))] for path in _leaf_paths(doc)
                   if not isinstance(_field(doc, path), (dict, list))}
         assert values == dict(MODEL_FIELDS.values())
-
-    @pytest.mark.parametrize("shift", [0.0, 1e-9])
-    def test_recentered_model_checks_its_center(self, tmp_path, capsys, shift):
-        train = tmp_path / "train.csv"
-        write_stream(train, 120, seed=91)
-        model_path = tmp_path / "model.json"
-        assert cli.main(["fit", str(train), "--out", str(model_path),
-                         "--estimate-target", "--recenter", "--delta-grid", "0.9",
-                         "--reps", "200"]) == cli.EXIT_OK
-        doc = json.loads(model_path.read_text())
-        assert doc["chart"]["mu_z"] != 0.0
-        doc["chart"]["mu_z"] += shift * doc["chart"]["sigma_z"]
-        model_path.write_text(json.dumps(doc))
-        stream = tmp_path / "stream.csv"
-        write_stream(stream, 30, seed=92)
-        capsys.readouterr()
-        code = cli.main(["monitor", str(stream), "--model", str(model_path)])
-        if shift:
-            assert code == cli.EXIT_SCHEMA
-            assert "chart.mu_z" in capsys.readouterr().err
-        else:
-            assert code in (cli.EXIT_OK, cli.EXIT_SIGNAL)
 
 
 def _import_all_modules():
@@ -1900,3 +1936,23 @@ class TestFailLoudFuzz:
                 _mutate_field(doc, path, change)
                 target.write_text(json.dumps(doc))
                 _run_commands([fit], capsys)
+
+
+def _readme_cli_examples():
+    """The argv of each ``bfchart ...`` line of the sh block under README's
+    ``## CLI`` heading, continuation lines joined."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("bfchart ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # each example in turn, in one directory, as a reader would paste them
+    examples = _readme_cli_examples()
+    assert {argv[0] for argv in examples} == {"simulate", "fit", "monitor", "calibrate"}
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        want = cli.EXIT_SIGNAL if argv[0] == "monitor" else cli.EXIT_OK
+        assert cli.main(argv) == want, (argv, capsys.readouterr().err)

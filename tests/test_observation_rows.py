@@ -29,7 +29,6 @@ def _lbf_series(data, model, out):
 
 
 ENTRY_POINTS = {
-    "difference": lambda data, model, out: workflow.difference(data),
     "estimate_target": lambda data, model, out: workflow.estimate_target(data),
     "phase1": lambda data, model, out: workflow.phase1(data, deltas=(0.5,),
                                                        calib_reps=200),

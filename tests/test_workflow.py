@@ -31,7 +31,6 @@ from bfchart.workflow import (
     RUN_WARNING,
     FittedModel,
     _run_warnings,
-    difference,
     estimate_target,
     phase1,
     phase2,
@@ -55,34 +54,6 @@ def fitted():
         calib_reps=500,
     )
     return model, data, config
-
-
-class TestDifference:
-    def test_hand_case(self):
-        np.testing.assert_array_equal(
-            difference([[1.0], [3.0], [6.0]]), [[2.0], [3.0]]
-        )
-
-    def test_constant_series(self):
-        np.testing.assert_array_equal(difference(np.ones((4, 2))), np.zeros((3, 2)))
-
-    def test_too_short(self):
-        with pytest.raises(TooShort):
-            difference([[1.0]])
-
-    def test_inverts_cumulative_sum(self):
-        rows = make_rng(51).standard_normal((30, 2))
-        np.testing.assert_allclose(
-            difference(np.cumsum(rows, axis=0)), rows[1:], atol=1e-12
-        )
-
-    def test_random_walk_becomes_white(self):
-        walk = np.cumsum(make_rng(52).standard_normal((10**4, 2)), axis=0)
-        from bfchart.diagnostics import lag1_autocorr
-
-        diffed = difference(walk)
-        for coord in range(2):
-            assert abs(lag1_autocorr(diffed[:, coord])) < 0.05
 
 
 class TestEstimateTarget:
@@ -136,7 +107,7 @@ class TestPhase1(object):
     def test_offset_is_stationary_mean_of_fit(self, fitted):
         model, _, _ = fitted
         assert model.lbf_offset == pytest.approx(model.ar.mean)
-        assert model.chart.mu_z == 0.0  # recenter off
+        assert model.chart.mu_z == 0.0
 
     def test_default_grid_constant(self):
         assert DELTA_GRID == tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -149,21 +120,6 @@ class TestPhase1(object):
         with pytest.raises(DegenerateFit):
             phase1(np.ones((60, 2)), target=TargetSpec([1.0, 1.0], np.eye(2)),
                    deltas=(0.9,), calib_reps=200)
-
-    def test_constant_difference_rejected(self):
-        data = make_rng(4).standard_normal((60, 2))
-        data[:, 0] = 0.5 * np.arange(60)  # a linear trend differences to 0.5
-        with pytest.raises(DegenerateFit, match="column 0 is constant"):
-            phase1(data, apply_difference=True, calib_reps=200)
-
-    def test_differenced_target_has_zero_mean(self):
-        data = make_rng(55).standard_normal((80, 2)) + 5.0
-        given = phase1(data, target=TargetSpec([5.0, -3.0], SIGMA), deltas=(0.9,),
-                       apply_difference=True, calib_reps=200)
-        zero = phase1(data, target=TargetSpec([0.0, 0.0], SIGMA), deltas=(0.9,),
-                      apply_difference=True, calib_reps=200)
-        np.testing.assert_array_equal(given.target.mu, [0.0, 0.0])
-        assert given.to_dict() == zero.to_dict()
 
     def test_model_arrays_are_read_only(self, fitted):
         # an in-place edit would bypass the checks the model was built with
@@ -212,25 +168,48 @@ class TestPhase1(object):
         with pytest.raises(InvalidConfig, match=message):
             phase1(data, deltas=deltas, calib_reps=200)
 
-    @pytest.mark.parametrize("difference,scale,row", [(False, 1.0, 10), (True, 1e5, 11)])
+    @pytest.mark.parametrize("settings,message", [
+        ({"lam": 1.5}, r"EWMA smoothing parameter must lie in \(0, 1\], got 1.5"),
+        ({"lam": np.nan}, r"EWMA smoothing parameter must lie in \(0, 1\], got nan"),
+        ({"target_arl": 0.5}, "target ARL must be finite and exceed 1, got 0.5"),
+        ({"target_arl": np.inf}, "target ARL must be finite and exceed 1, got inf"),
+        ({"calib_reps": 0}, "replication count must be >= 1, got 0"),
+    ], ids=["lam_above_1", "lam_nan", "arl_below_1", "arl_inf", "no_reps"])
+    def test_bad_chart_setting_rejected(self, monkeypatch, settings, message):
+        # refused before any candidate is filtered
+        def run_filter(*args):
+            raise AssertionError("run_filter called before the chart settings were checked")
+
+        monkeypatch.setattr(workflow, "run_filter", run_filter)
+        data = make_rng(0).standard_normal((300, 2))
+        with pytest.raises(InvalidConfig, match=message):
+            phase1(data, **{"calib_reps": 200, **settings})
+
+    def test_removed_keywords_refused(self):
+        import bfchart
+
+        assert not hasattr(bfchart, "difference") and not hasattr(workflow, "difference")
+        data = make_rng(0).standard_normal((300, 2))
+        for keyword in ("recenter", "apply_difference"):
+            with pytest.raises(TypeError, match=keyword):
+                phase1(data, deltas=(0.9,), calib_reps=200, **{keyword: False})
+
+    @pytest.mark.parametrize("difference,scale,row", [(False, 1.0, 10)])
     def test_log_bayes_factor_that_overflows_is_degenerate(self, difference, scale, row):
-        # a differenced series is scored against a zero mean, so there the
-        # data are large instead; the row named is the input's
+        # the row named is the input's
         data = make_rng(0).standard_normal((300, 2)) * scale
         target = TargetSpec([1e300, 0.0], np.diag([1e-300, 1.0]))
         with pytest.raises(DegenerateFit, match=f"log Bayes factor of row {row} is not finite"):
-            phase1(data, target=target, deltas=(0.9,), calib_reps=200,
-                   apply_difference=difference)
+            phase1(data, target=target, deltas=(0.9,), calib_reps=200)
 
-    @pytest.mark.parametrize("difference,row", [(False, 10), (True, 11)])
+    @pytest.mark.parametrize("difference,row", [(False, 10)])
     def test_log_bayes_factor_too_large_for_the_ar1_fit_is_degenerate(self, difference, row):
         # finite values whose squares overflow the AR(1) fit's sums
         data = make_rng(0).standard_normal((300, 2))
         target = TargetSpec([0.0, 0.0], np.diag([1e-300, 1.0]))
         with pytest.raises(DegenerateFit, match=f"log Bayes factor of row {row} is "
                            r"\S+ under the target, too large to fit the AR\(1\)"):
-            phase1(data, target=target, deltas=(0.9,), calib_reps=200,
-                   apply_difference=difference)
+            phase1(data, target=target, deltas=(0.9,), calib_reps=200)
 
     def test_holds_at_most_two_filter_paths(self, monkeypatch):
         # the best path so far and the one being scored; the rest are freed
@@ -248,14 +227,6 @@ class TestPhase1(object):
         assert len(most) == len(DELTA_GRID) and max(most) <= 1
         fresh = phase1(data, calib_reps=200, deltas=(model.delta,))
         assert fresh.to_dict()["m_opt"] == model.to_dict()["m_opt"]
-
-    def test_recenter_zeroes_phase1_ewma(self):
-        config = DwrConfig(dim=2, delta=0.9)
-        data = gen_local_level(config, SIGMA, 200, make_rng(56))
-        model = phase1(data, deltas=(0.9,), seed=2, calib_reps=300, recenter=True)
-        assert model.recenter
-        centered = model.phase1_z - model.chart.mu_z
-        assert abs(float(centered.mean())) < 1e-10
 
 
 def test_refuses_a_repeated_candidate():
@@ -607,22 +578,6 @@ class TestPhase2:
         result = phase2(model, stream)
         assert any("consecutive EWMA values" in w for w in result.warnings)
 
-    def test_difference_flag_monitors_the_differenced_stream(self):
-        config = DwrConfig(dim=2, delta=0.9)
-        data = gen_local_level(config, SIGMA, 200, make_rng(62))
-        model = phase1(data, deltas=(0.9,), seed=3, calib_reps=300,
-                       apply_difference=True)
-        assert model.difference
-        np.testing.assert_array_equal(model.target.mu, [0.0, 0.0])
-        stream = gen_local_level(config, SIGMA, 30, make_rng(63))
-        result = phase2(model, stream)
-        assert len(result.z) == 29  # one row lost to differencing
-        with pytest.raises(TooShort):
-            phase2(model, stream[:1])
-        empty = phase2(model, stream[:0])
-        assert empty.z.shape == empty.out_of_control.shape == (0,)
-        assert empty.signals == ()
-
 
 def run_warnings_loop(z, center):
     """The run scan one point at a time, as an oracle for _run_warnings."""
@@ -707,17 +662,16 @@ class TestPhase2NonFinite:
         with pytest.raises(InvalidConfig, match="row 9, column 0"):
             phase2(iid_model, stream)
 
-    @pytest.mark.parametrize("differenced", [False, True])
+    @pytest.mark.parametrize("differenced", [False])
     def test_overflowing_row_raises_naming_it(self, iid_model, stream, differenced):
         # finite rows whose frozen LBF overflows; a NaN score would leave
         # every later EWMA value NaN and never signal
         stream[12] = 1e200
         stream[30] = -1e200
-        model = replace(iid_model, difference=differenced)
         with pytest.raises(NonFiniteScore, match=r"not finite at row 12$"):
-            phase2(model, stream)
+            phase2(iid_model, stream)
 
-    @pytest.mark.parametrize("differenced", [False, True])
+    @pytest.mark.parametrize("differenced", [False])
     def test_tracking_names_the_row_that_overflows_the_covariance(
         self, iid_model, stream, differenced
     ):
@@ -725,11 +679,10 @@ class TestPhase2NonFinite:
         # error names the data row, not the filter time, and warns nothing
         stream[12] = 1e200
         stream[30] = -1e200
-        model = replace(iid_model, difference=differenced)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteScore, match=r"^row 12 overflows"):
-                phase2(model, stream, tracking=True)
+                phase2(iid_model, stream, tracking=True)
 
     @pytest.mark.parametrize("tracking", [False, True])
     def test_overflowing_last_row_raises(self, iid_model, stream, tracking):
