@@ -1,5 +1,6 @@
 """Text of long per-row outputs, built a chunk of rows at a time in numpy,
-and the parse kernel that reads a data CSV's rows back.
+and the parse kernel that reads a data CSV's rows back.  Both run on the
+calling thread.
 
 Every value of a chunk becomes a row of a fixed-width byte matrix, its
 cell, whose NUL bytes are the ones its text drops (the keep mask).  A row
@@ -36,8 +37,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
-
-from . import _threads
 
 #: rows formatted per matrix
 CHUNK_ROWS = 4096
@@ -520,20 +519,9 @@ def format_rows(
     where a row's text is its values' ``cells`` between the ``pieces``
     (one more piece than columns); ``reference`` writes the floats the
     kernel leaves undecided.
-
-    With three chunks or more and two usable CPUs, the cells of each chunk
-    are made on a second thread (``_threads.ahead``) while this thread joins
-    the chunk before into text; the text does not depend on it.
     """
     n = len(columns[0])
-    starts = range(0, n, CHUNK_ROWS)
-
-    def chunk_cells(start: int) -> list[np.ndarray]:
-        return [cells(c[start:start + CHUNK_ROWS], reference) for c in columns]
-
-    # the thread overlaps a chunk's cells with the join of the chunk before,
-    # never the first chunk's, so it pays for its start from three chunks
-    with _threads.pool(1 if len(starts) > 2 else 0) as pool:
-        for start, chunk in zip(starts, _threads.ahead(chunk_cells, starts, pool)):
-            text = join_rows(pieces, chunk, sep)
-            yield text if start + CHUNK_ROWS < n else text[:len(text) - len(sep)]
+    for start in range(0, n, CHUNK_ROWS):
+        chunk = [cells(c[start:start + CHUNK_ROWS], reference) for c in columns]
+        text = join_rows(pieces, chunk, sep)
+        yield text if start + CHUNK_ROWS < n else text[:len(text) - len(sep)]

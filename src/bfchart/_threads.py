@@ -8,8 +8,6 @@ threads of a ``pool`` while the caller uses the result before:
 * Calibration draws its normal noise a buffer ahead on one thread;
   numpy's ``Generator`` fills an array with the GIL released
   (``chart.calibrate_c``).
-* The text kernel makes each chunk's cells on one thread while the caller
-  joins the chunk before into text (``_rows.format_rows``).
 
 A caller asks for no thread where its input is small and a thread costs
 more than it saves; ``pool`` starts at most one per usable CPU

@@ -71,6 +71,14 @@ def check_chart_settings(lam: float, target_arl: float, reps: int) -> float:
     return _check_lambda(lam)
 
 
+def check_ar_coefficient(phi: float) -> None:
+    """Refuse a phi that is not finite (InvalidConfig) or of modulus >= 1 (NonStationary)."""
+    if not math.isfinite(phi):
+        raise InvalidConfig(f"autoregressive coefficient phi must be finite, got {phi}")
+    if abs(phi) >= 1.0:
+        raise NonStationary(f"autoregressive coefficient {phi} has modulus >= 1")
+
+
 @dataclass(frozen=True)
 class Ar1Model:
     """Stationary AR(1): x_t = intercept + phi x_{t-1} + nu_t, nu ~ N(0, sigma2)."""
@@ -81,11 +89,9 @@ class Ar1Model:
 
     def __post_init__(self):
         # the checks are written so that NaN fails them
-        if not (math.isfinite(self.intercept) and math.isfinite(self.phi)):
-            raise InvalidConfig(f"AR(1) coefficients must be finite, got "
-                                f"intercept={self.intercept}, phi={self.phi}")
-        if abs(self.phi) >= 1.0:
-            raise NonStationary(f"autoregressive coefficient {self.phi} has modulus >= 1")
+        if not math.isfinite(self.intercept):
+            raise InvalidConfig(f"AR(1) intercept must be finite, got {self.intercept}")
+        check_ar_coefficient(self.phi)
         if not 0.0 < self.sigma2 < math.inf:
             raise InvalidConfig(f"innovation variance must be finite and > 0, got {self.sigma2}")
 

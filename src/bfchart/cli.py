@@ -363,6 +363,8 @@ def cmd_calibrate(args) -> int:
     phis = (args.phi,) if args.grid_phi is None else _parse_grid(args.grid_phi)
     for lam in lams:
         chart.check_chart_settings(lam, args.arl, args.reps)
+    for phi in phis:
+        chart.check_ar_coefficient(phi)
     if args.reps < 1000:
         print(
             f"warning: --reps {args.reps} gives a wide ARL standard error; "
@@ -411,8 +413,9 @@ def cmd_simulate(args) -> int:
         print(f"{args.n} local-level rows written to {args.out}")
         return EXIT_OK
     if args.lbf:
-        if args.n < 3:
-            raise ParseError(f"simulate: --lbf needs -n of at least 3, got {args.n}")
+        for flag, value, least in (("-n", args.n, 3), ("--warmup", args.warmup, 1)):
+            if value < least:
+                raise ParseError(f"simulate: --lbf needs {flag} of at least {least}, got {value}")
         out_dir = "." if args.out_dir is None else args.out_dir
         # a directory that cannot be opened, '' too, is refused before the study
         with os.scandir(out_dir):
@@ -488,13 +491,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="keep updating the filter during monitoring")
 
     calibrate = sub.add_parser("calibrate", help="calibrate the limit multiplier")
-    calibrate.add_argument("--lambda", dest="lam", type=float, required=True)
-    calibrate.add_argument("--phi", type=float, default=0.0)
+    lam = calibrate.add_mutually_exclusive_group(required=True)
+    lam.add_argument("--lambda", dest="lam", type=float)
+    lam.add_argument("--grid-lambda", help="comma-separated lambda grid")
+    phi = calibrate.add_mutually_exclusive_group()
+    phi.add_argument("--phi", type=float, default=0.0)
+    phi.add_argument("--grid-phi", help="comma-separated phi grid")
     calibrate.add_argument("--arl", type=float, default=370.4)
     calibrate.add_argument("--reps", type=int, default=10**4)
     calibrate.add_argument("--seed", type=int, default=0)
-    calibrate.add_argument("--grid-lambda", help="comma-separated lambda grid")
-    calibrate.add_argument("--grid-phi", help="comma-separated phi grid")
     calibrate.add_argument("--out", help="CSV output path for grid mode")
 
     sim = sub.add_parser("simulate", help="generate scenario or filter data")

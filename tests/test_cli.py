@@ -807,6 +807,16 @@ class TestSimulateCommand:
             f"error: simulate: --lbf needs -n of at least 3, got {n}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("warmup", [0, -3])
+    def test_lbf_needs_a_warmup(self, tmp_path, capsys, warmup):
+        # refused before the study writes its first histogram
+        code = cli.main(["simulate", "--scenario", "all", "--lbf", "-n", "20",
+                         "--warmup", str(warmup), "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr() == (
+            "", f"error: simulate: --lbf needs --warmup of at least 1, got {warmup}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_lbf_study_outputs(self, tmp_path):
         code = cli.main(["simulate", "--scenario", "all", "--lbf", "-n", "150",
                          "--warmup", "100", "--seed", "0",
@@ -885,7 +895,7 @@ class TestCalibrateCommand:
     def test_grid_rows_match_per_value_text(self, capsys):
         from bfchart import chart
 
-        code = cli.main(["calibrate", "--lambda", "1.0", "--grid-lambda", "0.5,1.0",
+        code = cli.main(["calibrate", "--grid-lambda", "0.5,1.0",
                          "--grid-phi", "0.0,0.3", "--reps", "1000", "--seed", "2"])
         assert code == cli.EXIT_OK
         want = ["lambda,phi,c,arl,arl_se"]
@@ -897,13 +907,56 @@ class TestCalibrateCommand:
 
     def test_grid_mode_csv(self, tmp_path):
         out = tmp_path / "grid.csv"
-        code = cli.main(["calibrate", "--lambda", "1.0",
+        code = cli.main(["calibrate",
                          "--grid-lambda", "0.5,1.0", "--grid-phi", "0.0",
                          "--reps", "1000", "--seed", "0", "--out", str(out)])
         assert code == cli.EXIT_OK
         lines = out.read_text().splitlines()
         assert lines[0] == "lambda,phi,c,arl,arl_se"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("argv, clash", [
+        (["--lambda", "5", "--grid-lambda", "0.1"], "--grid-lambda: not allowed with "
+         "argument --lambda"),
+        (["--lambda", "0.05", "--phi", "0.3", "--grid-phi", "0.1"], "--grid-phi: not "
+         "allowed with argument --phi"),
+    ], ids=["lambda", "phi"])
+    def test_a_value_and_its_grid_are_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                    argv, clash):
+        from bfchart import chart
+
+        monkeypatch.setattr(chart, "calibrate_c", None)
+        out = tmp_path / "grid.csv"
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["calibrate", *argv, "--reps", "1000", "--out", str(out)])
+        assert stop.value.code == cli.EXIT_PARSE
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert f"error: argument {clash}\n" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_lambda_is_required(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["calibrate", "--grid-phi", "0.1", "--reps", "1000"])
+        assert stop.value.code == cli.EXIT_PARSE
+        assert "one of the arguments --lambda --grid-lambda is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--grid-phi", "0.1,0.5,1.5"], "autoregressive coefficient 1.5 has modulus >= 1"),
+        (["--grid-phi", "0.1,-2"], "autoregressive coefficient -2.0 has modulus >= 1"),
+        (["--grid-phi", "0.1,nan"], "autoregressive coefficient phi must be finite, got nan"),
+        (["--phi", "nan"], "autoregressive coefficient phi must be finite, got nan"),
+    ], ids=["grid_unit_root", "grid_negative", "grid_nan", "nan"])
+    def test_every_phi_is_refused_before_calibrating(self, monkeypatch, capsys, argv,
+                                                     message):
+        from bfchart import chart
+
+        calls = []
+        monkeypatch.setattr(chart, "calibrate_c", lambda *a, **k: calls.append(a))
+        code = cli.main(["calibrate", "--lambda", "0.05", *argv, "--reps", "10000"])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert calls == []
 
     def test_out_needs_a_grid(self, tmp_path, capsys):
         out = tmp_path / "single.csv"
@@ -1475,7 +1528,7 @@ def test_output_path_that_is_a_directory_exits_parse(tmp_path, capsys):
 @pytest.mark.parametrize("argv,message", [
     (["monitor", "{train}", "--model", "{model}", "--out", ""], "'': No such file"),
     (["monitor", "{train}", "--model", "{model}", "--plot", ""], "'': No such file"),
-    (["calibrate", "--lambda", "0.05", "--grid-lambda", ""], "empty numeric list ''"),
+    (["calibrate", "--grid-lambda", ""], "empty numeric list ''"),
     (["calibrate", "--lambda", "0.05", "--grid-phi", ""], "empty numeric list ''"),
     (["calibrate", "--lambda", "0.05", "--grid-phi", "0.1", "--reps", "1000", "--out", ""],
      "'': No such file"),
@@ -1782,7 +1835,7 @@ class TestOneParserPerProcess:
             ["calibrate", "--lambda", "0.05", "--phi", "1"],
             ["fit", str(train), "--out", model, "--estimate-target",
              "--delta-grid", "0.8,0.9", "--reps", "200", "--seed", "5"],
-            ["calibrate", "--lambda", "0.1", "--reps", "400", "--seed", "2",
+            ["calibrate", "--reps", "400", "--seed", "2",
              "--grid-lambda", "0.1,0.2", "--out", grid],
             ["calibrate", "--lambda", "0.2", "--phi", "0.3", "--reps", "1000"],
             ["monitor", str(stream), "--model", model, "--out", report],

@@ -1,6 +1,8 @@
-"""The thread helpers bfchart runs work on a second core with: ``pool`` and
-``ahead``."""
+"""The thread helpers bfchart runs work on a second core with, ``pool`` and
+``ahead``, and the layers that use them."""
 
+import ast
+import json
 import os
 import subprocess
 import sys
@@ -8,10 +10,12 @@ import textwrap
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import bfchart
-from bfchart import _threads
+from bfchart import _rows, _threads, cli
+from bfchart.linalg import make_rng
 
 
 @pytest.fixture(params=[1, 2], ids=["inline", "worker"])
@@ -141,8 +145,8 @@ def test_worker_drops_the_work_not_started(monkeypatch):
 
 
 def test_a_fresh_process_never_imports_concurrent_futures(tmp_path):
-    # a threaded calibration, a multi-chunk write_data and a monitor call of
-    # three chunks, with two CPUs whatever the host has
+    # a threaded calibration with two CPUs whatever the host has, and a
+    # three-chunk write_data and monitor call, whose text is made inline
     script = textwrap.dedent("""
         import sys
         import numpy as np
@@ -167,3 +171,65 @@ def test_a_fresh_process_never_imports_concurrent_futures(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("call", ["format_rows", "write_data", "monitor"])
+def test_per_row_text_starts_no_thread(monkeypatch, tmp_path, call):
+    # three chunks with two usable CPUs: the threads alive are checked at
+    # each cells call and inside each reference call
+    x = make_rng(5).standard_normal((2 * _rows.CHUNK_ROWS + 1, 2))
+    # a power-of-two significand, which the kernel leaves to the reference
+    x[::1000, 0] = 0.5
+    if call == "format_rows":
+        column = np.where(x[:, 0] == 0.5, np.nan, x[:, 0])
+        run = lambda: "".join(_rows.format_rows(["", "\n"], "", (column,), json.dumps))
+    elif call == "write_data":
+        run = lambda: cli.write_data(str(tmp_path / "new.csv"), x)
+    else:
+        cli.write_data(str(tmp_path / "fit.csv"), make_rng(3).standard_normal((200, 2)))
+        cli.write_data(str(tmp_path / "new.csv"), x)
+        assert cli.main(["fit", str(tmp_path / "fit.csv"), "--out", str(tmp_path / "model.json"),
+                         "--estimate-target", "--delta-grid", "0.9", "--reps", "200"]) == 0
+        run = lambda: cli.main(["monitor", str(tmp_path / "new.csv"), "--model",
+                                str(tmp_path / "model.json"), "--out",
+                                str(tmp_path / "report.json")])
+
+    monkeypatch.setattr(_threads, "usable_cpus", lambda: 2)
+    before = threading.enumerate()
+    seen = []
+    cells = _rows.cells
+
+    def watched(values, reference):
+        def watched_reference(v):
+            seen.append((threading.current_thread(), threading.enumerate()))
+            return reference(v)
+
+        seen.append((threading.current_thread(), threading.enumerate()))
+        return cells(values, watched_reference)
+
+    monkeypatch.setattr(_rows, "cells", watched)
+    result = run()
+    if call == "monitor":
+        assert result in (0, 10)
+    assert len(seen) >= 3
+    assert all(thread is threading.main_thread() for thread, _ in seen)
+    assert all(alive == before for _, alive in seen)
+    assert threading.enumerate() == before
+
+
+def test_only_phase1_and_calibration_import_threads():
+    package = os.path.dirname(bfchart.__file__)
+    users = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                (node.module or "").endswith("_threads")
+                or any(alias.name == "_threads" for alias in node.names)
+            ):
+                users.add(name[:-3])
+    assert users == {"chart", "workflow"}
+    assert not hasattr(_rows, "_threads")
