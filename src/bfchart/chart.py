@@ -61,11 +61,15 @@ def _check_lambda(lam: float) -> float:
 
 
 def check_chart_settings(lam: float, target_arl: float, reps: int) -> float:
-    """Refuse with InvalidConfig a target ARL that is not finite and above 1,
-    fewer than one replication or a smoothing parameter outside (0, 1];
-    returns the smoothing parameter as a float."""
+    """Refuse with InvalidConfig a target ARL that is not finite and above 1
+    or not below ``RUN_LENGTH_CAP`` (runs are censored there, so no chart
+    can reach it), fewer than one replication or a smoothing parameter
+    outside (0, 1]; returns the smoothing parameter as a float."""
     if not 1.0 < target_arl < math.inf:
         raise InvalidConfig(f"target ARL must be finite and exceed 1, got {target_arl}")
+    if target_arl >= RUN_LENGTH_CAP:
+        raise InvalidConfig(
+            f"target ARL must be below the run-length cap {RUN_LENGTH_CAP}, got {target_arl}")
     if reps < 1:
         raise InvalidConfig(f"replication count must be >= 1, got {reps}")
     return _check_lambda(lam)

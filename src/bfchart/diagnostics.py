@@ -3,7 +3,9 @@
 MSSE standardizes each one-step forecast error by the inverse symmetric
 square root of its forecast covariance and averages the squares per
 coordinate; a good fit gives entries near 1.  Above 2 x 2 the root is never
-formed: each error is whitened from its covariance's eigenpairs.  MAE is
+formed: each error is whitened from its covariance's eigenpairs, which a
+vectorised Jacobi kernel finds for 3 x 3 and 4 x 4 stacks and LAPACK for
+larger ones.  MAE is
 the per-coordinate mean absolute error.  MAPE only makes sense for
 positive-valued series and is reported as NaN for any coordinate with a
 non-positive observation.
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatch, EmptyInput, TooShort, ZeroVariance
-from .linalg import spd_eigh, sym_inv_sqrt
+from .linalg import jacobi_eigh, spd_eigh, sym_inv_sqrt
 
 
 @dataclass(frozen=True)
@@ -44,13 +46,22 @@ class FitReport:
         return float(np.mean(np.abs(self.msse - 1.0)))
 
 
+#: covariance sizes whose eigenpairs come from ``linalg.jacobi_eigh``; from
+#: p = 6 its sweeps cost more than LAPACK's one call per matrix, and at p = 5
+#: they take 0.92 of it, while LAPACK keeps the overlap that Phase I's grid
+#: threads get from it (BENCH_jacobi_whitening.json)
+_JACOBI_DIMS = (3, 4)
+
+
 def standardize_errors(errors, covs) -> np.ndarray:
     """Whiten each error by the inverse symmetric square root of its covariance.
 
     1 x 1 and 2 x 2 covariances get their inverse roots in closed form from
     ``linalg.sym_inv_sqrt``.  Larger ones get none: each error e
-    is whitened from its covariance's eigenpairs (``linalg.spd_eigh``) as
-    u ((u'e) / sqrt(w)), which is C^-1/2 e with C^-1/2 = u diag(w^-1/2) u'.
+    is whitened from its covariance's eigenpairs as u ((u'e) / sqrt(w)),
+    which is C^-1/2 e with C^-1/2 = u diag(w^-1/2) u'.  A stack of 3 x 3 or
+    4 x 4 covariances takes them from the vectorised Jacobi kernel
+    (``linalg.jacobi_eigh``), larger ones from LAPACK (``linalg.spd_eigh``).
     """
     errs = np.asarray(errors, dtype=float)
     if len(errs) != len(covs):
@@ -62,6 +73,13 @@ def standardize_errors(errors, covs) -> np.ndarray:
     c = np.asarray(covs, dtype=float)
     if c.ndim < 2 or c.shape[-1] <= 2:
         return (sym_inv_sqrt(c) @ errs[..., None])[..., 0]
+    if c.ndim == 3 and c.shape[-1] in _JACOBI_DIMS:
+        # the kernel's stack axis is last: u[i, j] is an n-vector
+        w, u = jacobi_eigh(c)
+        z = np.einsum("ikn,ni->kn", u, errs) / np.sqrt(w)
+        # (n, p) in row order, as the LAPACK branch gives it, so that msse
+        # sums the same way
+        return np.einsum("ikn,kn->ni", u, z, out=np.empty(errs.shape))
     w, u = spd_eigh(c)
     z = (np.swapaxes(u, -1, -2) @ errs[..., None]) / np.sqrt(w)[..., None]
     return (u @ z)[..., 0]

@@ -129,6 +129,120 @@ def spd_eigh(m) -> tuple[np.ndarray, np.ndarray]:
     return w, u
 
 
+#: sweeps after which ``jacobi_eigh`` gives up on a stack that has not
+#: converged; 3 x 3 and 4 x 4 stacks of condition number up to 1e15 take at
+#: most 6, the last of which rotates nothing
+JACOBI_SWEEPS = 12
+
+
+def jacobi_eigh(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w (p, n) and orthonormal eigenvectors v (p, p, n) of each
+    matrix of a stack (n, p, p), by cyclic Jacobi rotations vectorised across
+    the stack; the stack is the last axis, and w is not sorted.
+
+    Row i of matrix k is v[i, :, k], and column j (the eigenvector of
+    w[j, k]) is v[:, j, k].  Each matrix is held as its upper triangle,
+    p (p + 1) / 2 contiguous n-vectors, scaled by the power of 2 that brings
+    its largest entry into [1/2, 1), so that no product overflows.  A rotation
+    is skipped wherever |a_ij| <= eps sqrt(|a_ii a_jj|), the test under
+    which Jacobi keeps every eigenvalue to high relative accuracy (Demmel
+    and Veselic, 1992), and the sweeps stop when every matrix passes it for
+    every pair.  Every matrix must be finite, symmetric to within 1e-10 and
+    positive definite (every w > 0); otherwise NotPositiveDefinite, as for
+    a stack that has not converged after ``JACOBI_SWEEPS`` sweeps.
+    """
+    a = _symmetrized(_square_stack(m))
+    if a.ndim != 3:
+        raise DimensionMismatch(f"expected a stack (n, p, p), got shape {a.shape}")
+    n, p = a.shape[0], a.shape[-1]
+    rows, cols = np.triu_indices(p)
+    at = {(i, j): k for k, (i, j) in enumerate(zip(rows.tolist(), cols.tolist()))}
+    packed = np.ascontiguousarray(a[:, rows, cols].T)
+    exponent = np.frexp(np.max(np.abs(packed), axis=0))[1]
+    np.ldexp(packed, -exponent, out=packed)
+    v = np.zeros((p, p, n))
+    for i in range(p):
+        v[i, i] = 1.0
+    eps2, tiny = np.finfo(float).eps ** 2, np.finfo(float).tiny
+    t, s, tau, x, y = np.empty((5, n))
+    vx, vy = np.empty((2, p, n))
+    rotate = np.empty(n, dtype=bool)
+    pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    for _ in range(JACOBI_SWEEPS):
+        rotated = False
+        for i, j in pairs:
+            # rotate where a_ij^2 > eps^2 |a_ii a_jj|; elsewhere a_ij is
+            # negligible and set to 0, and t = 0 leaves the rest as it is
+            aii, ajj, aij = packed[at[i, i]], packed[at[j, j]], packed[at[i, j]]
+            np.multiply(aii, ajj, out=x)
+            np.abs(x, out=x)
+            x *= eps2
+            np.multiply(aij, aij, out=y)
+            np.greater(y, x, out=rotate)
+            if not rotate.any():
+                continue
+            rotated = True
+            aij *= rotate
+            # t = tan of the angle that zeroes a_ij, the smaller root:
+            # sign(d) 2 a_ij / (|d| + (d^2 + 4 a_ij^2)^1/2) with d = a_jj - a_ii;
+            # rotations keep every entry below p, so no square overflows, and
+            # the denominator is 0 only where a_ij = 0, which gives t = 0
+            np.subtract(ajj, aii, out=x)
+            y *= 4.0
+            np.multiply(x, x, out=t)
+            y += t
+            np.sqrt(y, out=y)
+            np.copysign(2.0, x, out=t)
+            t *= aij
+            np.abs(x, out=x)
+            x += y
+            np.maximum(x, tiny, out=x)
+            t /= x
+            np.multiply(t, aij, out=x)
+            aii -= x
+            ajj += x
+            aij.fill(0.0)
+            # s = t / r and tau = s / (1 + c) = t / (1 + r) with r = (1 + t^2)^1/2
+            np.multiply(t, t, out=x)
+            x += 1.0
+            np.sqrt(x, out=x)
+            np.divide(t, x, out=s)
+            x += 1.0
+            np.divide(t, x, out=tau)
+            for r in range(p):
+                if r != i and r != j:
+                    _rotate(packed[at[min(r, i), max(r, i)]],
+                            packed[at[min(r, j), max(r, j)]], s, tau, x, y)
+            _rotate(v[:, i], v[:, j], s, tau, vx, vy)
+        if not rotated:
+            break
+    else:
+        raise NotPositiveDefinite(
+            f"eigenpairs did not converge in {JACOBI_SWEEPS} Jacobi sweeps")
+    w = np.ldexp(packed[[at[i, i] for i in range(p)]], exponent)
+    if not np.all(w > 0.0):
+        raise NotPositiveDefinite("matrix has non-positive eigenvalues")
+    return w, v
+
+
+def _rotate(ui, uj, s, tau, x, y) -> None:
+    """ui, uj <- c ui - s uj, s ui + c uj in place, written as the increments
+    ui - s (uj + tau ui) and uj + s (ui - tau uj) with tau = s / (1 + c).
+
+    For a small angle c rounds to 1, and c ui - s uj would stretch every
+    vector it rotates by about (1 + t^2)^1/2, a bias that sums over the
+    sweeps; the increments carry the -t^2/2 ui term instead.  x and y are
+    work arrays of the vectors' shape."""
+    np.multiply(tau, ui, out=x)
+    x += uj
+    x *= s
+    np.multiply(tau, uj, out=y)
+    np.subtract(ui, y, out=y)
+    y *= s
+    ui -= x
+    uj += y
+
+
 def _square_stack(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:

@@ -1,6 +1,7 @@
 """Modified EWMA chart: variance formula, AR(1) fit, run lengths, calibration."""
 
 import math
+import re
 import sys
 import threading
 
@@ -235,6 +236,23 @@ class TestCalibrateC:
     def test_non_finite_target(self, target):
         with pytest.raises(InvalidConfig, match="finite"):
             calibrate_c(0.05, 0.0, target, reps=10)
+
+    @pytest.mark.parametrize("target", [float(chart.RUN_LENGTH_CAP), 1e307])
+    def test_target_at_or_above_the_run_length_cap(self, monkeypatch, target):
+        # refused before any replication is simulated: every run would be
+        # censored below the target, and 100 targets overflow an int
+        def runs(*args):
+            raise AssertionError("replications simulated before the target was checked")
+
+        monkeypatch.setattr(chart, "_RunMaxima", runs)
+        with pytest.raises(InvalidConfig, match=re.escape(
+                f"target ARL must be below the run-length cap 10000000, got {target}")):
+            calibrate_c(0.05, 0.0, target, reps=10)
+        with pytest.raises(InvalidConfig, match="run-length cap"):
+            chart.check_chart_settings(0.05, target, 10)
+
+    def test_target_just_below_the_run_length_cap_is_accepted(self):
+        assert chart.check_chart_settings(0.05, chart.RUN_LENGTH_CAP - 1.0, 10) == 0.05
 
     def test_non_finite_phi(self):
         with pytest.raises(InvalidConfig, match="finite"):

@@ -882,6 +882,17 @@ class TestCalibrateCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be finite" in err or "must lie in" in err
 
+    @pytest.mark.parametrize("arl", ["1e7", "1e307"])
+    def test_arl_at_or_above_the_run_length_cap_exit_code(self, monkeypatch, capsys, arl):
+        from bfchart import chart
+
+        monkeypatch.setattr(chart, "calibrate_c", None)
+        code = cli.main(["calibrate", "--lambda", "0.05", "--arl", arl, "--reps", "1000"])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr() == ("", (
+            "error: target ARL must be below the run-length cap 10000000, "
+            f"got {float(arl)}\n"))
+
     def test_low_reps_warns(self, capsys):
         cli.main(["calibrate", "--lambda", "1.0", "--reps", "100", "--seed", "0"])
         assert "wide ARL standard error" in capsys.readouterr().err
@@ -1260,6 +1271,23 @@ class TestFitCommand:
                          "--reps", "200", "--out", str(out)])
         assert code == cli.EXIT_PARSE
         assert "target ARL must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("arl", ["1e7", "1e307"])
+    def test_arl_at_or_above_the_run_length_cap_exit_code(self, fit_artifacts, tmp_path,
+                                                          monkeypatch, capsys, arl):
+        # refused before any candidate is filtered
+        from bfchart import workflow
+
+        _, train, _ = fit_artifacts
+        monkeypatch.setattr(workflow, "run_filter", None)
+        out = tmp_path / "model.json"
+        code = cli.main(["fit", str(train), "--estimate-target", "--arl", arl,
+                         "--reps", "200", "--out", str(out)])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: target ARL must be below the run-length cap 10000000, "
+            f"got {float(arl)}\n")
         assert not out.exists()
 
     def test_parse_error_exit_code(self, tmp_path, capsys):

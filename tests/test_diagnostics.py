@@ -77,7 +77,7 @@ class TestWhiteningFromEigenpairs:
     """Above 2 x 2 each error is whitened from its covariance's eigenpairs."""
 
     @pytest.mark.parametrize("kappa", [1.0, 1e2, 1e4, 1e6, 1e8])
-    @pytest.mark.parametrize("p", [3, 4, 6])
+    @pytest.mark.parametrize("p", [3, 4, 6, 5])
     def test_matches_the_per_matrix_root(self, p, kappa):
         # both lie within about kappa * eps of the exact C^-1/2 e, relative
         # to |C^-1/2| |e| = sqrt(kappa) |e|
@@ -88,7 +88,7 @@ class TestWhiteningFromEigenpairs:
         bound = np.finfo(float).eps * (kappa + 4.0)
         assert np.all(np.abs(got - expected).max(axis=1) <= bound * norm)
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_stack_of_one(self, p):
         errors, covs = rotated_stack(p, 1e3, 1, seed=23)
         np.testing.assert_allclose(standardize_errors(errors, covs)[0],
@@ -110,6 +110,50 @@ class TestWhiteningFromEigenpairs:
             covs[where, 0, 3] += 2e-10
         with pytest.raises(NotPositiveDefinite):
             standardize_errors(errors, covs)
+
+    @pytest.mark.parametrize("bad", ["indefinite", "singular", "nan", "inf", "asymmetric"])
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_one_bad_matrix_of_three_or_five_is_refused(self, p, bad):
+        # 3 x 3 goes through the Jacobi kernel, 5 x 5 through LAPACK
+        errors, covs = rotated_stack(p, 10.0, 10, seed=27)
+        if bad == "indefinite":
+            covs[4] = np.diag([1.0, 2.0, -1e-3, 3.0, 4.0][:p])
+        elif bad == "singular":
+            covs[4] = np.diag([1.0, 2.0, 0.0, 3.0, 4.0][:p])
+        elif bad == "nan":
+            covs[4, 1, 1] = np.nan
+        elif bad == "inf":
+            covs[4, 0, 2] = covs[4, 2, 0] = np.inf
+        else:
+            covs[4, 0, 2] += 2e-10
+        with pytest.raises(NotPositiveDefinite):
+            standardize_errors(errors, covs)
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_diagonal_covariances_divide_by_their_roots(self, p):
+        rng = make_rng(28)
+        d = rng.uniform(0.1, 10.0, (30, p))
+        errors = rng.standard_normal((30, p))
+        covs = np.stack([np.diag(row) for row in d])
+        np.testing.assert_array_equal(standardize_errors(errors, covs), errors / np.sqrt(d))
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 6])
+    def test_other_sizes_keep_their_lapack_or_closed_form_bits(self, p):
+        # only 3 x 3 and 4 x 4 stacks go through the Jacobi kernel
+        errors, covs = rotated_stack(p, 1e3, 40, seed=29)
+        if p <= 2:
+            expected = (sym_inv_sqrt(covs) @ errors[..., None])[..., 0]
+        else:
+            w, u = np.linalg.eigh(covs)
+            z = (np.swapaxes(u, -1, -2) @ errors[..., None]) / np.sqrt(w)[..., None]
+            expected = (u @ z)[..., 0]
+        np.testing.assert_array_equal(standardize_errors(errors, covs), expected)
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_rows_come_back_in_row_order(self, p):
+        # msse then sums each column in the same order as for the LAPACK branch
+        errors, covs = rotated_stack(p, 10.0, 20, seed=30)
+        assert standardize_errors(errors, covs).flags.c_contiguous
 
     @pytest.mark.parametrize("gap", [1e-10, 3e-11, 1e-16])
     def test_small_asymmetry_whitens_the_symmetrized_stack(self, gap):

@@ -13,6 +13,7 @@ from bfchart.linalg import (
     chol_log_det,
     chol_sq,
     cholesky,
+    jacobi_eigh,
     make_rng,
     sample_mvn,
     sym_inv_sqrt,
@@ -232,6 +233,128 @@ class TestSymInvSqrt:
         # the 1e200 entries would overflow det = c11 c22 - c12^2 unscaled
         with pytest.raises(NotPositiveDefinite):
             sym_inv_sqrt(np.stack([np.eye(len(bad)), bad]))
+
+
+def rotated(p, lam, n, seed):
+    """n matrices Q diag(lam) Q' at random rotations Q, exactly symmetric."""
+    q, _ = np.linalg.qr(make_rng(seed).standard_normal((n, p, p)))
+    m = (q * np.asarray(lam, dtype=float)) @ np.swapaxes(q, -1, -2)
+    return 0.5 * m + 0.5 * np.swapaxes(m, -1, -2)
+
+
+class TestJacobiEigh:
+    """The vectorised Jacobi kernel against LAPACK's eigh, taken here."""
+
+    @staticmethod
+    def check_against_eigh(m, w, v):
+        # w and v batch-last; every matrix's eigenvalues agree with eigh's to
+        # a few eps of its largest, and v is orthonormal and rebuilds m
+        p = m.shape[-1]
+        eps = np.finfo(float).eps
+        w_ref = np.linalg.eigh(m)[0]
+        top = np.abs(w_ref).max(axis=-1)
+        assert np.all(np.abs(np.sort(w.T, axis=-1) - w_ref).max(axis=-1) <= 4 * p * eps * top)
+        u = np.moveaxis(v, -1, 0)
+        eye = np.broadcast_to(np.eye(p), u.shape)
+        assert np.abs(np.swapaxes(u, -1, -2) @ u - eye).max() <= 8 * p * eps
+        rebuilt = (u * w.T[:, None, :]) @ np.swapaxes(u, -1, -2)
+        assert np.all(np.abs(rebuilt - m).max(axis=(-2, -1)) <= 8 * p * eps * top)
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e2, 1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_matches_eigh(self, p, kappa):
+        m = rotated(p, np.geomspace(1.0, 1.0 / kappa, p), 200, seed=40)
+        w, v = jacobi_eigh(m)
+        assert w.shape == (p, 200) and v.shape == (p, p, 200)
+        self.check_against_eigh(m, w, v)
+        # the inverse root from the eigenpairs lies as close to LAPACK's as
+        # each lies to the exact one, about kappa * eps relative
+        u = np.moveaxis(v, -1, 0)
+        root = (u / np.sqrt(w.T)[:, None, :]) @ np.swapaxes(u, -1, -2)
+        norm = np.abs(sym_inv_sqrt(m)).max(axis=(-2, -1))
+        bound = 2 * np.finfo(float).eps * (kappa + 4.0)
+        assert np.all(np.abs(root - sym_inv_sqrt(m)).max(axis=(-2, -1)) <= bound * norm)
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_diagonal_input_is_not_rotated(self, p):
+        m = np.stack([np.diag(d) for d in make_rng(41).uniform(0.1, 10.0, (20, p))])
+        w, v = jacobi_eigh(m)
+        np.testing.assert_array_equal(w, np.diagonal(m, axis1=1, axis2=2).T)
+        np.testing.assert_array_equal(v, np.broadcast_to(np.eye(p)[..., None], (p, p, 20)))
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_negligible_entries_are_not_rotated(self, p):
+        # |a_01| <= eps sqrt(a_00 a_11) is dropped without a rotation, even
+        # in a stack whose other matrices rotate; a rotation here would turn
+        # the nearly equal a_00 and a_11 by a visible angle
+        eps = np.finfo(float).eps
+        near = np.diag([1.0, 1.0 + 2 * eps, 3.0, 5.0][:p])
+        near[0, 1] = near[1, 0] = 0.5 * eps
+        m = np.stack([near, rotated(p, np.geomspace(1.0, 0.1, p), 1, seed=49)[0]])
+        w, v = jacobi_eigh(m)
+        np.testing.assert_array_equal(w[:, 0], np.diag(near))
+        np.testing.assert_array_equal(v[..., 0], np.eye(p))
+        self.check_against_eigh(m, w, v)
+
+    @pytest.mark.parametrize("lam", [[2.0, 2.0, 5.0], [1.0, 3.0, 3.0], [4.0, 4.0, 4.0],
+                                     [1.0, 1.0, 2.0, 2.0], [7.0, 1.0, 1.0, 1.0]])
+    def test_repeated_eigenvalues(self, lam):
+        m = rotated(len(lam), lam, 100, seed=42)
+        w, v = jacobi_eigh(m)
+        self.check_against_eigh(m, w, v)
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_stack_of_one(self, p):
+        m = rotated(p, np.geomspace(1.0, 1e-3, p), 1, seed=43)
+        w, v = jacobi_eigh(m)
+        assert w.shape == (p, 1)
+        self.check_against_eigh(m, w, v)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+    def test_extreme_scales_rotate_alike(self, scale):
+        # each matrix is brought to its largest entry's power of 2 first, so
+        # no square overflows or underflows, and a power-of-2 scale is exact
+        m = rotated(4, [1.0, 0.5, 1e-3, 1e-6], 50, seed=44)
+        w, v = jacobi_eigh(m)
+        scale = 2.0 ** np.round(np.log2(scale))
+        ws, vs = jacobi_eigh(m * scale)
+        np.testing.assert_array_equal(ws, w * scale)
+        np.testing.assert_array_equal(vs, v)
+
+    @pytest.mark.parametrize("bad", ["indefinite", "singular", "zero", "nan", "inf",
+                                     "asymmetric"])
+    @pytest.mark.parametrize("where", [0, 5, 9])
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_one_bad_matrix_anywhere_is_refused(self, p, bad, where):
+        m = rotated(p, np.geomspace(1.0, 0.1, p), 10, seed=45)
+        if bad == "indefinite":
+            m[where] = rotated(p, [1.0, -1e-3, 2.0, 3.0][:p], 1, seed=46)[0]
+        elif bad == "singular":
+            m[where] = np.diag([1.0, 0.0, 2.0, 3.0][:p])
+        elif bad == "zero":
+            m[where] = 0.0
+        elif bad == "nan":
+            m[where, 1, 1] = np.nan
+        elif bad == "inf":
+            m[where, 0, 2] = m[where, 2, 0] = np.inf
+        else:
+            m[where, 0, 2] += 2e-10
+        with pytest.raises(NotPositiveDefinite):
+            jacobi_eigh(m)
+
+    def test_a_stack_that_has_not_converged_is_refused(self, monkeypatch):
+        from bfchart import linalg
+
+        m = rotated(4, [1.0, 0.5, 0.25, 0.125], 10, seed=47)
+        monkeypatch.setattr(linalg, "JACOBI_SWEEPS", 2)
+        with pytest.raises(NotPositiveDefinite, match="did not converge in 2 Jacobi sweeps"):
+            jacobi_eigh(m)
+
+    def test_shapes_other_than_a_stack_are_refused(self):
+        with pytest.raises(DimensionMismatch):
+            jacobi_eigh(np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            jacobi_eigh(np.ones((2, 3, 4)))
 
 
 class TestAsRows:
