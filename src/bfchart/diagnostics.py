@@ -46,10 +46,12 @@ class FitReport:
         return float(np.mean(np.abs(self.msse - 1.0)))
 
 
-#: covariance sizes whose eigenpairs come from ``linalg.jacobi_eigh``; from
-#: p = 6 its sweeps cost more than LAPACK's one call per matrix, and at p = 5
-#: they take 0.92 of it, while LAPACK keeps the overlap that Phase I's grid
-#: threads get from it (BENCH_jacobi_whitening.json)
+#: covariance sizes whose eigenpairs come from ``linalg.jacobi_eigh``.  From
+#: p = 6 its sweeps cost more than LAPACK's one call per matrix.  At p = 5 they
+#: take 0.92 of it alone, but Phase I with LAPACK on the grid threads took
+#: 0.56-0.83 of Phase I with the kernel, threaded or inline, in three of four
+#: measured sets at n = 2,000 and 5,000; in the fourth, with the second vCPU
+#: busy, all ways were within 5% (BENCH_jacobi_whitening.json, p5_phase1)
 _JACOBI_DIMS = (3, 4)
 
 

@@ -59,8 +59,11 @@ MIN_PHASE1 = 30
 RUN_WARNING = 8
 
 #: input size n * p * p from which Phase I scores its discount factor
-#: candidates on threads; below it the threads' contention for the GIL costs
-#: more than overlapping their batched eigh saves (BENCH_grid_threads.json)
+#: candidates on threads.  It was set where overlapping LAPACK's batched eigh
+#: began to save more than the threads' contention for the GIL costs
+#: (BENCH_grid_threads.json).  At p = 3 and 4, whose eigenpairs now come from
+#: the numpy Jacobi kernel, the threads no longer pay: they took 1.02-1.13 of
+#: inline (ROADMAP item 15, BENCH_jacobi_whitening.json)
 _THREADED_GRID_ENTRIES = 16000
 
 

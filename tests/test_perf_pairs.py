@@ -58,7 +58,8 @@ def test_a_run_without_a_result_counts_as_failed_and_leaves_its_pair_out():
     missing = {"correct": False, "attempted": 0, "failed": 1, "metrics": {}}
     runs = [(result(1.0, 100.0), result(0.9, 110.0)), (missing, result(0.8, 120.0)),
             (result(1.2, 90.0), result(1.1, 95.0, failed=2))]
-    summary = perf_pairs.workload_summary(runs, [1, 2, 3], {"monitor_rows_per_s": "higher"})
+    summary = perf_pairs.workload_summary(runs, [1, 2, 3], {"fit_s": "lower",
+                                                            "monitor_rows_per_s": "higher"})
     assert summary["failed_ops"] == {"parent": 1, "change": 2}
     assert summary["attempted_ops"] == {"parent": 20, "change": 30}
     assert summary["correct"] is False
@@ -66,6 +67,12 @@ def test_a_run_without_a_result_counts_as_failed_and_leaves_its_pair_out():
     assert summary["metrics"]["fit_s"]["change_better_pairs"] == 2
     assert summary["metrics"]["monitor_rows_per_s"]["change_better_pairs"] == 2
     assert "fit_s" in perf_pairs.table("fit-long", summary)
+
+
+def test_a_metric_without_a_direction_is_an_error():
+    runs = [(result(1.0, 100.0), result(0.9, 110.0))]
+    with pytest.raises(KeyError, match="monitor_rows_per_s"):
+        perf_pairs.workload_summary(runs, [1], {"fit_s": "lower"})
 
 
 def test_run_once_reads_the_last_line_and_each_metric_value(monkeypatch, tmp_path):
@@ -101,11 +108,18 @@ def test_main_prints_the_table_and_writes_the_summary(monkeypatch, tmp_path, cap
         real_dump(doc, fh, **kwargs)
 
     monkeypatch.setattr(perf_pairs.json, "dump", dump)
-    monkeypatch.setattr(perf_pairs, "run_once",
-                        lambda checkout, *a: result(0.8 if checkout == str(change) else 1.0, 100.0))
+    seconds = []
+
+    def run_once(checkout, workload, seed, run_seconds):
+        seconds.append(run_seconds)
+        return result(0.8 if checkout == str(change) else 1.0, 100.0)
+
+    monkeypatch.setattr(perf_pairs, "run_once", run_once)
     change = tmp_path / "change"
     change.mkdir()
-    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+    with pytest.raises(FileNotFoundError):
+        perf_pairs.main(["--parent", "P", "--change", str(change), "--workload", "fit-long"])
+    (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 15, "end_to_end": [
         {"name": "fit_s", "better": "lower"},
         {"name": "monitor_rows_per_s", "better": "higher"}]}))
     out = tmp_path / "pairs.json"
@@ -118,6 +132,8 @@ def test_main_prints_the_table_and_writes_the_summary(monkeypatch, tmp_path, cap
     assert doc["fit-long"]["metrics"]["fit_s"]["change_better_pairs"] == 2
     assert doc["fit-long"]["metrics"]["monitor_rows_per_s"]["change_better_pairs"] == 0
     assert "fit-long: 2 pairs" in capsys.readouterr().out
+    # every run lasts BENCHMARK.json's run_seconds
+    assert seconds == [15] * 4
 
 
 def test_clean_removes_what_a_run_leaves(tmp_path):

@@ -1,10 +1,11 @@
 """Alternating perfbench pairs: a parent checkout against a changed one.
 
     python3 tools/perf_pairs.py --parent ../parent --change . \\
-        --workload fit-long --seeds 1-10 --seconds 15 --out pairs.json
+        --workload fit-long --seeds 1-10 --out pairs.json
 
 For each workload and each seed, ``perfbench/run.py --trace 0`` runs once in
-each checkout, one after the other: the parent first on the 1st, 3rd, ...
+each checkout for the ``run_seconds`` that the changed checkout's
+``BENCHMARK.json`` sets, one after the other: the parent first on the 1st, 3rd, ...
 pair and the change first on the others, so that a drift of the host's
 speed falls on both sides alike.  Before every run the checkout's
 ``.perfbench_work`` and the ``__pycache__`` folders under its ``src`` and
@@ -13,8 +14,9 @@ metric the table gives each side's median and quartiles (linear
 interpolation), the ratio of the medians (change / parent), the pairs in
 which the change was better, and each side's failed and attempted
 operations.  ``--out`` writes the same summary and every run's value as
-JSON.  Each metric's better direction is read from the changed checkout's
-``BENCHMARK.json``.  Standard library only.
+JSON.  Each metric's better direction is read from the same
+``BENCHMARK.json``; the tool stops when that file or a metric's direction is
+missing.  Standard library only.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ import shutil
 import statistics
 import subprocess
 import sys
-
-#: a metric's better direction when no BENCHMARK.json names it
-DEFAULT_BETTER = "lower"
-
 
 def seed_list(text: str) -> list[int]:
     """Seeds from "1-10", "3" or "1,4,7-9"."""
@@ -64,14 +62,12 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
-def directions(benchmark: str) -> dict[str, str]:
-    """Each end-to-end metric's better direction from a BENCHMARK.json."""
-    try:
-        with open(benchmark, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        return {}
-    return {m["name"]: m["better"] for m in doc.get("end_to_end", [])}
+def benchmark(checkout: str) -> tuple[float, dict[str, str]]:
+    """A checkout's ``BENCHMARK.json``: its run seconds and each end-to-end
+    metric's better direction."""
+    with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    return doc["run_seconds"], {m["name"]: m["better"] for m in doc["end_to_end"]}
 
 
 def clean(checkout: str) -> None:
@@ -123,7 +119,8 @@ def workload_summary(runs: list[tuple[dict, dict]], seeds: list[int],
                      better: dict[str, str]) -> dict:
     """The summary of one workload's pairs.  A metric is summarised over the
     pairs in which both runs gave a result; a run without one counts as a
-    failed operation."""
+    failed operation.  A metric without a direction in ``better`` is an
+    error."""
     whole = [(p, c) for p, c in runs if p["metrics"] and c["metrics"]]
     names = [m for m in (whole[0][0]["metrics"] if whole else {})
              if all(m in p["metrics"] and m in c["metrics"] for p, c in whole)]
@@ -138,7 +135,7 @@ def workload_summary(runs: list[tuple[dict, dict]], seeds: list[int],
         "metrics": {
             m: summarize([p["metrics"][m] for p, _ in whole],
                          [c["metrics"][m] for _, c in whole],
-                         better.get(m, DEFAULT_BETTER))
+                         better[m])
             for m in names
         },
     }
@@ -168,10 +165,9 @@ def main(argv=None) -> int:
                         help="a perfbench workload; repeat for more")
     parser.add_argument("--seeds", type=seed_list, default=seed_list("1-10"),
                         help='one pair per seed, e.g. "1-10" (default) or "1,3,5"')
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--out", help="write the summaries and runs as JSON")
     args = parser.parse_args(argv)
-    better = directions(os.path.join(args.change, "BENCHMARK.json"))
+    seconds, better = benchmark(args.change)
     summaries = {}
 
     def save(workload, runs):
@@ -183,7 +179,7 @@ def main(argv=None) -> int:
                 fh.write("\n")
 
     for workload in args.workload:
-        pairs(args.parent, args.change, workload, args.seeds, args.seconds,
+        pairs(args.parent, args.change, workload, args.seeds, seconds,
               lambda runs: save(workload, runs))
         print(table(workload, summaries[workload]), flush=True)
     return 0
